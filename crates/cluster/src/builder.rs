@@ -141,7 +141,9 @@ impl ClusterBuilder {
     }
 
     /// Install the NIC-contention model and tenant QoS policy on the
-    /// fabric. Without this the fabric is tenancy-blind.
+    /// fabric. Without this the fabric is tenancy-blind. Under a rate
+    /// limit, [`ClusterBuilder::finish`] gives every limited node's NIC
+    /// its own token bucket.
     pub fn set_tenancy(&mut self, cfg: TenancyConfig) {
         self.fabric.set_tenancy(cfg);
     }
@@ -172,6 +174,19 @@ impl ClusterBuilder {
         fabric.set_node_actors(self.nodes.clone());
         if let Some(race) = &self.race {
             fabric.set_race_detector(race.clone());
+        }
+        // Rate limiting is enforced where a post is made: each limited
+        // node's NIC gets its own bucket, and the fabric only counts the
+        // frames those NICs mark refused.
+        if let Some(tc) = fabric.tenancy().copied() {
+            for (i, &actor) in self.nodes.iter().enumerate() {
+                let bucket = tc.post_limiter(fabric.tenant_of(NodeId(i as u16)));
+                self.eng
+                    .actor_mut::<NodeActor>(actor)
+                    .expect("node actor")
+                    .core_mut()
+                    .set_post_limiter(bucket);
+            }
         }
         // A fail-stop window ends with the node coming back *restarted*,
         // not resumed: schedule the restart at each finite window end, so
@@ -295,22 +310,24 @@ impl Cluster {
                 .collect(),
         }];
         let returned = run_sharded(&mut self.eng, horizon, lookahead, plan, replicas);
-        // Fold every replica's traffic counters back into the main
-        // fabric so `fabric_stats` reports the whole run.
-        let mut total = fgmon_net::FabricStats::default();
-        for set in &returned {
-            for r in &set.replicas {
-                let f = (r.as_ref() as &dyn Any)
+        // Fold the replicas back into the main fabric: `fabric_stats`
+        // reports the whole run, and the next segment resumes from the
+        // contention state the replicas evolved.
+        let fabrics: Vec<&Fabric> = returned
+            .iter()
+            .flat_map(|set| &set.replicas)
+            .map(|r| {
+                (r.as_ref() as &dyn Any)
                     .downcast_ref::<Fabric>()
-                    .expect("fabric replica");
-                total.absorb(&f.stats);
-            }
-        }
+                    .expect("fabric replica")
+            })
+            .collect();
+        let nodes = &self.nodes;
+        let owner = |n: NodeId| plan.shard_of[nodes[n.index()].index()] as usize;
         self.eng
             .actor_mut::<Fabric>(self.fabric)
             .expect("fabric actor")
-            .stats
-            .absorb(&total);
+            .rejoin_shards(&fabrics, owner);
         if self.eng.queue_len() > 0 {
             RunOutcome::HorizonReached
         } else {

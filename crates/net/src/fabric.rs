@@ -19,7 +19,7 @@ use fgmon_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 use fgmon_types::{
     ConnId, FaultOp, FaultPlan, McastGroup, Msg, NetConfig, NetMsg, NodeId, NodeMsg, Payload,
     QosPolicy, RdmaResult, ReadVerdict, ServiceSlot, SharedRaceDetector, TenancyConfig, TenantId,
-    TenantStats, TokenBucket, MAX_TENANTS,
+    TenantStats, MAX_TENANTS,
 };
 
 /// One registered point-to-point connection.
@@ -142,12 +142,10 @@ pub struct Fabric {
     /// shard replicas).
     tenants: Vec<TenantId>,
     /// NIC-contention model + QoS policy; `None` keeps the fabric
-    /// tenancy-blind and bit-identical to pre-tenancy builds.
+    /// tenancy-blind and bit-identical to pre-tenancy builds. Rate-limit
+    /// buckets live on each posting node's NIC (`OsCore`); the fabric
+    /// only counts the frames they mark refused.
     tenancy: Option<TenancyConfig>,
-    /// Rate-limit buckets, one per *source* node. A post is only ever
-    /// handled on its source's shard (the source sent it same-instant),
-    /// so each bucket is touched from exactly one shard.
-    limiters: Vec<TokenBucket>,
     /// QP-cache pressure per *target* node: `(window index, ops)` for
     /// the aligned window the target is currently in. Completion legs
     /// are only ever handled on the target's shard (the target sent
@@ -192,7 +190,6 @@ impl Fabric {
             race: None,
             tenants: Vec::new(),
             tenancy: None,
-            limiters: Vec::new(),
             pressure: Vec::new(),
             stats: FabricStats::default(),
         }
@@ -203,7 +200,8 @@ impl Fabric {
     /// membership, node table, fault plan, race-detector handle) and
     /// start with fresh counters; fault fates are a pure function of the
     /// plan seed and each event's engine key, so every replica decides
-    /// identical fates for identical events.
+    /// identical fates for identical events. [`Fabric::rejoin_shards`]
+    /// folds the replicas back after the segment.
     pub fn split_for_shards(&self, shards: usize) -> Vec<Fabric> {
         (0..shards)
             .map(|_| Fabric {
@@ -219,16 +217,33 @@ impl Fabric {
                 race: self.race.clone(),
                 tenants: self.tenants.clone(),
                 tenancy: self.tenancy,
-                // Per-node QoS/contention state is replicated as-is:
-                // each slot is only ever touched from the one shard
-                // that owns the node (posts on the source's shard,
-                // completions on the target's), so replicas evolve
-                // exactly the slots the sequential fabric would.
-                limiters: self.limiters.clone(),
+                // Per-target contention state is replicated as-is: each
+                // slot is only ever touched from the shard that owns the
+                // target (completions run there), so that shard's
+                // replica evolves exactly the slot the sequential
+                // fabric would.
                 pressure: self.pressure.clone(),
                 stats: FabricStats::default(),
             })
             .collect()
+    }
+
+    /// Fold shard replicas back in after a parallel segment: sum their
+    /// counters into this fabric's, and take each target's QP-cache
+    /// pressure slot from `replicas[owner(target)]`, the replica of the
+    /// shard that owns the target and so the only one whose completion
+    /// legs touched it. The next segment then starts from the state a
+    /// sequential run would have reached.
+    pub fn rejoin_shards(&mut self, replicas: &[&Fabric], owner: impl Fn(NodeId) -> usize) {
+        for r in replicas {
+            self.stats.absorb(&r.stats);
+        }
+        let len = replicas.iter().map(|r| r.pressure.len()).max().unwrap_or(0);
+        self.pressure.resize(len, (0, 0));
+        for (i, slot) in self.pressure.iter_mut().enumerate() {
+            let home = replicas[owner(NodeId(i as u16))];
+            *slot = home.pressure.get(i).copied().unwrap_or((0, 0));
+        }
     }
 
     /// Static lower bound on every fabric→node delivery latency: all
@@ -310,45 +325,26 @@ impl Fabric {
         self.tenancy.as_ref()
     }
 
-    fn tenant_of(&self, node: NodeId) -> TenantId {
+    /// The tenant `node` belongs to (the infrastructure tenant unless
+    /// assigned).
+    pub fn tenant_of(&self, node: NodeId) -> TenantId {
         self.tenants
             .get(node.index())
             .copied()
             .unwrap_or(TenantId::INFRA)
     }
 
-    /// Source-NIC admission for one posted frame (or one doorbell
-    /// batch): count it against the posting tenant and enforce the
-    /// rate-limit QoS. Runs while handling the post event, which the
-    /// source node sent same-instant — i.e. on the source's shard — so
-    /// the per-source bucket is shard-local state.
-    fn admit_post(&mut self, now: SimTime, src: NodeId) -> bool {
-        let Some(tc) = self.tenancy else {
-            return true;
-        };
-        let tenant = self.tenant_of(src);
-        self.stats.tenants[tenant.index()].posted += 1;
-        let QosPolicy::RateLimit {
-            ops_per_window,
-            window,
-        } = tc.qos
-        else {
-            return true;
-        };
-        if tenant == tc.priority_tenant {
-            return true;
+    /// The counting side of source admission for one posted frame (or
+    /// one doorbell batch): charge it to the posting tenant, and a frame
+    /// the source NIC's rate limiter `refused` also as `rate_limited`.
+    /// Returns whether the frame goes on; a refused frame is dropped.
+    fn admit_post(&mut self, src: NodeId, refused: bool) -> bool {
+        if self.tenancy.is_some() {
+            let t = &mut self.stats.tenants[self.tenant_of(src).index()];
+            t.posted += 1;
+            t.rate_limited += u64::from(refused);
         }
-        let idx = src.index();
-        if self.limiters.len() <= idx {
-            self.limiters
-                .resize(idx + 1, TokenBucket::new(ops_per_window, window));
-        }
-        if self.limiters[idx].try_admit(now) {
-            true
-        } else {
-            self.stats.tenants[tenant.index()].rate_limited += 1;
-            false
-        }
+        !refused
     }
 
     /// Target-NIC contention for one one-sided completion leg: bump the
@@ -655,9 +651,6 @@ impl Fabric {
         size: u32,
         mut payload: Payload,
     ) {
-        if !self.admit_post(now, src) {
-            return;
-        }
         let Some(entry) = self.conn(conn).copied() else {
             self.stats.dropped += 1;
             return;
@@ -726,15 +719,21 @@ impl Actor<Msg> for Fabric {
                 conn,
                 size,
                 payload,
-            } => self.deliver_socket(ctx, (now, seq), src, conn, size, payload),
+                refused,
+            } => {
+                if self.admit_post(src, refused) {
+                    self.deliver_socket(ctx, (now, seq), src, conn, size, payload);
+                }
+            }
 
             NetMsg::RdmaRead {
                 src,
                 dst,
                 region,
                 req_id,
+                refused,
             } => {
-                if !self.admit_post(now, src) {
+                if !self.admit_post(src, refused) {
                     return;
                 }
                 let Some(dst_actor) = self.actor_of(dst) else {
@@ -764,14 +763,18 @@ impl Actor<Msg> for Fabric {
                 );
             }
 
-            NetMsg::RdmaReadBatch { src, reads } => {
+            NetMsg::RdmaReadBatch {
+                src,
+                reads,
+                refused,
+            } => {
                 // One doorbell ring posts the whole batch (RDMAbox-style
                 // request merging): the initiator paid `rdma_post` once,
                 // and the simulator pays one fabric event instead of one
                 // per read. Each read then flies and is served
                 // independently, with its own fate draw. The doorbell
                 // ring is one posted op for QoS purposes.
-                if !self.admit_post(now, src) {
+                if !self.admit_post(src, refused) {
                     return;
                 }
                 self.stats.rdma_batch_posts += 1;
@@ -812,8 +815,9 @@ impl Actor<Msg> for Fabric {
                 region,
                 req_id,
                 mut data,
+                refused,
             } => {
-                if !self.admit_post(now, src) {
+                if !self.admit_post(src, refused) {
                     return;
                 }
                 let Some(dst_actor) = self.actor_of(dst) else {
@@ -852,8 +856,9 @@ impl Actor<Msg> for Fabric {
                 word,
                 expected,
                 swap,
+                refused,
             } => {
-                if !self.admit_post(now, src) {
+                if !self.admit_post(src, refused) {
                     return;
                 }
                 let Some(dst_actor) = self.actor_of(dst) else {
@@ -1039,10 +1044,11 @@ impl Actor<Msg> for Fabric {
                 group,
                 size,
                 payload,
+                refused,
             } => {
                 // One transmission = one posted op, however many ports
                 // the switch replicates it to.
-                if !self.admit_post(now, src) {
+                if !self.admit_post(src, refused) {
                     return;
                 }
                 // The membership list is taken out (not cloned) for the
@@ -1300,28 +1306,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_admits_at_most_the_bucket_per_window() {
-        let mut f = Fabric::new(NetConfig::default(), vec![]);
-        f.set_node_tenant(NodeId(1), TenantId(1));
-        f.set_tenancy(TenancyConfig::with_qos(QosPolicy::RateLimit {
-            ops_per_window: 4,
-            window: SimDuration::from_millis(1),
-        }));
-        let t0 = SimTime(0);
-        let admitted = (0..10).filter(|_| f.admit_post(t0, NodeId(1))).count();
-        assert_eq!(admitted, 4, "bucket must cap the aligned window");
-        assert_eq!(f.stats.tenants[1].posted, 10);
-        assert_eq!(f.stats.tenants[1].rate_limited, 6);
-        // A fresh window refills the bucket.
-        let t1 = SimTime(SimDuration::from_millis(1).nanos());
-        assert!(f.admit_post(t1, NodeId(1)));
-        // The priority (infrastructure) tenant is never limited.
-        let infra = (0..10).filter(|_| f.admit_post(t0, NodeId(0))).count();
-        assert_eq!(infra, 10);
-        assert_eq!(f.stats.tenants[0].rate_limited, 0);
-    }
-
-    #[test]
     fn contention_thrashes_past_the_qp_cache_and_sheds_past_overload() {
         let mut f = Fabric::new(NetConfig::default(), vec![]);
         f.set_node_tenant(NodeId(2), TenantId(1));
@@ -1391,14 +1375,13 @@ mod tests {
             window: SimDuration::from_millis(1),
         }));
         let mut replicas = f.split_for_shards(2);
-        // Each replica enforces the same per-source bucket (a source is
-        // only ever posted from its own shard, so slots never merge).
+        // Every replica counts each posted frame against its tenant and
+        // drops exactly the frames the source NIC marked refused.
         for r in &mut replicas {
-            let admitted = (0..5)
-                .filter(|_| r.admit_post(SimTime(0), NodeId(1)))
-                .count();
-            assert_eq!(admitted, 2);
+            let went_on = (0..5).filter(|&i| r.admit_post(NodeId(1), i >= 2)).count();
+            assert_eq!(went_on, 2);
         }
+        assert!(replicas[0].admit_post(NodeId(0), false));
         // Absorbing replica stats sums the per-tenant ledger.
         let mut total = FabricStats::default();
         for r in &replicas {
@@ -1406,6 +1389,31 @@ mod tests {
         }
         assert_eq!(total.tenants[1].posted, 10);
         assert_eq!(total.tenants[1].rate_limited, 6);
+        assert_eq!(total.tenants[0].posted, 1);
+        assert_eq!(total.tenants[0].rate_limited, 0);
+    }
+
+    #[test]
+    fn rejoin_takes_each_pressure_slot_from_its_owner_shard() {
+        let mut f = Fabric::new(NetConfig::default(), vec![]);
+        f.set_tenancy(TenancyConfig::default());
+        let now = SimTime(10);
+        let mut replicas = f.split_for_shards(2);
+        // Node 0 is owned by shard 0 and node 1 by shard 1; each shard
+        // serves completions for the targets it owns.
+        for seq in 0..3 {
+            replicas[0].apply_contention(now, seq, NodeId(0), NodeId(1));
+        }
+        replicas[1].apply_contention(now, 9, NodeId(1), NodeId(0));
+        let owner = |n: NodeId| n.index();
+        f.rejoin_shards(&[&replicas[0], &replicas[1]], owner);
+        assert_eq!(f.pressure, vec![(0, 3), (0, 1)]);
+        assert_eq!(f.stats.tenants[0].completions, 4);
+        // A second segment resumes mid-window from the rejoined slots.
+        let mut next = f.split_for_shards(2);
+        next[0].apply_contention(now, 10, NodeId(0), NodeId(1));
+        f.rejoin_shards(&[&next[0], &next[1]], owner);
+        assert_eq!(f.pressure, vec![(0, 4), (0, 1)]);
     }
 
     #[test]

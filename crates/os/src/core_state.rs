@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, VecDeque};
 use fgmon_sim::{ActorId, DetRng, SimDuration, SimTime};
 use fgmon_types::{
     ConnId, LoadSnapshot, McastGroup, NodeId, OsConfig, RegionId, ReqId, ServiceSlot,
-    SharedRaceDetector, ThreadId, MAX_CPUS,
+    SharedRaceDetector, ThreadId, TokenBucket, MAX_CPUS,
 };
 
 use crate::irq::CpuIrq;
@@ -115,9 +115,18 @@ pub struct OsCore {
     /// `(req_id, owner, token)` rows. A handful are ever in flight, so a
     /// linear-scanned `Vec` beats map node churn on the completion hot
     /// path (and retains its capacity across requests); iteration order is
-    /// insertion order, which is deterministic.
+    /// insertion order, which is deterministic. Posts the NIC's rate
+    /// limiter refuses never get a row. A row outlives its request only
+    /// when the frame is lost to a fault or a crash window, or its
+    /// completion is shed by an overloaded target NIC (at most 97 rows
+    /// on the `chaos_sweep` benchmark, seed 1).
     pub rdma_pending: Vec<(u64, ServiceSlot, u64)>,
     next_req: u64,
+    /// This NIC's post rate limiter, consulted once per posted frame
+    /// (socket, multicast, one-sided verb, or doorbell batch); `None`
+    /// leaves the node unlimited. Node-local state, so it travels with
+    /// the node into a parallel shard and back.
+    limiter: Option<TokenBucket>,
     pub listeners: BTreeMap<ConnId, (ServiceSlot, ListenMode)>,
     pub mcast_subs: BTreeMap<McastGroup, ServiceSlot>,
     /// Boot generation, starting at 1 and bumped by [`OsCore::restart`].
@@ -162,6 +171,7 @@ impl OsCore {
             atomic_words: Vec::new(),
             rdma_pending: Vec::new(),
             next_req: 0,
+            limiter: None,
             listeners: BTreeMap::new(),
             mcast_subs: BTreeMap::new(),
             boot_gen: 1,
@@ -391,11 +401,27 @@ impl OsCore {
         self.user_snapshots.get(id.0 as usize).copied().flatten()
     }
 
-    /// Allocate a request id for an outgoing RDMA work request.
-    pub fn alloc_req(&mut self, slot: ServiceSlot, token: u64) -> ReqId {
+    /// Install (or remove) this NIC's post rate limiter (builder wiring).
+    pub fn set_post_limiter(&mut self, limiter: Option<TokenBucket>) {
+        self.limiter = limiter;
+    }
+
+    /// Source-NIC admission for one posted frame at `now`: false when
+    /// the rate limiter refuses it. Always true without a limiter.
+    pub(crate) fn admit_post(&mut self, now: SimTime) -> bool {
+        self.limiter.as_mut().is_none_or(|b| b.try_admit(now))
+    }
+
+    /// Allocate a request id for an outgoing RDMA work request. A
+    /// `refused` post still consumes its id, so ids do not depend on the
+    /// limiter, but records no row: its frame is dropped at the fabric
+    /// and no completion will ever retire one.
+    pub fn alloc_req(&mut self, slot: ServiceSlot, token: u64, refused: bool) -> ReqId {
         let id = self.next_req;
         self.next_req += 1;
-        self.rdma_pending.push((id, slot, token));
+        if !refused {
+            self.rdma_pending.push((id, slot, token));
+        }
         ReqId(id)
     }
 
@@ -602,14 +628,17 @@ mod tests {
     #[test]
     fn alloc_req_tracks_owner() {
         let mut c = core();
-        let r = c.alloc_req(ServiceSlot(3), 99);
+        let r = c.alloc_req(ServiceSlot(3), 99, false);
         assert_eq!(r, ReqId(0));
         assert_eq!(c.rdma_pending, vec![(0, ServiceSlot(3), 99)]);
-        let r2 = c.alloc_req(ServiceSlot(3), 100);
+        let r2 = c.alloc_req(ServiceSlot(3), 100, false);
         assert_eq!(r2, ReqId(1));
         assert_eq!(c.take_rdma_pending(0), Some((ServiceSlot(3), 99)));
         assert_eq!(c.take_rdma_pending(0), None);
         assert_eq!(c.take_rdma_pending(1), Some((ServiceSlot(3), 100)));
+        // A refused post consumes its id but leaves no row to retire.
+        assert_eq!(c.alloc_req(ServiceSlot(3), 101, true), ReqId(2));
+        assert!(c.rdma_pending.is_empty());
     }
 
     #[test]

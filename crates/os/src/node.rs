@@ -385,6 +385,7 @@ impl NodeActor {
             BurstKind::Send { conn, payload } => {
                 let size = payload.wire_size();
                 self.core.stats.net.add(now, size as u64);
+                let refused = !self.core.admit_post(now);
                 let src = self.core.node;
                 let fabric = self.core.fabric;
                 ctx.send_now(
@@ -394,12 +395,14 @@ impl NodeActor {
                         conn,
                         size,
                         payload,
+                        refused,
                     }),
                 );
             }
             BurstKind::McastSend { group, payload } => {
                 let size = payload.wire_size();
                 self.core.stats.net.add(now, size as u64);
+                let refused = !self.core.admit_post(now);
                 let src = self.core.node;
                 let fabric = self.core.fabric;
                 ctx.send_now(
@@ -409,6 +412,7 @@ impl NodeActor {
                         group,
                         size,
                         payload,
+                        refused,
                     }),
                 );
             }

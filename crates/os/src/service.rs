@@ -255,6 +255,7 @@ impl OsApi<'_, '_> {
         let size = payload.wire_size();
         let now = self.ctx.now;
         self.core.stats.net.add(now, size as u64);
+        let refused = !self.core.admit_post(now);
         let src = self.core.node;
         let fabric = self.core.fabric;
         self.ctx.send_now(
@@ -264,6 +265,7 @@ impl OsApi<'_, '_> {
                 conn,
                 size,
                 payload,
+                refused,
             }),
         );
     }
@@ -277,6 +279,7 @@ impl OsApi<'_, '_> {
         let size = payload.wire_size();
         let now = self.ctx.now;
         self.core.stats.net.add(now, size as u64);
+        let refused = !self.core.admit_post(now);
         let src = self.core.node;
         let fabric = self.core.fabric;
         self.ctx.send_now(
@@ -286,6 +289,7 @@ impl OsApi<'_, '_> {
                 group,
                 size,
                 payload: SharedPayload::new(payload),
+                refused,
             }),
         );
     }
@@ -394,7 +398,8 @@ impl OsApi<'_, '_> {
     /// Post a one-sided read of `region` on node `dst`.
     /// `on_rdma_complete(token, …)` fires at completion.
     pub fn rdma_read(&mut self, dst: NodeId, region: RegionId, token: u64) {
-        let req = self.core.alloc_req(self.slot, token);
+        let refused = !self.core.admit_post(self.ctx.now);
+        let req = self.core.alloc_req(self.slot, token, refused);
         let src = self.core.node;
         let fabric = self.core.fabric;
         // The initiator-side post overhead is charged by the fabric.
@@ -405,6 +410,7 @@ impl OsApi<'_, '_> {
                 dst,
                 region,
                 req_id: req,
+                refused,
             }),
         );
     }
@@ -418,19 +424,25 @@ impl OsApi<'_, '_> {
         if reads.is_empty() {
             return;
         }
+        // One doorbell ring is one post for the rate limiter.
+        let refused = !self.core.admit_post(self.ctx.now);
         let batch: Vec<BatchedRead> = reads
             .iter()
             .map(|&(dst, region, token)| BatchedRead {
                 dst,
                 region,
-                req_id: self.core.alloc_req(self.slot, token),
+                req_id: self.core.alloc_req(self.slot, token, refused),
             })
             .collect();
         let src = self.core.node;
         let fabric = self.core.fabric;
         self.ctx.send_now(
             fabric,
-            Msg::Net(NetMsg::RdmaReadBatch { src, reads: batch }),
+            Msg::Net(NetMsg::RdmaReadBatch {
+                src,
+                reads: batch,
+                refused,
+            }),
         );
     }
 
@@ -449,7 +461,8 @@ impl OsApi<'_, '_> {
         swap: u64,
         token: u64,
     ) {
-        let req = self.core.alloc_req(self.slot, token);
+        let refused = !self.core.admit_post(self.ctx.now);
+        let req = self.core.alloc_req(self.slot, token, refused);
         let src = self.core.node;
         let fabric = self.core.fabric;
         self.ctx.send_now(
@@ -462,11 +475,13 @@ impl OsApi<'_, '_> {
                 word,
                 expected,
                 swap,
+                refused,
             }),
         );
     }
     pub fn rdma_write(&mut self, dst: NodeId, region: RegionId, snap: LoadSnapshot, token: u64) {
-        let req = self.core.alloc_req(self.slot, token);
+        let refused = !self.core.admit_post(self.ctx.now);
+        let req = self.core.alloc_req(self.slot, token, refused);
         let src = self.core.node;
         let fabric = self.core.fabric;
         self.ctx.send_now(
@@ -477,6 +492,7 @@ impl OsApi<'_, '_> {
                 region,
                 req_id: req,
                 data: RegionData::Snapshot(snap),
+                refused,
             }),
         );
     }

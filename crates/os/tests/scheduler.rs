@@ -23,6 +23,7 @@ impl Actor<Msg> for TestFabric {
                 conn,
                 size,
                 payload,
+                ..
             } => {
                 let dst = if src == NodeId(0) { 1 } else { 0 };
                 ctx.send_now(
@@ -40,6 +41,7 @@ impl Actor<Msg> for TestFabric {
                 dst,
                 region,
                 req_id,
+                ..
             } => {
                 ctx.send_now(
                     self.nodes[dst.index()],
@@ -51,7 +53,7 @@ impl Actor<Msg> for TestFabric {
                     }),
                 );
             }
-            NetMsg::RdmaReadBatch { src, reads } => {
+            NetMsg::RdmaReadBatch { src, reads, .. } => {
                 for r in reads {
                     ctx.send_now(
                         self.nodes[r.dst.index()],
@@ -70,6 +72,7 @@ impl Actor<Msg> for TestFabric {
                 region,
                 req_id,
                 data,
+                ..
             } => {
                 ctx.send_now(
                     self.nodes[dst.index()],

@@ -135,6 +135,12 @@ pub enum NodeMsg {
 }
 
 /// Events handled by the fabric actor.
+///
+/// Every frame a node *posts* (sockets, multicast, and the one-sided
+/// verbs) carries `refused`: the posting NIC's rate limiter turned the
+/// post away. A refused frame still reaches the fabric, which counts it
+/// against the posting tenant and drops it, so the event stream is the
+/// same whether or not a limiter is installed.
 #[derive(Debug)]
 pub enum NetMsg {
     /// Two-sided send on an established connection.
@@ -143,6 +149,7 @@ pub enum NetMsg {
         conn: ConnId,
         size: u32,
         payload: Payload,
+        refused: bool,
     },
     /// One-sided read posted by `src` against a region on `dst`.
     RdmaRead {
@@ -150,6 +157,7 @@ pub enum NetMsg {
         dst: NodeId,
         region: RegionId,
         req_id: ReqId,
+        refused: bool,
     },
     /// Several one-sided reads posted by `src` in the same doorbell ring
     /// (RDMAbox-style request merging): the NIC charges one `rdma_post`
@@ -157,6 +165,7 @@ pub enum NetMsg {
     RdmaReadBatch {
         src: NodeId,
         reads: Vec<BatchedRead>,
+        refused: bool,
     },
     /// One-sided write posted by `src` against a region on `dst`.
     RdmaWrite {
@@ -165,6 +174,7 @@ pub enum NetMsg {
         region: RegionId,
         req_id: ReqId,
         data: RegionData,
+        refused: bool,
     },
     /// Target-NIC response carrying RDMA read data back to the initiator.
     /// `target`/`region`/`posted` echo the request so the torn-read
@@ -188,6 +198,7 @@ pub enum NetMsg {
         word: u32,
         expected: u64,
         swap: u64,
+        refused: bool,
     },
     /// Target-NIC ack for an RDMA write, CAS, or denial. `target` names
     /// the serving NIC so per-target contention is charged on this leg,
@@ -206,6 +217,7 @@ pub enum NetMsg {
         group: McastGroup,
         size: u32,
         payload: SharedPayload,
+        refused: bool,
     },
 }
 
@@ -242,6 +254,7 @@ mod tests {
             dst: NodeId(1),
             region: RegionId(0),
             req_id: ReqId(7),
+            refused: false,
         }
         .into();
         assert!(matches!(m, Msg::Net(NetMsg::RdmaRead { .. })));

@@ -63,10 +63,11 @@ pub enum QosPolicy {
     /// No isolation: all tenants share the NIC unprotected.
     #[default]
     None,
-    /// Per-tenant token-bucket rate limit, enforced at the source NIC
-    /// when an op is posted. Over-budget posts are dropped and counted
-    /// as `rate_limited` against the posting tenant. The infrastructure
-    /// tenant ([`TenantId::INFRA`]) is exempt.
+    /// Per-tenant token-bucket rate limit, enforced by each posting
+    /// node's own NIC (one bucket per node, see
+    /// [`TenancyConfig::post_limiter`]). Over-budget posts are dropped
+    /// and counted as `rate_limited` against the posting tenant. The
+    /// priority tenant (by default [`TenantId::INFRA`]) is exempt.
     RateLimit {
         /// Ops each non-infra tenant may post per window, per node.
         ops_per_window: u32,
@@ -105,6 +106,19 @@ impl TenancyConfig {
         TenancyConfig {
             qos,
             ..TenancyConfig::default()
+        }
+    }
+
+    /// The source-NIC token bucket a node of `tenant` posts through, or
+    /// `None` when the policy leaves that tenant unlimited (no rate
+    /// limit, or `tenant` is the priority tenant).
+    pub fn post_limiter(&self, tenant: TenantId) -> Option<TokenBucket> {
+        match self.qos {
+            QosPolicy::RateLimit {
+                ops_per_window,
+                window,
+            } if tenant != self.priority_tenant => Some(TokenBucket::new(ops_per_window, window)),
+            _ => None,
         }
     }
 }
@@ -236,6 +250,23 @@ mod tests {
                 contention_dropped: 10,
             }
         );
+    }
+
+    #[test]
+    fn only_rate_limited_non_priority_tenants_get_a_bucket() {
+        let w = SimDuration::from_millis(1);
+        let limited = TenancyConfig::with_qos(QosPolicy::RateLimit {
+            ops_per_window: 4,
+            window: w,
+        });
+        assert_eq!(
+            limited.post_limiter(TenantId(1)),
+            Some(TokenBucket::new(4, w))
+        );
+        assert_eq!(limited.post_limiter(TenantId::INFRA), None);
+        for qos in [QosPolicy::None, QosPolicy::PriorityQp] {
+            assert_eq!(TenancyConfig::with_qos(qos).post_limiter(TenantId(1)), None);
+        }
     }
 
     #[test]

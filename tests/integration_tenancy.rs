@@ -311,6 +311,32 @@ fn dispatcher_rides_out_hostile_tenant_with_qos() {
     assert!((0.04..0.09).contains(&ss), "socket staleness band: {ss}");
 }
 
+/// A post the hostile node's NIC refuses leaves nothing behind: no
+/// `rdma_pending` row waits for a completion that can never come, and
+/// every completion the fabric delivered to the flood found its row —
+/// so the NIC's bucket marks exactly the frames it refuses.
+#[test]
+fn refused_posts_leave_no_pending_rows() {
+    use fgmon_cluster::noisy_rubis;
+    use fgmon_types::{NodeId, ServiceSlot};
+    use fgmon_workload::RdmaFlood;
+    for seed in SEEDS {
+        let mut w = noisy_rubis(Scheme::RdmaSync, NOISY_RATE_LIMIT, true, seed);
+        w.cluster.run_for(RUN);
+        // The hostile node is added last; the flood is its first service.
+        let hostile = NodeId(w.cluster.node_count() as u16 - 1);
+        let pending = w.cluster.node(hostile).core().rdma_pending.len();
+        assert!(pending <= 64, "seed {seed}: {pending} rows left pending");
+        let flood: &RdmaFlood = w.cluster.service(hostile, ServiceSlot(0));
+        let tenants = w.cluster.fabric_stats().tenants;
+        assert!(
+            tenants[1].rate_limited > 10_000,
+            "seed {seed}: flood not limited"
+        );
+        assert_eq!(flood.completions, tenants[1].completions, "seed {seed}");
+    }
+}
+
 /// Crash-recovery on the RDMA-CAS lock service: the lease manager fences
 /// the dead holder exactly once, the victim recovers (via a fenced
 /// release or by observing its skipped ticket), mutual exclusion never

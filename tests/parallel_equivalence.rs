@@ -159,12 +159,23 @@ fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
 
 #[test]
 fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
+    use fgmon_cluster::NOISY_RATE_LIMIT;
     use fgmon_types::QosPolicy;
     type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
-    let fingerprint = |seed: u64, threads: usize| -> Fp {
-        let mut w =
-            fgmon_cluster::noisy_neighbor_raced(QosPolicy::None, true, seed, RaceMode::Strict);
-        run(&mut w.cluster, SimDuration::from_secs(1), threads);
+    // Several segments, so every rejoin must hand the next segment the
+    // per-node NIC state (rate-limit buckets, QP-cache pressure) a
+    // sequential run would have: one boundary falls mid-way through a
+    // 1 ms limiter/contention window, one exactly on a flood tick.
+    const SEGMENTS: [SimDuration; 3] = [
+        SimDuration(250_500_000),
+        SimDuration(249_500_000),
+        SimDuration(500_000_000),
+    ];
+    let fingerprint = |qos: QosPolicy, seed: u64, threads: usize| -> Fp {
+        let mut w = fgmon_cluster::noisy_neighbor_raced(qos, true, seed, RaceMode::Strict);
+        for segment in SEGMENTS {
+            run(&mut w.cluster, segment, threads);
+        }
         (
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
@@ -172,18 +183,28 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
             histograms(&w.cluster),
         )
     };
-    for seed in SEEDS {
-        let sequential = fingerprint(seed, 1);
-        assert!(
-            sequential.0.tenants[1].thrashed > 0,
-            "the hostile tenant must thrash the shared NIC (seed {seed})"
-        );
-        for threads in THREADS {
-            let parallel = fingerprint(seed, threads);
-            assert_eq!(
-                sequential, parallel,
-                "noisy-neighbor run diverged (seed {seed}, threads {threads})"
-            );
+    for qos in [QosPolicy::None, NOISY_RATE_LIMIT, QosPolicy::PriorityQp] {
+        for seed in SEEDS {
+            let sequential = fingerprint(qos, seed, 1);
+            let hostile = sequential.0.tenants[1];
+            if qos == NOISY_RATE_LIMIT {
+                assert!(
+                    hostile.rate_limited > 0,
+                    "the limiter must refuse hostile posts (seed {seed})"
+                );
+            } else {
+                assert!(
+                    hostile.thrashed > 0,
+                    "the hostile tenant must thrash the shared NIC ({qos:?}, seed {seed})"
+                );
+            }
+            for threads in THREADS {
+                let parallel = fingerprint(qos, seed, threads);
+                assert_eq!(
+                    sequential, parallel,
+                    "noisy-neighbor run diverged ({qos:?}, seed {seed}, threads {threads})"
+                );
+            }
         }
     }
 }
