@@ -5,7 +5,7 @@
 //! the [`proptest!`] macro, `prop_assert!`/`prop_assert_eq!`, range and
 //! tuple strategies, `prop::collection::vec`, `prop::array::uniform4`,
 //! `any::<T>()`, simple `"[a-z]{m,n}"` string patterns, `prop_map`, and
-//! [`ProptestConfig::with_cases`].
+//! [`ProptestConfig::with_cases`](test_runner::ProptestConfig::with_cases).
 //!
 //! Semantics differ from real proptest in two deliberate ways:
 //!

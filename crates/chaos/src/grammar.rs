@@ -1,19 +1,13 @@
-//! The fault-schedule grammar: the ops a chaos schedule is made of, how
-//! a schedule compiles into a [`FaultPlan`], and the seeded planner that
-//! samples random schedules from the grammar.
-//!
-//! Every op keeps its parameters in coarse human units (milliseconds,
-//! microseconds) so reproducers read like scenario code and the shrinker
-//! works over a small discrete space. Compilation into the fabric's
-//! nanosecond-typed plan is the single authoritative mapping; the
-//! reproducer emitter mirrors it token for token.
+//! The schedule grammar: a chaos schedule is a seed plus a list of
+//! [`FaultRule`]s — the fabric's own fault vocabulary — and the seeded
+//! planner samples random schedules from it.
 
 use fgmon_sim::{DetRng, SimDuration, SimTime};
-use fgmon_types::{FaultOp, FaultPlan, NodeId};
+use fgmon_types::{FaultEffect, FaultOp, FaultPlan, FaultRule, NodeId};
 
 /// Node roles in the chaos world (see `fgmon_cluster::chaos_world`).
 pub const FRONTEND: NodeId = NodeId(0);
-/// The monitored back-end: the only snapshot producer, so payload ops
+/// The monitored back-end: the only snapshot producer, so payload rules
 /// (clock skew, corruption) always target it.
 pub const BACKEND: NodeId = NodeId(1);
 /// Lock-table host. The grammar never crashes it: a dead host stalls
@@ -27,293 +21,36 @@ pub const LOCK_CLIENT_B: NodeId = NodeId(4);
 /// Number of nodes in the chaos world.
 pub const WORLD_NODES: u16 = 5;
 
-/// One atomic fault the grammar can schedule. Windows are half-open
-/// `[from_ms, until_ms)` in virtual milliseconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ChaosOp {
-    /// Probabilistic frame loss for one op class.
-    Loss {
-        op: FaultOp,
-        probability: f64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Asymmetric partition: `src → dst` frames vanish, the reverse
-    /// direction flows.
-    Partition {
-        src: NodeId,
-        dst: NodeId,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Latency multiplier on every frame touching `node`.
-    SlowNic {
-        node: NodeId,
-        mult: f64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Skew the back-end's *reported* snapshot timestamps.
-    ClockSkew {
-        skew_us: i64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Echo socket frames a second time after `echo_ms`.
-    Duplicate {
-        probability: f64,
-        echo_ms: u64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Hold socket frames back by `extra_ms` with some probability.
-    Reorder {
-        probability: f64,
-        extra_ms: u64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Flip payload bits in the back-end's snapshots in flight.
-    Corrupt {
-        probability: f64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Fail-stop `node` over the window; it restarts (fresh boot
-    /// generation) at `until_ms`.
-    Crash {
-        node: NodeId,
-        from_ms: u64,
-        until_ms: u64,
-    },
-    /// Global congestion latency multiplier.
-    Congest {
-        mult: f64,
-        from_ms: u64,
-        until_ms: u64,
-    },
-}
-
-impl ChaosOp {
-    /// End of this op's activity window in virtual milliseconds.
-    pub fn until_ms(&self) -> u64 {
-        match *self {
-            ChaosOp::Loss { until_ms, .. }
-            | ChaosOp::Partition { until_ms, .. }
-            | ChaosOp::SlowNic { until_ms, .. }
-            | ChaosOp::ClockSkew { until_ms, .. }
-            | ChaosOp::Duplicate { until_ms, .. }
-            | ChaosOp::Reorder { until_ms, .. }
-            | ChaosOp::Corrupt { until_ms, .. }
-            | ChaosOp::Crash { until_ms, .. }
-            | ChaosOp::Congest { until_ms, .. } => until_ms,
-        }
-    }
-
-    /// Fold this op into a [`FaultPlan`]. The reproducer emitter
-    /// ([`ChaosOp::snippet`]) must stay in lockstep with this mapping.
-    pub fn apply(&self, plan: FaultPlan) -> FaultPlan {
-        let t = |ms: u64| SimTime(ms * 1_000_000);
-        match *self {
-            ChaosOp::Loss {
-                op,
-                probability,
-                from_ms,
-                until_ms,
-            } => plan.lossy_op_window(op, probability, t(from_ms), t(until_ms)),
-            ChaosOp::Partition {
-                src,
-                dst,
-                from_ms,
-                until_ms,
-            } => plan.partition(Some(src), Some(dst), t(from_ms), t(until_ms)),
-            ChaosOp::SlowNic {
-                node,
-                mult,
-                from_ms,
-                until_ms,
-            } => plan.slow_nic(node, mult, t(from_ms), t(until_ms)),
-            ChaosOp::ClockSkew {
-                skew_us,
-                from_ms,
-                until_ms,
-            } => plan.clock_skew(
-                BACKEND,
-                skew_us.saturating_mul(1000),
-                t(from_ms),
-                t(until_ms),
-            ),
-            ChaosOp::Duplicate {
-                probability,
-                echo_ms,
-                from_ms,
-                until_ms,
-            } => plan.duplicated(
-                probability,
-                SimDuration::from_millis(echo_ms),
-                t(from_ms),
-                t(until_ms),
-            ),
-            ChaosOp::Reorder {
-                probability,
-                extra_ms,
-                from_ms,
-                until_ms,
-            } => plan.reordered(
-                Some(FaultOp::Socket),
-                probability,
-                SimDuration::from_millis(extra_ms),
-                t(from_ms),
-                t(until_ms),
-            ),
-            ChaosOp::Corrupt {
-                probability,
-                from_ms,
-                until_ms,
-            } => plan.corrupting(Some(BACKEND), probability, t(from_ms), t(until_ms)),
-            ChaosOp::Crash {
-                node,
-                from_ms,
-                until_ms,
-            } => plan.crash(node, t(from_ms), t(until_ms)),
-            ChaosOp::Congest {
-                mult,
-                from_ms,
-                until_ms,
-            } => plan.congested(t(from_ms), t(until_ms), mult),
-        }
-    }
-
-    /// The builder call this op compiles to, as ready-to-paste Rust.
-    pub fn snippet(&self) -> String {
-        let t = |ms: u64| format!("SimTime({}_000_000)", ms);
-        match *self {
-            ChaosOp::Loss {
-                op,
-                probability,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".lossy_op_window(FaultOp::{op:?}, {probability:?}, {}, {})",
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::Partition {
-                src,
-                dst,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".partition(Some(NodeId({})), Some(NodeId({})), {}, {})",
-                src.0,
-                dst.0,
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::SlowNic {
-                node,
-                mult,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".slow_nic(NodeId({}), {mult:?}, {}, {})",
-                node.0,
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::ClockSkew {
-                skew_us,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".clock_skew(NodeId({}), {}, {}, {})",
-                BACKEND.0,
-                skew_us.saturating_mul(1000),
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::Duplicate {
-                probability,
-                echo_ms,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".duplicated({probability:?}, SimDuration::from_millis({echo_ms}), {}, {})",
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::Reorder {
-                probability,
-                extra_ms,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".reordered(Some(FaultOp::Socket), {probability:?}, \
-                 SimDuration::from_millis({extra_ms}), {}, {})",
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::Corrupt {
-                probability,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".corrupting(Some(NodeId({})), {probability:?}, {}, {})",
-                BACKEND.0,
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::Crash {
-                node,
-                from_ms,
-                until_ms,
-            } => format!(
-                ".crash(NodeId({}), {}, {})",
-                node.0,
-                t(from_ms),
-                t(until_ms)
-            ),
-            ChaosOp::Congest {
-                mult,
-                from_ms,
-                until_ms,
-            } => format!(".congested({}, {}, {mult:?})", t(from_ms), t(until_ms)),
-        }
-    }
-}
-
-/// A complete chaos schedule: the world seed plus the sampled fault ops.
-/// Equality is structural, which is what the shrinker's subset search
-/// needs.
+/// A complete chaos schedule: the world seed plus the sampled fault
+/// rules. Equality is structural, which is what the shrinker's subset
+/// search needs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {
     /// World seed: drives the cluster's RNG hierarchy and (xored) the
     /// fault plan's fate stream.
     pub seed: u64,
-    pub ops: Vec<ChaosOp>,
+    pub ops: Vec<FaultRule>,
 }
 
 impl Schedule {
-    /// Compile into the fabric's fault plan. Subsets of a valid schedule
-    /// always compile to a valid plan: per-node crash windows are the
-    /// only cross-op constraint and the planner samples at most one
-    /// crash per node.
+    /// The fabric's fault plan for this schedule. Subsets of a valid
+    /// schedule always compile to a valid plan: per-node crash windows
+    /// are the only cross-rule constraint and the planner samples at
+    /// most one crash per node.
     pub fn compile(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new(self.seed ^ 0xCA05);
-        for op in &self.ops {
-            plan = op.apply(plan);
+        FaultPlan {
+            seed: self.seed ^ 0xCA05,
+            rules: self.ops.clone(),
         }
-        plan
     }
 
-    /// Latest virtual millisecond at which any op is still active.
-    pub fn max_until_ms(&self) -> u64 {
-        self.ops.iter().map(|o| o.until_ms()).max().unwrap_or(0)
-    }
-
-    /// Does the schedule fail-stop any node?
-    pub fn crashes(&self) -> bool {
-        self.ops.iter().any(|o| matches!(o, ChaosOp::Crash { .. }))
+    /// Latest instant at which any rule is still active.
+    pub fn max_until(&self) -> SimTime {
+        self.ops
+            .iter()
+            .map(|r| r.until)
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -325,7 +62,7 @@ impl Schedule {
 pub struct PlannerConfig {
     /// Virtual run length schedules are sampled against.
     pub horizon_ms: u64,
-    /// Most ops a schedule may carry.
+    /// Most rules a schedule may carry.
     pub max_ops: usize,
     /// Guaranteed fault-free suffix: no window may extend past
     /// `horizon_ms - quiet_tail_ms`.
@@ -377,8 +114,8 @@ impl SchedulePlanner {
         let mut rng = self.root.fork_idx("schedule", idx);
         let seed = rng.range_u64(1, u64::MAX);
         let n_ops = 1 + rng.index(self.cfg.max_ops);
-        // One incident time per schedule: every op's window is jittered
-        // around it (see `sample_op`). Independently placed windows
+        // One incident time per schedule: every rule's window is jittered
+        // around it (see `sample_rule`). Independently placed windows
         // rarely overlap, and the failures worth finding are fault
         // *interactions* — an echo spanning a crash window, a partition
         // across a lock grant — not disjoint solo faults.
@@ -387,7 +124,7 @@ impl SchedulePlanner {
         let mut ops = Vec::with_capacity(n_ops);
         let mut crashed = [false; WORLD_NODES as usize];
         for _ in 0..n_ops {
-            ops.push(self.sample_op(&mut rng, incident_ms, &mut crashed));
+            ops.push(self.sample_rule(&mut rng, incident_ms, &mut crashed));
         }
         let schedule = Schedule { seed, ops };
         if let Err(e) = schedule.compile().validate() {
@@ -396,21 +133,22 @@ impl SchedulePlanner {
         schedule
     }
 
-    /// Sample one op. Kinds are weighted so crash/duplicate pairs — the
+    /// Sample one rule. Kinds are weighted so crash/duplicate pairs — the
     /// combination most likely to produce stale-generation traffic —
     /// appear in a healthy fraction of schedules, and every window is
     /// jittered ±250 ms around the schedule's incident time so the
-    /// sampled faults actually overlap.
-    fn sample_op(&self, rng: &mut DetRng, incident_ms: u64, crashed: &mut [bool]) -> ChaosOp {
+    /// sampled faults actually overlap. Windows are whole milliseconds.
+    fn sample_rule(&self, rng: &mut DetRng, incident_ms: u64, crashed: &mut [bool]) -> FaultRule {
+        let at_ms = |ms: u64| SimTime(ms * 1_000_000);
         let lo = 200;
         let hi = self.cfg.horizon_ms - self.cfg.quiet_tail_ms;
-        let from_ms = (incident_ms + rng.range_u64(0, 500))
+        let mut from_ms = (incident_ms + rng.range_u64(0, 500))
             .saturating_sub(250)
             .clamp(lo, hi - 220);
         let len = 120 + rng.range_u64(0, 900);
-        let until_ms = (from_ms + len).min(hi);
+        let mut until_ms = (from_ms + len).min(hi);
         // Weighted kind table: Crash and Duplicate twice.
-        match rng.index(11) {
+        let effect = match rng.index(11) {
             // Loss covers the socket and RDMA-read classes only. CAS
             // frames (requests *and* their acks) ride the RdmaWrite
             // class, and silently eating a CAS ack models a transport
@@ -419,12 +157,12 @@ impl SchedulePlanner {
             // releaser that cannot tell "ack lost" from "fenced" skips
             // its owner-guard clear and every later grant misfires the
             // exclusion probe; the first clean-sweep run found exactly
-            // that and shrank it to one RdmaWrite-loss op.
-            0 => ChaosOp::Loss {
-                op: [FaultOp::Socket, FaultOp::RdmaRead][rng.index(2)],
+            // that and shrank it to one RdmaWrite-loss rule.
+            0 => FaultEffect::Loss {
+                src: None,
+                dst: None,
+                op: Some([FaultOp::Socket, FaultOp::RdmaRead][rng.index(2)]),
                 probability: 0.1 + 0.8 * rng.f64(),
-                from_ms,
-                until_ms,
             },
             1 => {
                 let src = NodeId(rng.index(WORLD_NODES as usize) as u16);
@@ -432,40 +170,36 @@ impl SchedulePlanner {
                 if dst == src {
                     dst = NodeId((dst.0 + 1) % WORLD_NODES);
                 }
-                ChaosOp::Partition {
-                    src,
-                    dst,
-                    from_ms,
-                    until_ms,
+                FaultEffect::Partition {
+                    src: Some(src),
+                    dst: Some(dst),
                 }
             }
-            2 => ChaosOp::SlowNic {
+            2 => FaultEffect::SlowNic {
                 node: NodeId(rng.index(WORLD_NODES as usize) as u16),
-                mult: 1.5 + 6.0 * rng.f64(),
-                from_ms,
-                until_ms,
+                latency_mult: 1.5 + 6.0 * rng.f64(),
             },
-            3 => ChaosOp::ClockSkew {
-                skew_us: rng.range_u64(1, 5_000) as i64 * if rng.chance(0.5) { -1 } else { 1 },
-                from_ms,
-                until_ms,
-            },
-            4 | 5 => ChaosOp::Duplicate {
+            3 => {
+                let skew_us = rng.range_u64(1, 5_000) as i64 * if rng.chance(0.5) { -1 } else { 1 };
+                FaultEffect::ClockSkew {
+                    node: BACKEND,
+                    skew_nanos: skew_us * 1_000,
+                }
+            }
+            4 | 5 => FaultEffect::Duplicate {
                 probability: 0.05 + 0.45 * rng.f64(),
-                echo_ms: 100 + rng.range_u64(0, 800),
-                from_ms,
-                until_ms,
+                echo_delay: SimDuration::from_millis(100 + rng.range_u64(0, 800)),
             },
-            6 => ChaosOp::Reorder {
+            6 => FaultEffect::Reorder {
+                src: None,
+                dst: None,
+                op: Some(FaultOp::Socket),
                 probability: 0.05 + 0.45 * rng.f64(),
-                extra_ms: 20 + rng.range_u64(0, 800),
-                from_ms,
-                until_ms,
+                extra: SimDuration::from_millis(20 + rng.range_u64(0, 800)),
             },
-            7 => ChaosOp::Corrupt {
+            7 => FaultEffect::Corruption {
+                node: Some(BACKEND),
                 probability: 0.05 + 0.55 * rng.f64(),
-                from_ms,
-                until_ms,
             },
             8 | 9 => {
                 // Crash candidates: the monitored back-end and the lock
@@ -479,31 +213,30 @@ impl SchedulePlanner {
                     .filter(|n| !crashed[n.0 as usize])
                     .collect();
                 if free.is_empty() {
-                    ChaosOp::Loss {
-                        op: FaultOp::Socket,
+                    FaultEffect::Loss {
+                        src: None,
+                        dst: None,
+                        op: Some(FaultOp::Socket),
                         probability: 0.1 + 0.8 * rng.f64(),
-                        from_ms,
-                        until_ms,
                     }
                 } else {
                     let node = free[rng.index(free.len())];
                     crashed[node.0 as usize] = true;
-                    let from_ms = (incident_ms + rng.range_u64(0, 500))
+                    from_ms = (incident_ms + rng.range_u64(0, 500))
                         .saturating_sub(250)
                         .clamp(300, hi - 350);
-                    let until_ms = (from_ms + 300 + rng.range_u64(0, 500)).min(hi);
-                    ChaosOp::Crash {
-                        node,
-                        from_ms,
-                        until_ms,
-                    }
+                    until_ms = (from_ms + 300 + rng.range_u64(0, 500)).min(hi);
+                    FaultEffect::Crash { node }
                 }
             }
-            _ => ChaosOp::Congest {
-                mult: 2.0 + 18.0 * rng.f64(),
-                from_ms,
-                until_ms,
+            _ => FaultEffect::Congestion {
+                latency_mult: 2.0 + 18.0 * rng.f64(),
             },
+        };
+        FaultRule {
+            from: at_ms(from_ms),
+            until: at_ms(until_ms),
+            effect,
         }
     }
 }
@@ -520,8 +253,11 @@ mod tests {
             let s = p.next_schedule();
             assert!(!s.ops.is_empty() && s.ops.len() <= cfg.max_ops);
             s.compile().validate().expect("sampled plan validates");
+            s.compile()
+                .check_nodes(WORLD_NODES as usize)
+                .expect("sampled rules name chaos-world nodes");
             assert!(
-                s.max_until_ms() <= cfg.horizon_ms - cfg.quiet_tail_ms,
+                s.max_until() <= SimTime((cfg.horizon_ms - cfg.quiet_tail_ms) * 1_000_000),
                 "the quiet tail must stay fault-free"
             );
         }
@@ -559,32 +295,5 @@ mod tests {
                     .expect("subset validates");
             }
         }
-    }
-
-    #[test]
-    fn snippet_mirrors_compile() {
-        let s = Schedule {
-            seed: 0x1234,
-            ops: vec![
-                ChaosOp::Crash {
-                    node: BACKEND,
-                    from_ms: 500,
-                    until_ms: 1_100,
-                },
-                ChaosOp::Duplicate {
-                    probability: 0.25,
-                    echo_ms: 400,
-                    from_ms: 300,
-                    until_ms: 900,
-                },
-            ],
-        };
-        let snips: Vec<String> = s.ops.iter().map(|o| o.snippet()).collect();
-        assert_eq!(
-            snips[0],
-            ".crash(NodeId(1), SimTime(500_000_000), SimTime(1100_000_000))"
-        );
-        assert!(snips[1].contains(".duplicated(0.25, SimDuration::from_millis(400)"));
-        s.compile().validate().expect("valid");
     }
 }

@@ -10,20 +10,20 @@
 //!
 //! The pieces:
 //!
-//! * [`grammar`] — [`ChaosOp`]/[`Schedule`]: the fault-op grammar, its
-//!   compilation into a [`fgmon_types::FaultPlan`], and the seeded
-//!   [`SchedulePlanner`]. Every schedule is a pure function of
-//!   `(planner seed, index)`.
+//! * [`grammar`] — [`Schedule`]: a seed plus a list of
+//!   [`fgmon_types::FaultRule`]s, the fabric's own fault vocabulary, and
+//!   the seeded [`SchedulePlanner`] that samples them. Every schedule is
+//!   a pure function of `(planner seed, index)`.
 //! * [`invariants`] — the [`INVARIANTS`] registry and the stateful
 //!   [`InvariantProbe`] that evaluates it: stale-admission (fence
 //!   regression cross-check), corrupt-rejection, breaker soundness,
 //!   lock mutual exclusion and ticket-FIFO accounting, monotone virtual
 //!   time, and the availability floor for bounded schedules.
-//! * [`search`] — [`run_schedule`]/[`search`](search::search): segmented
-//!   execution with per-segment checks, sequential-vs-sharded verdict
-//!   equality, wall-clock budgeting, and shrink-on-failure.
-//! * [`shrink`] — ddmin ([`shrink::shrink`]) with a verified 1-minimal
-//!   postcondition ([`is_one_minimal`]).
+//! * [`search`](mod@search) — [`run_schedule`]/[`search`](fn@search):
+//!   segmented execution with per-segment checks, sequential-vs-sharded
+//!   verdict equality, wall-clock budgeting, and shrink-on-failure.
+//! * [`shrink`](mod@shrink) — ddmin ([`shrink`](fn@shrink)) with a
+//!   verified 1-minimal postcondition ([`is_one_minimal`]).
 //! * [`report`] — reproducer snippets that replay the exact failing fate
 //!   stream ([`reproducer_snippet`], [`write_reproducer`]).
 //!
@@ -40,8 +40,8 @@ pub mod search;
 pub mod shrink;
 
 pub use grammar::{
-    ChaosOp, PlannerConfig, Schedule, SchedulePlanner, BACKEND, FRONTEND, LOCK_CLIENT_A,
-    LOCK_CLIENT_B, LOCK_HOST, WORLD_NODES,
+    PlannerConfig, Schedule, SchedulePlanner, BACKEND, FRONTEND, LOCK_CLIENT_A, LOCK_CLIENT_B,
+    LOCK_HOST, WORLD_NODES,
 };
 pub use invariants::{InvariantProbe, Violation, INVARIANTS};
 pub use report::{reproducer_snippet, write_reproducer};

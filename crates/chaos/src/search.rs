@@ -82,8 +82,8 @@ pub fn run_schedule(schedule: &Schedule, threads: usize, cfg: &RunConfig) -> Run
     // A bounded schedule leaves the quiet tail fault-free, so the
     // availability floor applies; hand-built schedules that fault past
     // the horizon opt out automatically.
-    let bounded = SimDuration::from_millis(schedule.max_until_ms()) + SimDuration::from_millis(400)
-        <= cfg.horizon;
+    let bounded =
+        SimDuration(schedule.max_until().nanos()) + SimDuration::from_millis(400) <= cfg.horizon;
     probe.final_check(&mut w, bounded);
     record_registry_activity(&mut w, &probe);
     RunVerdict {

@@ -3,6 +3,8 @@
 //! sequential run reports a violation" — and the result is 1-minimal:
 //! removing any single remaining op makes the predicate pass.
 
+use fgmon_types::FaultRule;
+
 use crate::grammar::Schedule;
 
 /// Upper bound on predicate evaluations per shrink. Each evaluation is
@@ -10,11 +12,7 @@ use crate::grammar::Schedule;
 /// the grammar's tiny op counts stays far below this.
 pub const MAX_SHRINK_RUNS: usize = 256;
 
-fn without_chunk(
-    ops: &[crate::grammar::ChaosOp],
-    n: usize,
-    i: usize,
-) -> Vec<crate::grammar::ChaosOp> {
+fn without_chunk(ops: &[FaultRule], n: usize, i: usize) -> Vec<FaultRule> {
     let chunk = ops.len().div_ceil(n);
     let lo = (i * chunk).min(ops.len());
     let hi = ((i + 1) * chunk).min(ops.len());
@@ -24,7 +22,7 @@ fn without_chunk(
     out
 }
 
-fn chunk_of(ops: &[crate::grammar::ChaosOp], n: usize, i: usize) -> Vec<crate::grammar::ChaosOp> {
+fn chunk_of(ops: &[FaultRule], n: usize, i: usize) -> Vec<FaultRule> {
     let chunk = ops.len().div_ceil(n);
     let lo = (i * chunk).min(ops.len());
     let hi = ((i + 1) * chunk).min(ops.len());
@@ -37,7 +35,7 @@ fn chunk_of(ops: &[crate::grammar::ChaosOp], n: usize, i: usize) -> Vec<crate::g
 /// world seed is never varied: the reproducer must replay the exact run
 /// that failed.
 pub fn shrink(schedule: &Schedule, fails: &mut dyn FnMut(&Schedule) -> bool) -> Schedule {
-    let mk = |ops: Vec<crate::grammar::ChaosOp>| Schedule {
+    let mk = |ops: Vec<FaultRule>| Schedule {
         seed: schedule.seed,
         ops,
     };
@@ -106,13 +104,15 @@ pub fn is_one_minimal(schedule: &Schedule, fails: &mut dyn FnMut(&Schedule) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grammar::{ChaosOp, BACKEND};
+    use crate::grammar::BACKEND;
+    use fgmon_sim::SimTime;
+    use fgmon_types::FaultEffect;
 
-    fn op(from_ms: u64) -> ChaosOp {
-        ChaosOp::Crash {
-            node: BACKEND,
-            from_ms,
-            until_ms: from_ms + 100,
+    fn op(from: u64) -> FaultRule {
+        FaultRule {
+            from: SimTime(from),
+            until: SimTime(from + 100),
+            effect: FaultEffect::Crash { node: BACKEND },
         }
     }
 

@@ -4,8 +4,9 @@
 //! a non-monotone parity family), so the properties are checked exactly
 //! and cheaply, independent of any simulated world.
 
-use fgmon_chaos::{is_one_minimal, shrink, ChaosOp, PlannerConfig, Schedule, SchedulePlanner};
+use fgmon_chaos::{is_one_minimal, shrink, PlannerConfig, Schedule, SchedulePlanner};
 use fgmon_sim::DetRng;
+use fgmon_types::FaultRule;
 
 /// Sample a schedule with plenty of ops to shrink.
 fn fat_schedule(planner: &mut SchedulePlanner) -> Schedule {
@@ -17,7 +18,7 @@ fn fat_schedule(planner: &mut SchedulePlanner) -> Schedule {
     }
     // Drop duplicate op values (vanishingly rare, but identical copies
     // would make value-based containment predicates non-1-minimal).
-    let mut seen: Vec<ChaosOp> = Vec::new();
+    let mut seen: Vec<FaultRule> = Vec::new();
     s.ops.retain(|op| {
         if seen.contains(op) {
             false
@@ -46,7 +47,7 @@ fn shrunk_schedules_still_fail_and_are_one_minimal() {
         // Target subset: 1–3 ops that must all be present to "fail".
         let mut case_rng = rng.fork_idx("case", cases);
         let n_targets = 1 + case_rng.index(3);
-        let mut targets: Vec<ChaosOp> = Vec::new();
+        let mut targets: Vec<FaultRule> = Vec::new();
         for _ in 0..n_targets {
             let pick = schedule.ops[case_rng.index(schedule.ops.len())];
             if !targets.contains(&pick) {

@@ -8,7 +8,9 @@
 
 #![cfg(not(feature = "chaos-canary"))]
 
-use fgmon_chaos::{run_schedule, search, RunConfig, Schedule, SchedulePlanner, SearchConfig};
+use fgmon_chaos::{
+    run_schedule, search, PlannerConfig, RunConfig, Schedule, SchedulePlanner, SearchConfig,
+};
 
 fn schedules_from_env(default: usize) -> usize {
     std::env::var("FGMON_CHAOS_SCHEDULES")
@@ -52,6 +54,33 @@ fn sweep_reports_zero_violations_with_identical_verdicts() {
         out.total_checks > 0 || out.out_of_budget,
         "the registry must actually run"
     );
+}
+
+/// Sequential verdicts `(events, checks, fault_checks, violations)` of
+/// the sweep planner's first schedules, pinned across commits: a planner
+/// draw or a fate that moves changes at least one of these.
+const GOLDEN_VERDICTS: [(u64, u64, u64, usize); 8] = [
+    (31_217, 207, 9_164, 0),
+    (32_261, 207, 9_821, 0),
+    (35_466, 207, 10_903, 0),
+    (34_648, 207, 10_540, 0),
+    (36_510, 207, 10_835, 0),
+    (33_349, 207, 10_174, 0),
+    (29_585, 207, 9_048, 0),
+    (31_845, 207, 9_699, 0),
+];
+
+#[test]
+fn first_sweep_verdicts_match_golden() {
+    let mut planner = SchedulePlanner::new(0xC405_0001, PlannerConfig::default());
+    let cfg = RunConfig::default();
+    let got: Vec<(u64, u64, u64, usize)> = (0..GOLDEN_VERDICTS.len())
+        .map(|_| {
+            let v = run_schedule(&planner.next_schedule(), 1, &cfg);
+            (v.events, v.checks, v.fault_checks, v.violations.len())
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_VERDICTS);
 }
 
 #[test]

@@ -10,8 +10,8 @@ use fgmon_sim::{
     SimTime,
 };
 use fgmon_types::{
-    ConnId, FaultPlan, McastGroup, Msg, NetConfig, NodeId, NodeMsg, OsConfig, RaceDetector,
-    RaceMode, RaceReport, ServiceSlot, SharedRaceDetector, TenancyConfig, TenantId,
+    ConnId, FaultEffect, FaultPlan, McastGroup, Msg, NetConfig, NodeId, NodeMsg, OsConfig,
+    RaceDetector, RaceMode, RaceReport, ServiceSlot, SharedRaceDetector, TenancyConfig, TenantId,
 };
 
 /// Incrementally builds a simulated cluster.
@@ -167,10 +167,24 @@ impl ClusterBuilder {
         // but a plan mutated through the fabric after installation (or one
         // that slipped in through a future builder path) must never reach a
         // running engine — fate draws on a malformed rule would silently
-        // skew every downstream fingerprint.
-        if let Err(e) = fabric.fault_plan().validate() {
+        // skew every downstream fingerprint. Only now is the node count
+        // known, so rules naming a node the cluster lacks are caught here.
+        let plan = fabric.fault_plan();
+        if let Err(e) = plan.validate().and(plan.check_nodes(self.nodes.len())) {
             panic!("invalid fault plan: {e}");
         }
+        // A fail-stop window ends with the node coming back *restarted*,
+        // not resumed: schedule the restart at each finite window end, so
+        // the node re-boots its services under a fresh boot generation
+        // (crashes with `until = SimTime::MAX` never recover).
+        let restarts: Vec<(SimTime, NodeId)> = plan
+            .rules
+            .iter()
+            .filter_map(|r| match r.effect {
+                FaultEffect::Crash { node } if r.until < SimTime::MAX => Some((r.until, node)),
+                _ => None,
+            })
+            .collect();
         fabric.set_node_actors(self.nodes.clone());
         if let Some(race) = &self.race {
             fabric.set_race_detector(race.clone());
@@ -188,17 +202,6 @@ impl ClusterBuilder {
                     .set_post_limiter(bucket);
             }
         }
-        // A fail-stop window ends with the node coming back *restarted*,
-        // not resumed: schedule the restart at each finite window end, so
-        // the node re-boots its services under a fresh boot generation
-        // (crashes with `until = SimTime::MAX` never recover).
-        let restarts: Vec<(SimTime, NodeId)> = fabric
-            .fault_plan()
-            .crashes
-            .iter()
-            .filter(|c| c.until < SimTime::MAX)
-            .map(|c| (c.until, c.node))
-            .collect();
         // The fabric is the one actor every node talks to; parallel runs
         // replicate it into each shard instead of assigning it to one.
         self.eng.mark_replicated(self.fabric_slot);

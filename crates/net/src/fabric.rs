@@ -408,11 +408,11 @@ impl Fabric {
     ///
     /// Completion legs (read-data, write-ack) only carry the initiator,
     /// so the unknown endpoint is passed as `None` and matches wildcard
-    /// rules only. Exactly one fate draw happens per checked frame, which
-    /// keeps fault fates independent of how many rules match. `seq` is
-    /// the engine key of the event being handled; together with the
-    /// per-event check counter it makes each draw a pure function of the
-    /// event, not of the fabric's history.
+    /// rules only. One fate draw happens per checked frame however many
+    /// rules match, plus a hold-back draw only when a reorder rule does.
+    /// `seq` is the engine key of the event being handled; together with
+    /// the per-event check counter it makes each draw a pure function of
+    /// the event, not of the fabric's history.
     fn apply_faults(
         &mut self,
         now: SimTime,
@@ -426,61 +426,47 @@ impl Fabric {
             return Some(base);
         }
         self.stats.fault_checks += 1;
-        let idx = self.fault_check_index;
-        self.fault_check_index += 1;
-        let u = fate_u(self.plan.seed, now, seq, idx);
-        if src.is_some_and(|n| self.plan.crashed(n, now))
-            || dst.is_some_and(|n| self.plan.crashed(n, now))
-        {
+        let u = self.fate_draw(now, seq);
+        let fate = self.plan.frame_fate(src, dst, op, now);
+        if fate.crashed {
             self.stats.fault_crash_dropped += 1;
             return None;
         }
         // Asymmetric partitions are deterministic physics, not dice: a
         // severed direction drops every matching frame, the reverse
         // direction is untouched.
-        if self.plan.partitioned(src, dst, now) {
+        if fate.partitioned {
             self.stats.fault_partitioned += 1;
             return None;
         }
-        if u < self.plan.loss_probability(src, dst, op, now) {
+        if u < fate.loss {
             self.stats.fault_dropped += 1;
             return None;
         }
         // Latency inflation: cluster-wide congestion times the sick-NIC
         // multiplier of each known endpoint (a slow NIC serves both its
         // own posts and reads against it slowly — the gray failure).
-        let mut mult = self.plan.latency_mult(now);
-        if let Some(n) = src {
-            mult *= self.plan.slow_nic_mult(n, now);
-        }
-        if let Some(n) = dst {
-            mult *= self.plan.slow_nic_mult(n, now);
-        }
-        let mut delay = base.mul_f64(mult);
-        if let Some(n) = src {
-            delay += self.plan.stall_extra(n, now);
-        }
-        if let Some(n) = dst {
-            delay += self.plan.stall_extra(n, now);
-        }
+        let mut delay = base.mul_f64(fate.latency_mult) + fate.stall;
         // Reordering = probabilistic hold-back: in a discrete-event
         // fabric the held frame arrives after frames sent later, which
-        // is all reordering ever is on a wire. The extra draw happens
-        // only when a matching rule is live, so plans without reorder
-        // rules evaluate the exact draw sequence they always did.
-        let (rp, extra) = self.plan.reorder_probability(src, dst, op, now);
-        if rp > 0.0 {
-            let idx = self.fault_check_index;
-            self.fault_check_index += 1;
-            if fate_u(self.plan.seed, now, seq, idx) < rp {
-                delay += extra;
-                self.stats.fault_reordered += 1;
-            }
+        // is all reordering ever is on a wire. The draw is taken only
+        // when a matching rule is live, so plans without reorder rules
+        // evaluate the exact draw sequence they always did.
+        if fate.reorder > 0.0 && self.fate_draw(now, seq) < fate.reorder {
+            delay += fate.reorder_extra;
+            self.stats.fault_reordered += 1;
         }
         if delay != base {
             self.stats.fault_delayed += 1;
         }
         Some(delay)
+    }
+
+    /// The next fault-fate draw of the event keyed `(now, seq)`.
+    fn fate_draw(&mut self, now: SimTime, seq: u64) -> f64 {
+        let idx = self.fault_check_index;
+        self.fault_check_index += 1;
+        fate_u(self.plan.seed, now, seq, idx)
     }
 
     /// Mutate a snapshot in flight according to the payload fault rules:
@@ -500,7 +486,7 @@ impl Fabric {
         if !self.payload_faults {
             return;
         }
-        let skew = self.plan.clock_skew_nanos(producer, now);
+        let (skew, corrupt) = self.plan.payload_fate(producer, now);
         if skew != 0 {
             let shifted = (snap.measured_at.0 as i64).saturating_add(skew).max(0) as u64;
             snap.measured_at = SimTime(shifted);
@@ -509,20 +495,15 @@ impl Fabric {
             }
             self.stats.fault_skewed += 1;
         }
-        let p = self.plan.corrupt_probability(producer, now);
-        if p > 0.0 {
-            let idx = self.fault_check_index;
-            self.fault_check_index += 1;
-            if fate_u(self.plan.seed, now, seq, idx) < p {
-                // Flip bits in integer content fields. `| 1` guarantees
-                // each XOR mask is nonzero, so the content always
-                // changes and a sealed snapshot always fails its check.
-                let mask = mix64(self.plan.seed ^ mix64(now.0 ^ seq));
-                snap.run_queue ^= (mask as u32) | 1;
-                snap.mem_used_kb ^= (mask >> 8) | 1;
-                snap.nthreads ^= ((mask >> 32) as u32) | 1;
-                self.stats.fault_corrupted += 1;
-            }
+        if corrupt > 0.0 && self.fate_draw(now, seq) < corrupt {
+            // Flip bits in integer content fields. `| 1` guarantees
+            // each XOR mask is nonzero, so the content always
+            // changes and a sealed snapshot always fails its check.
+            let mask = mix64(self.plan.seed ^ mix64(now.0 ^ seq));
+            snap.run_queue ^= (mask as u32) | 1;
+            snap.mem_used_kb ^= (mask >> 8) | 1;
+            snap.nthreads ^= ((mask >> 32) as u32) | 1;
+            self.stats.fault_corrupted += 1;
         }
     }
 
@@ -533,13 +514,8 @@ impl Fabric {
         if !self.fault_active {
             return None;
         }
-        let (p, echo) = self.plan.duplicate_probability(now);
-        if p <= 0.0 {
-            return None;
-        }
-        let idx = self.fault_check_index;
-        self.fault_check_index += 1;
-        if fate_u(self.plan.seed, now, seq, idx) < p {
+        let (p, echo) = self.plan.duplication(now);
+        if p > 0.0 && self.fate_draw(now, seq) < p {
             self.stats.fault_duplicated += 1;
             Some(echo)
         } else {
@@ -1473,6 +1449,73 @@ mod tests {
             .unwrap();
         assert_eq!(d, base);
         assert_eq!(f.stats.fault_delayed, 1);
+    }
+
+    /// Rules of different kinds may be added in any order: each kind
+    /// folds into its own accumulator. The multipliers round differently
+    /// by grouping, so one table-order product would give `a` the fate
+    /// `(1.1 × 1.3) × 2.7` but `b` the fate `(2.7 × 1.1) × 1.3`.
+    #[test]
+    fn rule_order_across_kinds_never_changes_a_fate() {
+        let (t0, t1) = (SimTime(0), SimTime(1_000));
+        let (slow0, slow1) = (NodeId(0), NodeId(1));
+        let stall = SimDuration(9);
+        let a = FaultPlan::new(4)
+            .congested(t0, t1, 1.1)
+            .slow_nic(slow0, 1.3, t0, t1)
+            .lossy_op(FaultOp::Socket, 0.3)
+            .slow_nic(slow1, 2.7, SimTime(200), t1)
+            .reordered(None, 0.4, SimDuration(500), t0, SimTime(600))
+            .nic_stall(slow1, SimTime(100), SimTime(700), stall);
+        let b = FaultPlan::new(4)
+            .nic_stall(slow1, SimTime(100), SimTime(700), stall)
+            .slow_nic(slow1, 2.7, SimTime(200), t1)
+            .reordered(None, 0.4, SimDuration(500), t0, SimTime(600))
+            .congested(t0, t1, 1.1)
+            .lossy_op(FaultOp::Socket, 0.3)
+            .slow_nic(slow0, 1.3, t0, t1);
+        let bits = |f: fgmon_types::FrameFate| {
+            let floats = [f.loss, f.latency_mult, f.reorder].map(f64::to_bits);
+            (f.crashed, f.partitioned, floats, f.stall, f.reorder_extra)
+        };
+        let mut fa = Fabric::new(NetConfig::default(), vec![]);
+        let mut fb = Fabric::new(NetConfig::default(), vec![]);
+        fa.set_fault_plan(a.clone());
+        fb.set_fault_plan(b.clone());
+        let ends = [None, Some(slow0), Some(slow1), Some(NodeId(2))];
+        let ops = [
+            FaultOp::Socket,
+            FaultOp::RdmaRead,
+            FaultOp::RdmaWrite,
+            FaultOp::Mcast,
+        ];
+        let base = SimDuration(1_000_000_007);
+        for now in [0, 150, 250, 650, 999, 1_000].map(SimTime) {
+            for (src, dst, op) in ends
+                .iter()
+                .flat_map(|&s| ends.iter().flat_map(move |&d| ops.map(|op| (s, d, op))))
+            {
+                let fate = bits(a.frame_fate(src, dst, op, now));
+                assert_eq!(fate, bits(b.frame_fate(src, dst, op, now)));
+                for seq in 0..4 {
+                    fa.fault_check_index = 0;
+                    fb.fault_check_index = 0;
+                    assert_eq!(
+                        fa.apply_faults(now, seq, src, dst, op, base),
+                        fb.apply_faults(now, seq, src, dst, op, base),
+                        "{src:?} -> {dst:?} {op:?} at {now:?} seq {seq}"
+                    );
+                }
+            }
+        }
+        assert_eq!(fa.stats, fb.stats);
+        let s = fa.stats;
+        assert!(s.fault_dropped > 0 && s.fault_reordered > 0 && s.fault_delayed > 0);
+        // The grouping the comment above names really does round apart.
+        assert_ne!(
+            ((1.1f64 * 1.3) * 2.7).to_bits(),
+            ((2.7f64 * 1.1) * 1.3).to_bits()
+        );
     }
 
     #[test]

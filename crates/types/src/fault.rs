@@ -3,9 +3,10 @@
 //!
 //! The paper's argument is about monitoring *under duress*: overloaded
 //! back-ends delay socket replies while RDMA-Sync stays fresh (Figs. 3, 8).
-//! A [`FaultPlan`] makes that duress an explicit, reproducible input: the
-//! fabric consults it for every frame, drawing from an RNG forked from
-//! `plan.seed` so two runs with the same seed and plan are bit-identical.
+//! A [`FaultPlan`] makes that duress an explicit, reproducible input: one
+//! table of [`FaultRule`]s that the fabric consults for every frame,
+//! hashing `plan.seed` with the handling event's key so two runs with the
+//! same seed and plan are bit-identical.
 //!
 //! The plan is pure data — it never draws random numbers itself. The
 //! fabric owns the dice; the plan answers "what is the loss probability /
@@ -30,161 +31,144 @@ pub enum FaultOp {
     Mcast,
 }
 
-/// Per-link frame-loss rule. `None` fields are wildcards.
-#[derive(Clone, Copy, Debug)]
-pub struct LossRule {
-    /// Sending node, or any if `None`.
-    pub src: Option<NodeId>,
-    /// Receiving node, or any if `None`.
-    pub dst: Option<NodeId>,
-    /// Operation kind, or any if `None`.
-    pub op: Option<FaultOp>,
-    /// Independent drop probability in `[0, 1]` per matching frame.
-    pub probability: f64,
-    /// Active window `[from, until)`; the builders default to all-time.
+/// One row of a [`FaultPlan`]: `effect` holds over the half-open window
+/// `[from, until)`; `until = SimTime::MAX` never ends.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct FaultRule {
     pub from: SimTime,
     pub until: SimTime,
+    pub effect: FaultEffect,
 }
 
-/// Time window during which every wire/NIC latency is multiplied — the
-/// congested-switch model (shared-NIC contention, noisy neighbours).
-#[derive(Clone, Copy, Debug)]
-pub struct CongestionWindow {
-    pub from: SimTime,
-    pub until: SimTime,
-    /// Latency multiplier, `>= 1.0` for congestion (values in `(0, 1)`
-    /// would model an implausibly *faster* network and are rejected).
-    pub latency_mult: f64,
+/// What a [`FaultRule`] does while active. Each variant carries exactly
+/// the scope it matches on; `None` endpoints and ops are wildcards.
+///
+/// The first four are the blunt faults: frames vanish, nodes die, links
+/// slow uniformly. The rest model gray failures, where the system keeps
+/// *partially* working — deterministic where the physics is (a partition
+/// drops every matching frame, a slow NIC slows every frame) and
+/// probabilistic where it is not, with all dice owned by the fabric.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum FaultEffect {
+    /// Independent frame loss with `probability` in `[0, 1]`.
+    Loss {
+        src: Option<NodeId>,
+        dst: Option<NodeId>,
+        op: Option<FaultOp>,
+        probability: f64,
+    },
+    /// Every wire/NIC latency is multiplied by `latency_mult >= 1` — the
+    /// congested-switch model (shared-NIC contention, noisy neighbours).
+    Congestion { latency_mult: f64 },
+    /// Fail-stop: frames to or from `node` are dropped, and the node
+    /// restarts at `until` unless that is `SimTime::MAX`.
+    Crash { node: NodeId },
+    /// A fixed extra delay on every frame touching `node` (firmware
+    /// hiccup, DMA-ring exhaustion).
+    NicStall { node: NodeId, extra: SimDuration },
+    /// Asymmetric partition: every frame `src → dst` is dropped while the
+    /// reverse direction flows.
+    Partition {
+        src: Option<NodeId>,
+        dst: Option<NodeId>,
+    },
+    /// Every frame touching `node` pays `latency_mult >= 1` — a sick NIC
+    /// serving reads slowly, the gray failure the paper's §6 hinges on.
+    SlowNic { node: NodeId, latency_mult: f64 },
+    /// Snapshots `node` produces carry `measured_at` shifted by
+    /// `skew_nanos` (its clock is wrong, so everything it stamps is);
+    /// negative skew saturates at time zero.
+    ClockSkew { node: NodeId, skew_nanos: i64 },
+    /// A socket frame is delivered a second time `echo_delay` later. RDMA
+    /// verbs ride an RC transport that executes exactly once in hardware,
+    /// so one-sided ops never duplicate.
+    Duplicate {
+        probability: f64,
+        echo_delay: SimDuration,
+    },
+    /// A frame is held back by `extra`; in a discrete-event fabric added
+    /// delay *is* reordering.
+    Reorder {
+        src: Option<NodeId>,
+        dst: Option<NodeId>,
+        op: Option<FaultOp>,
+        probability: f64,
+        extra: SimDuration,
+    },
+    /// A snapshot `node` produces is bit-perturbed in flight, leaving its
+    /// integrity seal stale for `LoadSnapshot::checksum_ok` to catch.
+    Corruption {
+        node: Option<NodeId>,
+        probability: f64,
+    },
 }
 
-/// Fail-stop crash window: frames to or from the node are dropped while
-/// it is down. `until = SimTime::MAX` means the node never recovers.
-#[derive(Clone, Copy, Debug)]
-pub struct CrashWindow {
-    pub node: NodeId,
-    pub from: SimTime,
-    pub until: SimTime,
-}
+impl FaultEffect {
+    /// The rule family's name, as [`FaultPlanError`] reports it.
+    fn kind(&self) -> &'static str {
+        match self {
+            FaultEffect::Loss { .. } => "loss",
+            FaultEffect::Congestion { .. } => "congestion",
+            FaultEffect::Crash { .. } => "crash",
+            FaultEffect::NicStall { .. } => "nic-stall",
+            FaultEffect::Partition { .. } => "partition",
+            FaultEffect::SlowNic { .. } => "slow-nic",
+            FaultEffect::ClockSkew { .. } => "clock-skew",
+            FaultEffect::Duplicate { .. } => "duplicate",
+            FaultEffect::Reorder { .. } => "reorder",
+            FaultEffect::Corruption { .. } => "corruption",
+        }
+    }
 
-/// NIC stall: a fixed extra delay added to every frame touching the node
-/// during the window (firmware hiccup, DMA-ring exhaustion).
-#[derive(Clone, Copy, Debug)]
-pub struct NicStall {
-    pub node: NodeId,
-    pub from: SimTime,
-    pub until: SimTime,
-    pub extra: SimDuration,
-}
-
-// ---------------------------------------------------------------------------
-// Gray-failure rules
-// ---------------------------------------------------------------------------
-//
-// The rules below model failures where the system keeps *partially*
-// working — exactly the regime the paper argues one-sided monitoring is
-// built for. They are deterministic where the physics is deterministic
-// (a partition drops every matching frame; a slow NIC slows every frame)
-// and probabilistic where it is not (duplication, reordering,
-// bit-corruption), with all dice owned by the fabric.
-
-/// Asymmetric partition: every frame `src → dst` in the window is
-/// dropped deterministically, while the reverse direction flows. `None`
-/// endpoints are wildcards, so one rule can sever a node's entire
-/// ingress or egress.
-#[derive(Clone, Copy, Debug)]
-pub struct PartitionRule {
-    pub src: Option<NodeId>,
-    pub dst: Option<NodeId>,
-    pub from: SimTime,
-    pub until: SimTime,
-}
-
-/// Slow-NIC degradation: every frame touching `node` pays a latency
-/// multiplier — no loss, no errors, just a sick NIC serving reads
-/// slowly. The gray failure the paper's §6 argument hinges on.
-#[derive(Clone, Copy, Debug)]
-pub struct SlowNicRule {
-    pub node: NodeId,
-    /// Multiplier `>= 1.0` applied to the frame's flight latency.
-    pub latency_mult: f64,
-    pub from: SimTime,
-    pub until: SimTime,
-}
-
-/// Clock skew on *reported* load timestamps: snapshots produced by
-/// `node` while the window is active carry `measured_at` shifted by
-/// `skew_nanos` (the node's wall clock is wrong, so everything it
-/// stamps is wrong — staleness accounting included).
-#[derive(Clone, Copy, Debug)]
-pub struct ClockSkewRule {
-    pub node: NodeId,
-    /// Signed shift applied to reported timestamps; negative skew
-    /// saturates at time zero.
-    pub skew_nanos: i64,
-    pub from: SimTime,
-    pub until: SimTime,
-}
-
-/// Duplicated delivery: a matching two-sided (socket) frame is delivered
-/// a second time after `echo_delay`. Applies to socket frames only —
-/// the RC transport RDMA verbs ride guarantees exactly-once execution
-/// in hardware, so one-sided ops cannot duplicate.
-#[derive(Clone, Copy, Debug)]
-pub struct DuplicateRule {
-    /// Per-frame duplication probability in `[0, 1]`.
-    pub probability: f64,
-    /// Extra delay of the echo relative to the original delivery.
-    pub echo_delay: SimDuration,
-    pub from: SimTime,
-    pub until: SimTime,
-}
-
-/// Reordered delivery: a matching frame is held back by `extra` with
-/// probability `probability`. In a discrete-event fabric added delay
-/// *is* reordering — the held frame arrives after frames sent later.
-#[derive(Clone, Copy, Debug)]
-pub struct ReorderRule {
-    pub src: Option<NodeId>,
-    pub dst: Option<NodeId>,
-    pub op: Option<FaultOp>,
-    pub probability: f64,
-    pub extra: SimDuration,
-    pub from: SimTime,
-    pub until: SimTime,
-}
-
-/// Payload bit-corruption: a load snapshot produced by `node` (any node
-/// if `None`) is bit-perturbed in flight with probability `probability`,
-/// leaving its integrity seal stale — detectable (and rejected) at the
-/// monitoring client via `LoadSnapshot::checksum_ok`.
-#[derive(Clone, Copy, Debug)]
-pub struct CorruptionRule {
-    pub node: Option<NodeId>,
-    pub probability: f64,
-    pub from: SimTime,
-    pub until: SimTime,
+    /// The nodes the effect names.
+    fn nodes(&self) -> [Option<NodeId>; 2] {
+        match *self {
+            FaultEffect::Loss { src, dst, .. }
+            | FaultEffect::Partition { src, dst }
+            | FaultEffect::Reorder { src, dst, .. } => [src, dst],
+            FaultEffect::Crash { node }
+            | FaultEffect::NicStall { node, .. }
+            | FaultEffect::SlowNic { node, .. }
+            | FaultEffect::ClockSkew { node, .. } => [Some(node), None],
+            FaultEffect::Corruption { node, .. } => [node, None],
+            FaultEffect::Congestion { .. } | FaultEffect::Duplicate { .. } => [None, None],
+        }
+    }
 }
 
 /// Complete fault schedule for one simulation run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for the fabric's fault RNG (forked, so the plan never
-    /// perturbs non-fault random streams).
+    /// Seed the fabric hashes into every fate draw, so the plan never
+    /// perturbs non-fault random streams.
     pub seed: u64,
-    pub loss: Vec<LossRule>,
-    pub congestion: Vec<CongestionWindow>,
-    pub crashes: Vec<CrashWindow>,
-    pub stalls: Vec<NicStall>,
-    pub partitions: Vec<PartitionRule>,
-    pub slow_nics: Vec<SlowNicRule>,
-    pub skews: Vec<ClockSkewRule>,
-    pub duplicates: Vec<DuplicateRule>,
-    pub reorders: Vec<ReorderRule>,
-    pub corruptions: Vec<CorruptionRule>,
+    /// The rules, in the order they were added.
+    pub rules: Vec<FaultRule>,
 }
 
-/// Why a [`FaultPlan`] was rejected by [`FaultPlan::validate`]. `rule`
-/// names the rule family, `index` its position within it.
+/// What the plan does to one frame at one instant. Each field folds the
+/// matching active rules of one kind, in table order.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct FrameFate {
+    /// An endpoint is fail-stopped.
+    pub crashed: bool,
+    /// The directed path is severed.
+    pub partitioned: bool,
+    /// Drop probability; independent rules compose as `1 − Π(1 − p)`.
+    pub loss: f64,
+    /// Flight-latency multiplier: congestion times each endpoint's
+    /// slow-NIC product, each factor at least 1.
+    pub latency_mult: f64,
+    /// NIC-stall delay summed over both endpoints.
+    pub stall: SimDuration,
+    /// Hold-back probability, composed like `loss`.
+    pub reorder: f64,
+    /// The largest hold-back delay among matching reorder rules.
+    pub reorder_extra: SimDuration,
+}
+
+/// Why a [`FaultPlan`] was rejected. `rule` names the rule's kind,
+/// `index` its position in [`FaultPlan::rules`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultPlanError {
     /// A probability field outside `[0, 1]` (or NaN).
@@ -211,6 +195,15 @@ pub enum FaultPlanError {
         node: NodeId,
         first: usize,
         second: usize,
+    },
+    /// A rule names a node the cluster does not have: a crash there
+    /// would schedule a restart on no actor, and any other rule would
+    /// silently never fire.
+    UnknownNode {
+        rule: &'static str,
+        index: usize,
+        node: NodeId,
+        nodes: usize,
     },
 }
 
@@ -245,6 +238,17 @@ impl std::fmt::Display for FaultPlanError {
                     "crash windows {first} and {second} overlap on node {node}"
                 )
             }
+            FaultPlanError::UnknownNode {
+                rule,
+                index,
+                node,
+                nodes,
+            } => {
+                write!(
+                    f,
+                    "{rule} rule {index}: names {node}, but the cluster has {nodes} nodes"
+                )
+            }
         }
     }
 }
@@ -262,305 +266,242 @@ impl FaultPlan {
     /// No rules at all: the fabric takes its zero-overhead fast path and
     /// draws no random numbers.
     pub fn is_empty(&self) -> bool {
-        self.loss.is_empty()
-            && self.congestion.is_empty()
-            && self.crashes.is_empty()
-            && self.stalls.is_empty()
-            && self.partitions.is_empty()
-            && self.slow_nics.is_empty()
-            && self.skews.is_empty()
-            && self.duplicates.is_empty()
-            && self.reorders.is_empty()
-            && self.corruptions.is_empty()
+        self.rules.is_empty()
     }
 
     /// Any rules that mutate snapshot *payloads* (skew, corruption)? The
     /// fabric caches this so the common no-payload-fault case costs one
     /// boolean test per frame.
     pub fn has_payload_faults(&self) -> bool {
-        !self.skews.is_empty() || !self.corruptions.is_empty()
+        self.rules.iter().any(|r| {
+            matches!(
+                r.effect,
+                FaultEffect::ClockSkew { .. } | FaultEffect::Corruption { .. }
+            )
+        })
+    }
+
+    /// The rules active at `now`, in table order.
+    fn active(&self, now: SimTime) -> impl Iterator<Item = &FaultEffect> {
+        self.rules
+            .iter()
+            .filter(move |r| r.from <= now && now < r.until)
+            .map(|r| &r.effect)
+    }
+
+    /// Add a rule active over `[from, until)`.
+    pub fn rule(mut self, from: SimTime, until: SimTime, effect: FaultEffect) -> Self {
+        self.rules.push(FaultRule {
+            from,
+            until,
+            effect,
+        });
+        self
     }
 
     /// Add a loss rule matching any frame.
-    pub fn lossy_all(mut self, probability: f64) -> Self {
-        self.loss.push(LossRule {
-            src: None,
-            dst: None,
-            op: None,
-            probability,
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-        });
-        self
+    pub fn lossy_all(self, probability: f64) -> Self {
+        self.lossy(SimTime::ZERO, SimTime::MAX, None, None, None, probability)
     }
 
     /// Add a loss rule for one operation kind on any link.
-    pub fn lossy_op(mut self, op: FaultOp, probability: f64) -> Self {
-        self.loss.push(LossRule {
-            src: None,
-            dst: None,
-            op: Some(op),
+    pub fn lossy_op(self, op: FaultOp, probability: f64) -> Self {
+        self.lossy(
+            SimTime::ZERO,
+            SimTime::MAX,
+            None,
+            None,
+            Some(op),
             probability,
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-        });
-        self
+        )
     }
 
     /// Add a loss rule for one operation kind active only in
     /// `[from, until)` — a transient outage of one transport (e.g. an NIC
     /// firmware bug dropping RDMA reads until it is rebooted).
     pub fn lossy_op_window(
-        mut self,
+        self,
         op: FaultOp,
         probability: f64,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.loss.push(LossRule {
-            src: None,
-            dst: None,
-            op: Some(op),
-            probability,
-            from,
-            until,
-        });
-        self
+        self.lossy(from, until, None, None, Some(op), probability)
     }
 
     /// Add a loss rule for one directed link.
-    pub fn lossy_link(mut self, src: NodeId, dst: NodeId, probability: f64) -> Self {
-        self.loss.push(LossRule {
-            src: Some(src),
-            dst: Some(dst),
-            op: None,
+    pub fn lossy_link(self, src: NodeId, dst: NodeId, probability: f64) -> Self {
+        self.lossy(
+            SimTime::ZERO,
+            SimTime::MAX,
+            Some(src),
+            Some(dst),
+            None,
             probability,
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-        });
-        self
+        )
+    }
+
+    fn lossy(
+        self,
+        from: SimTime,
+        until: SimTime,
+        src: Option<NodeId>,
+        dst: Option<NodeId>,
+        op: Option<FaultOp>,
+        probability: f64,
+    ) -> Self {
+        let loss = FaultEffect::Loss {
+            src,
+            dst,
+            op,
+            probability,
+        };
+        self.rule(from, until, loss)
     }
 
     /// Add a congestion window.
-    pub fn congested(mut self, from: SimTime, until: SimTime, latency_mult: f64) -> Self {
-        self.congestion.push(CongestionWindow {
-            from,
-            until,
-            latency_mult,
-        });
-        self
+    pub fn congested(self, from: SimTime, until: SimTime, latency_mult: f64) -> Self {
+        self.rule(from, until, FaultEffect::Congestion { latency_mult })
     }
 
     /// Add a fail-stop crash window for a node.
-    pub fn crash(mut self, node: NodeId, from: SimTime, until: SimTime) -> Self {
-        self.crashes.push(CrashWindow { node, from, until });
-        self
+    pub fn crash(self, node: NodeId, from: SimTime, until: SimTime) -> Self {
+        self.rule(from, until, FaultEffect::Crash { node })
     }
 
     /// Add a NIC stall window for a node.
     pub fn nic_stall(
-        mut self,
+        self,
         node: NodeId,
         from: SimTime,
         until: SimTime,
         extra: SimDuration,
     ) -> Self {
-        self.stalls.push(NicStall {
-            node,
-            from,
-            until,
-            extra,
-        });
-        self
+        self.rule(from, until, FaultEffect::NicStall { node, extra })
     }
 
     /// Add an asymmetric partition: `src → dst` frames drop in the
     /// window, the reverse direction is untouched.
     pub fn partition(
-        mut self,
+        self,
         src: Option<NodeId>,
         dst: Option<NodeId>,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.partitions.push(PartitionRule {
-            src,
-            dst,
-            from,
-            until,
-        });
-        self
+        self.rule(from, until, FaultEffect::Partition { src, dst })
     }
 
     /// Add a slow-NIC window for a node.
-    pub fn slow_nic(
-        mut self,
-        node: NodeId,
-        latency_mult: f64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.slow_nics.push(SlowNicRule {
-            node,
-            latency_mult,
-            from,
-            until,
-        });
-        self
+    pub fn slow_nic(self, node: NodeId, latency_mult: f64, from: SimTime, until: SimTime) -> Self {
+        self.rule(from, until, FaultEffect::SlowNic { node, latency_mult })
     }
 
     /// Add a clock-skew window on a node's reported timestamps.
-    pub fn clock_skew(
-        mut self,
-        node: NodeId,
-        skew_nanos: i64,
-        from: SimTime,
-        until: SimTime,
-    ) -> Self {
-        self.skews.push(ClockSkewRule {
-            node,
-            skew_nanos,
-            from,
-            until,
-        });
-        self
+    pub fn clock_skew(self, node: NodeId, skew_nanos: i64, from: SimTime, until: SimTime) -> Self {
+        self.rule(from, until, FaultEffect::ClockSkew { node, skew_nanos })
     }
 
     /// Add a socket-frame duplication rule.
     pub fn duplicated(
-        mut self,
+        self,
         probability: f64,
         echo_delay: SimDuration,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.duplicates.push(DuplicateRule {
+        let dup = FaultEffect::Duplicate {
             probability,
             echo_delay,
-            from,
-            until,
-        });
-        self
+        };
+        self.rule(from, until, dup)
     }
 
     /// Add a reordering rule for one operation kind (any if `None`) on
     /// any link.
     pub fn reordered(
-        mut self,
+        self,
         op: Option<FaultOp>,
         probability: f64,
         extra: SimDuration,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.reorders.push(ReorderRule {
+        let reorder = FaultEffect::Reorder {
             src: None,
             dst: None,
             op,
             probability,
             extra,
-            from,
-            until,
-        });
-        self
+        };
+        self.rule(from, until, reorder)
     }
 
     /// Add a payload bit-corruption rule for snapshots produced by `node`
     /// (any producer if `None`).
     pub fn corrupting(
-        mut self,
+        self,
         node: Option<NodeId>,
         probability: f64,
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.corruptions.push(CorruptionRule {
-            node,
-            probability,
-            from,
-            until,
-        });
-        self
+        self.rule(from, until, FaultEffect::Corruption { node, probability })
     }
 
     /// Check every rule for well-formedness. Returns the first problem
-    /// found as a typed [`FaultPlanError`].
+    /// found, in table order, as a typed [`FaultPlanError`].
     pub fn validate(&self) -> Result<(), FaultPlanError> {
-        fn window(
-            rule: &'static str,
-            index: usize,
-            from: SimTime,
-            until: SimTime,
-        ) -> Result<(), FaultPlanError> {
-            if from > until {
+        for (index, r) in self.rules.iter().enumerate() {
+            let rule = r.effect.kind();
+            match r.effect {
+                FaultEffect::Loss { probability, .. }
+                | FaultEffect::Duplicate { probability, .. }
+                | FaultEffect::Reorder { probability, .. }
+                | FaultEffect::Corruption { probability, .. }
+                    if !(0.0..=1.0).contains(&probability) =>
+                {
+                    return Err(FaultPlanError::ProbabilityOutOfRange {
+                        rule,
+                        index,
+                        value: probability,
+                    });
+                }
+                FaultEffect::Congestion { latency_mult }
+                | FaultEffect::SlowNic { latency_mult, .. }
+                    if !latency_mult.is_finite() || latency_mult < 1.0 =>
+                {
+                    return Err(FaultPlanError::BadLatencyMult {
+                        rule,
+                        index,
+                        value: latency_mult,
+                    });
+                }
+                _ => {}
+            }
+            if r.from > r.until {
                 return Err(FaultPlanError::InvertedWindow { rule, index });
             }
-            if from == until {
+            if r.from == r.until {
                 return Err(FaultPlanError::ZeroDurationWindow { rule, index });
             }
-            Ok(())
-        }
-        fn probability(rule: &'static str, index: usize, value: f64) -> Result<(), FaultPlanError> {
-            if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                return Err(FaultPlanError::ProbabilityOutOfRange { rule, index, value });
-            }
-            Ok(())
-        }
-        fn mult(rule: &'static str, index: usize, value: f64) -> Result<(), FaultPlanError> {
-            if !value.is_finite() || value < 1.0 {
-                return Err(FaultPlanError::BadLatencyMult { rule, index, value });
-            }
-            Ok(())
-        }
-        for (i, r) in self.loss.iter().enumerate() {
-            probability("loss", i, r.probability)?;
-            window("loss", i, r.from, r.until)?;
-        }
-        for (i, w) in self.congestion.iter().enumerate() {
-            mult("congestion", i, w.latency_mult)?;
-            window("congestion", i, w.from, w.until)?;
-        }
-        for (i, c) in self.crashes.iter().enumerate() {
-            window("crash", i, c.from, c.until)?;
-        }
-        for (i, s) in self.stalls.iter().enumerate() {
-            window("nic-stall", i, s.from, s.until)?;
-        }
-        for (i, p) in self.partitions.iter().enumerate() {
-            window("partition", i, p.from, p.until)?;
-        }
-        for (i, s) in self.slow_nics.iter().enumerate() {
-            mult("slow-nic", i, s.latency_mult)?;
-            window("slow-nic", i, s.from, s.until)?;
-        }
-        for (i, s) in self.skews.iter().enumerate() {
-            window("clock-skew", i, s.from, s.until)?;
-        }
-        for (i, d) in self.duplicates.iter().enumerate() {
-            probability("duplicate", i, d.probability)?;
-            window("duplicate", i, d.from, d.until)?;
-        }
-        for (i, r) in self.reorders.iter().enumerate() {
-            probability("reorder", i, r.probability)?;
-            window("reorder", i, r.from, r.until)?;
-        }
-        for (i, c) in self.corruptions.iter().enumerate() {
-            probability("corruption", i, c.probability)?;
-            window("corruption", i, c.from, c.until)?;
         }
         // Crash windows on the same node must not overlap: the cluster
         // schedules a restart at each window's end, and a restart inside
         // another crash window would boot a node the plan says is down.
         // Windows are half-open, so a window starting exactly where the
         // previous ends is legal.
-        let mut by_node: Vec<(NodeId, SimTime, SimTime, usize)> = self
-            .crashes
+        let mut crashes: Vec<(NodeId, SimTime, SimTime, usize)> = self
+            .rules
             .iter()
             .enumerate()
-            .map(|(i, c)| (c.node, c.from, c.until, i))
+            .filter_map(|(i, r)| match r.effect {
+                FaultEffect::Crash { node } => Some((node, r.from, r.until, i)),
+                _ => None,
+            })
             .collect();
-        by_node.sort_by_key(|&(node, from, _, _)| (node.0, from.0));
-        for pair in by_node.windows(2) {
+        crashes.sort_by_key(|&(node, from, _, _)| (node.0, from.0));
+        for pair in crashes.windows(2) {
             let (n0, _, until0, i0) = pair[0];
             let (n1, from1, _, i1) = pair[1];
             if n0 == n1 && from1 < until0 {
@@ -574,224 +515,149 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Combined drop probability for one frame: independent rules compose
-    /// as `1 - Π(1 - p)`, always in `[0, 1]`.
+    /// Check that every node a rule names exists in a cluster of `nodes`
+    /// nodes.
+    pub fn check_nodes(&self, nodes: usize) -> Result<(), FaultPlanError> {
+        for (index, r) in self.rules.iter().enumerate() {
+            if let Some(node) = r
+                .effect
+                .nodes()
+                .into_iter()
+                .flatten()
+                .find(|n| n.index() >= nodes)
+            {
+                return Err(FaultPlanError::UnknownNode {
+                    rule: r.effect.kind(),
+                    index,
+                    node,
+                    nodes,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Everything the plan does to one `op` frame from `src` to `dst` at
+    /// `now`, in one pass over the table.
     ///
-    /// `src`/`dst` are what the fabric knows about the frame; completion
-    /// legs (read-data, write-ack) only know the initiator, so the caller
-    /// passes `None` for the unknown side and wildcard rules still apply.
-    pub fn loss_probability(
+    /// Completion legs (read-data, write-ack) only know their initiator,
+    /// so the caller passes `None` for the unknown side. Each kind folds
+    /// into its own accumulator in table order, so interleaving rules of
+    /// different kinds never changes a fate.
+    pub fn frame_fate(
         &self,
         src: Option<NodeId>,
         dst: Option<NodeId>,
         op: FaultOp,
         now: SimTime,
-    ) -> f64 {
-        let mut keep = 1.0f64;
-        for r in &self.loss {
-            if now < r.from || now >= r.until {
-                continue;
-            }
-            let src_ok = match (r.src, src) {
-                (None, _) => true,
-                (Some(want), Some(have)) => want == have,
-                (Some(_), None) => false,
-            };
-            let dst_ok = match (r.dst, dst) {
-                (None, _) => true,
-                (Some(want), Some(have)) => want == have,
-                (Some(_), None) => false,
-            };
-            if src_ok && dst_ok && r.op.is_none_or(|o| o == op) {
-                keep *= 1.0 - r.probability.clamp(0.0, 1.0);
+    ) -> FrameFate {
+        let touches = |node: NodeId| src == Some(node) || dst == Some(node);
+        // A rule's pinned endpoint never matches an unknown one.
+        let link = |s: Option<NodeId>, d: Option<NodeId>| {
+            s.is_none_or(|n| src == Some(n)) && d.is_none_or(|n| dst == Some(n))
+        };
+        let op_matches = |want: Option<FaultOp>| want.is_none_or(|o| o == op);
+        let (mut crashed, mut partitioned) = (false, false);
+        let (mut keep, mut hold) = (1.0f64, 1.0f64);
+        let (mut congestion, mut slow_src, mut slow_dst) = (1.0f64, 1.0f64, 1.0f64);
+        let (mut stall, mut reorder_extra) = (SimDuration::ZERO, SimDuration::ZERO);
+        for effect in self.active(now) {
+            match *effect {
+                FaultEffect::Crash { node } => crashed |= touches(node),
+                FaultEffect::Partition { src: s, dst: d } => {
+                    partitioned |= link(s, d);
+                }
+                FaultEffect::Loss {
+                    src: s,
+                    dst: d,
+                    op: o,
+                    probability,
+                } => {
+                    if link(s, d) && op_matches(o) {
+                        keep *= 1.0 - probability.clamp(0.0, 1.0);
+                    }
+                }
+                FaultEffect::Congestion { latency_mult } => congestion *= latency_mult,
+                FaultEffect::SlowNic { node, latency_mult } => {
+                    if src == Some(node) {
+                        slow_src *= latency_mult;
+                    }
+                    if dst == Some(node) {
+                        slow_dst *= latency_mult;
+                    }
+                }
+                FaultEffect::NicStall { node, extra } => {
+                    if src == Some(node) {
+                        stall += extra;
+                    }
+                    if dst == Some(node) {
+                        stall += extra;
+                    }
+                }
+                FaultEffect::Reorder {
+                    src: s,
+                    dst: d,
+                    op: o,
+                    probability,
+                    extra,
+                } => {
+                    if link(s, d) && op_matches(o) {
+                        hold *= 1.0 - probability.clamp(0.0, 1.0);
+                        reorder_extra = reorder_extra.max(extra);
+                    }
+                }
+                FaultEffect::ClockSkew { .. }
+                | FaultEffect::Duplicate { .. }
+                | FaultEffect::Corruption { .. } => {}
             }
         }
-        (1.0 - keep).clamp(0.0, 1.0)
+        FrameFate {
+            crashed,
+            partitioned,
+            loss: (1.0 - keep).clamp(0.0, 1.0),
+            latency_mult: congestion.max(1.0) * slow_src.max(1.0) * slow_dst.max(1.0),
+            stall,
+            reorder: (1.0 - hold).clamp(0.0, 1.0),
+            reorder_extra,
+        }
     }
 
-    /// Is `node` fail-stopped at `now`? Windows are half-open `[from, until)`.
-    pub fn crashed(&self, node: NodeId, now: SimTime) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| c.node == node && c.from <= now && now < c.until)
-    }
-
-    /// Product of all congestion multipliers active at `now` (1.0 when
-    /// none are).
-    pub fn latency_mult(&self, now: SimTime) -> f64 {
-        self.congestion
-            .iter()
-            .filter(|w| w.from <= now && now < w.until)
-            .map(|w| w.latency_mult)
-            .product::<f64>()
-            .max(1.0)
-    }
-
-    /// Total extra NIC delay for frames touching `node` at `now`.
-    pub fn stall_extra(&self, node: NodeId, now: SimTime) -> SimDuration {
-        self.stalls
-            .iter()
-            .filter(|s| s.node == node && s.from <= now && now < s.until)
-            .fold(SimDuration::ZERO, |acc, s| acc + s.extra)
-    }
-
-    /// Is the directed path `src → dst` severed at `now`? Wildcard
-    /// endpoint matching follows [`FaultPlan::loss_probability`]: a rule
-    /// pinning an endpoint never matches a frame whose corresponding
-    /// endpoint is unknown.
-    pub fn partitioned(&self, src: Option<NodeId>, dst: Option<NodeId>, now: SimTime) -> bool {
-        self.partitions.iter().any(|p| {
-            if now < p.from || now >= p.until {
-                return false;
+    /// Payload fate for a snapshot `producer` stamped, in flight at
+    /// `now`: the net clock skew (active rules summed, saturating) and
+    /// the combined corruption probability.
+    pub fn payload_fate(&self, producer: NodeId, now: SimTime) -> (i64, f64) {
+        let (mut skew, mut keep) = (0i64, 1.0f64);
+        for effect in self.active(now) {
+            match *effect {
+                FaultEffect::ClockSkew { node, skew_nanos } if node == producer => {
+                    skew = skew.saturating_add(skew_nanos);
+                }
+                FaultEffect::Corruption { node, probability }
+                    if node.is_none_or(|n| n == producer) =>
+                {
+                    keep *= 1.0 - probability.clamp(0.0, 1.0);
+                }
+                _ => {}
             }
-            let src_ok = match (p.src, src) {
-                (None, _) => true,
-                (Some(want), Some(have)) => want == have,
-                (Some(_), None) => false,
-            };
-            let dst_ok = match (p.dst, dst) {
-                (None, _) => true,
-                (Some(want), Some(have)) => want == have,
-                (Some(_), None) => false,
-            };
-            src_ok && dst_ok
-        })
-    }
-
-    /// Product of slow-NIC multipliers active on `node` at `now` (1.0
-    /// when none are).
-    pub fn slow_nic_mult(&self, node: NodeId, now: SimTime) -> f64 {
-        self.slow_nics
-            .iter()
-            .filter(|s| s.node == node && s.from <= now && now < s.until)
-            .map(|s| s.latency_mult)
-            .product::<f64>()
-            .max(1.0)
-    }
-
-    /// Net clock skew on `node`'s reported timestamps at `now` (sum of
-    /// active rules; zero when none are).
-    pub fn clock_skew_nanos(&self, node: NodeId, now: SimTime) -> i64 {
-        self.skews
-            .iter()
-            .filter(|s| s.node == node && s.from <= now && now < s.until)
-            .map(|s| s.skew_nanos)
-            .fold(0i64, i64::saturating_add)
+        }
+        (skew, (1.0 - keep).clamp(0.0, 1.0))
     }
 
     /// Duplication fate for a socket frame at `now`: combined probability
-    /// (independent rules compose) and the largest echo delay among
-    /// active rules.
-    pub fn duplicate_probability(&self, now: SimTime) -> (f64, SimDuration) {
-        let mut keep = 1.0f64;
-        let mut echo = SimDuration::ZERO;
-        for d in &self.duplicates {
-            if now < d.from || now >= d.until {
-                continue;
+    /// and the largest echo delay among active rules.
+    pub fn duplication(&self, now: SimTime) -> (f64, SimDuration) {
+        let (mut keep, mut echo) = (1.0f64, SimDuration::ZERO);
+        for effect in self.active(now) {
+            if let FaultEffect::Duplicate {
+                probability,
+                echo_delay,
+            } = *effect
+            {
+                keep *= 1.0 - probability.clamp(0.0, 1.0);
+                echo = echo.max(echo_delay);
             }
-            keep *= 1.0 - d.probability.clamp(0.0, 1.0);
-            echo = echo.max(d.echo_delay);
         }
         ((1.0 - keep).clamp(0.0, 1.0), echo)
-    }
-
-    /// Reordering fate for one frame at `now`: combined hold-back
-    /// probability and the largest extra delay among matching rules.
-    pub fn reorder_probability(
-        &self,
-        src: Option<NodeId>,
-        dst: Option<NodeId>,
-        op: FaultOp,
-        now: SimTime,
-    ) -> (f64, SimDuration) {
-        let mut keep = 1.0f64;
-        let mut extra = SimDuration::ZERO;
-        for r in &self.reorders {
-            if now < r.from || now >= r.until {
-                continue;
-            }
-            let src_ok = match (r.src, src) {
-                (None, _) => true,
-                (Some(want), Some(have)) => want == have,
-                (Some(_), None) => false,
-            };
-            let dst_ok = match (r.dst, dst) {
-                (None, _) => true,
-                (Some(want), Some(have)) => want == have,
-                (Some(_), None) => false,
-            };
-            if src_ok && dst_ok && r.op.is_none_or(|o| o == op) {
-                keep *= 1.0 - r.probability.clamp(0.0, 1.0);
-                extra = extra.max(r.extra);
-            }
-        }
-        ((1.0 - keep).clamp(0.0, 1.0), extra)
-    }
-
-    /// Corruption probability for a snapshot produced by `producer`,
-    /// in flight at `now`.
-    pub fn corrupt_probability(&self, producer: NodeId, now: SimTime) -> f64 {
-        let mut keep = 1.0f64;
-        for c in &self.corruptions {
-            if now < c.from || now >= c.until {
-                continue;
-            }
-            if c.node.is_none_or(|n| n == producer) {
-                keep *= 1.0 - c.probability.clamp(0.0, 1.0);
-            }
-        }
-        (1.0 - keep).clamp(0.0, 1.0)
-    }
-
-    /// The latest instant any rule references — useful for sizing runs so
-    /// recovery behaviour is actually exercised.
-    pub fn horizon(&self) -> SimTime {
-        let mut t = SimTime::ZERO;
-        for r in &self.loss {
-            if r.until < SimTime::MAX {
-                t = t.max(r.until);
-            }
-        }
-        for w in &self.congestion {
-            t = t.max(w.until);
-        }
-        for c in &self.crashes {
-            t = t.max(c.until);
-        }
-        for s in &self.stalls {
-            t = t.max(s.until);
-        }
-        for p in &self.partitions {
-            if p.until < SimTime::MAX {
-                t = t.max(p.until);
-            }
-        }
-        for s in &self.slow_nics {
-            if s.until < SimTime::MAX {
-                t = t.max(s.until);
-            }
-        }
-        for s in &self.skews {
-            if s.until < SimTime::MAX {
-                t = t.max(s.until);
-            }
-        }
-        for d in &self.duplicates {
-            if d.until < SimTime::MAX {
-                t = t.max(d.until);
-            }
-        }
-        for r in &self.reorders {
-            if r.until < SimTime::MAX {
-                t = t.max(r.until);
-            }
-        }
-        for c in &self.corruptions {
-            if c.until < SimTime::MAX {
-                t = t.max(c.until);
-            }
-        }
-        t
     }
 }
 
@@ -1050,18 +916,29 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
+    fn fate(plan: &FaultPlan, src: Option<NodeId>, dst: Option<NodeId>, at: u64) -> FrameFate {
+        plan.frame_fate(src, dst, FaultOp::Socket, SimTime(at))
+    }
+
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
         assert!(plan.validate().is_ok());
         assert_eq!(
-            plan.loss_probability(None, None, FaultOp::Socket, SimTime(5)),
-            0.0
+            fate(&plan, Some(NodeId(0)), Some(NodeId(1)), 5),
+            FrameFate {
+                crashed: false,
+                partitioned: false,
+                loss: 0.0,
+                latency_mult: 1.0,
+                stall: SimDuration::ZERO,
+                reorder: 0.0,
+                reorder_extra: SimDuration::ZERO,
+            }
         );
-        assert!(!plan.crashed(NodeId(0), SimTime(5)));
-        assert_eq!(plan.latency_mult(SimTime(5)), 1.0);
-        assert_eq!(plan.stall_extra(NodeId(0), SimTime(5)), SimDuration::ZERO);
+        assert_eq!(plan.payload_fate(NodeId(0), SimTime(5)), (0, 0.0));
+        assert_eq!(plan.duplication(SimTime(5)), (0.0, SimDuration::ZERO));
     }
 
     #[test]
@@ -1069,32 +946,25 @@ mod tests {
         let plan = FaultPlan::new(1)
             .lossy_all(0.5)
             .lossy_link(NodeId(0), NodeId(1), 0.5);
-        let p = plan.loss_probability(
-            Some(NodeId(0)),
-            Some(NodeId(1)),
-            FaultOp::Socket,
-            SimTime(5),
-        );
+        let p = fate(&plan, Some(NodeId(0)), Some(NodeId(1)), 5).loss;
         assert!((p - 0.75).abs() < 1e-12);
         // Other links only see the wildcard rule.
-        let p = plan.loss_probability(
-            Some(NodeId(2)),
-            Some(NodeId(1)),
-            FaultOp::Socket,
-            SimTime(5),
-        );
+        let p = fate(&plan, Some(NodeId(2)), Some(NodeId(1)), 5).loss;
         assert!((p - 0.5).abs() < 1e-12);
         // Unknown endpoints match wildcards but not the directed rule.
-        let p = plan.loss_probability(None, None, FaultOp::RdmaRead, SimTime(5));
+        let p = plan
+            .frame_fate(None, None, FaultOp::RdmaRead, SimTime(5))
+            .loss;
         assert!((p - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn op_filter_applies() {
         let plan = FaultPlan::new(1).lossy_op(FaultOp::Socket, 0.9);
-        assert!(plan.loss_probability(None, None, FaultOp::Socket, SimTime(5)) > 0.0);
+        assert!(fate(&plan, None, None, 5).loss > 0.0);
         assert_eq!(
-            plan.loss_probability(None, None, FaultOp::RdmaRead, SimTime(5)),
+            plan.frame_fate(None, None, FaultOp::RdmaRead, SimTime(5))
+                .loss,
             0.0
         );
     }
@@ -1102,12 +972,14 @@ mod tests {
     #[test]
     fn crash_windows_are_half_open() {
         let plan = FaultPlan::new(0).crash(NodeId(3), SimTime(100), SimTime(200));
-        assert!(!plan.crashed(NodeId(3), SimTime(99)));
-        assert!(plan.crashed(NodeId(3), SimTime(100)));
-        assert!(plan.crashed(NodeId(3), SimTime(199)));
-        assert!(!plan.crashed(NodeId(3), SimTime(200)));
-        assert!(!plan.crashed(NodeId(4), SimTime(150)));
-        assert_eq!(plan.horizon(), SimTime(200));
+        let crashed = |node: u16, at: u64| fate(&plan, Some(NodeId(node)), None, at).crashed;
+        assert!(!crashed(3, 99));
+        assert!(crashed(3, 100));
+        assert!(crashed(3, 199));
+        assert!(!crashed(3, 200));
+        assert!(!crashed(4, 150));
+        // Either endpoint being down loses the frame.
+        assert!(fate(&plan, Some(NodeId(0)), Some(NodeId(3)), 150).crashed);
     }
 
     #[test]
@@ -1115,13 +987,21 @@ mod tests {
         let plan = FaultPlan::new(0)
             .congested(SimTime(10), SimTime(20), 3.0)
             .nic_stall(NodeId(1), SimTime(10), SimTime(20), SimDuration(5 * MS));
-        assert_eq!(plan.latency_mult(SimTime(9)), 1.0);
-        assert_eq!(plan.latency_mult(SimTime(10)), 3.0);
+        assert_eq!(fate(&plan, None, None, 9).latency_mult, 1.0);
+        assert_eq!(fate(&plan, None, None, 10).latency_mult, 3.0);
         assert_eq!(
-            plan.stall_extra(NodeId(1), SimTime(15)),
+            fate(&plan, Some(NodeId(1)), None, 15).stall,
             SimDuration(5 * MS)
         );
-        assert_eq!(plan.stall_extra(NodeId(2), SimTime(15)), SimDuration::ZERO);
+        assert_eq!(
+            fate(&plan, Some(NodeId(2)), None, 15).stall,
+            SimDuration::ZERO
+        );
+        // A frame a stalled NIC both sends and receives pays twice.
+        assert_eq!(
+            fate(&plan, Some(NodeId(1)), Some(NodeId(1)), 15).stall,
+            SimDuration(10 * MS)
+        );
     }
 
     #[test]
@@ -1259,6 +1139,41 @@ mod tests {
     }
 
     #[test]
+    fn validate_reports_table_indices_and_unknown_nodes() {
+        // Errors name a rule by its position in the one table.
+        assert_eq!(
+            FaultPlan::new(0)
+                .lossy_all(0.5)
+                .crash(NodeId(1), SimTime(10), SimTime(20))
+                .slow_nic(NodeId(1), 0.5, SimTime(0), SimTime(10))
+                .validate(),
+            Err(FaultPlanError::BadLatencyMult {
+                rule: "slow-nic",
+                index: 2,
+                value: 0.5
+            })
+        );
+        let plan = FaultPlan::new(0)
+            .lossy_link(NodeId(0), NodeId(1), 0.5)
+            .partition(None, Some(NodeId(4)), SimTime(0), SimTime(10));
+        assert_eq!(plan.check_nodes(5), Ok(()));
+        let err = plan.check_nodes(2).unwrap_err();
+        assert_eq!(
+            err,
+            FaultPlanError::UnknownNode {
+                rule: "partition",
+                index: 1,
+                node: NodeId(4),
+                nodes: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "partition rule 1: names node4, but the cluster has 2 nodes"
+        );
+    }
+
+    #[test]
     fn partitions_are_directional_and_windowed() {
         let plan = FaultPlan::new(0).partition(
             Some(NodeId(0)),
@@ -1266,21 +1181,23 @@ mod tests {
             SimTime(100),
             SimTime(200),
         );
+        let cut = |src: Option<NodeId>, dst: Option<NodeId>, at: u64| {
+            fate(&plan, src, dst, at).partitioned
+        };
         assert!(!plan.is_empty());
-        assert!(plan.partitioned(Some(NodeId(0)), Some(NodeId(1)), SimTime(150)));
+        assert!(cut(Some(NodeId(0)), Some(NodeId(1)), 150));
         // Reverse direction flows — the asymmetry that makes it gray.
-        assert!(!plan.partitioned(Some(NodeId(1)), Some(NodeId(0)), SimTime(150)));
+        assert!(!cut(Some(NodeId(1)), Some(NodeId(0)), 150));
         // Outside the window both directions flow.
-        assert!(!plan.partitioned(Some(NodeId(0)), Some(NodeId(1)), SimTime(99)));
-        assert!(!plan.partitioned(Some(NodeId(0)), Some(NodeId(1)), SimTime(200)));
+        assert!(!cut(Some(NodeId(0)), Some(NodeId(1)), 99));
+        assert!(!cut(Some(NodeId(0)), Some(NodeId(1)), 200));
         // A pinned endpoint never matches an unknown one.
-        assert!(!plan.partitioned(None, Some(NodeId(1)), SimTime(150)));
-        assert_eq!(plan.horizon(), SimTime(200));
+        assert!(!cut(None, Some(NodeId(1)), 150));
 
         // Wildcard src severs all ingress to node 1.
         let ingress = FaultPlan::new(0).partition(None, Some(NodeId(1)), SimTime(0), SimTime(10));
-        assert!(ingress.partitioned(Some(NodeId(5)), Some(NodeId(1)), SimTime(5)));
-        assert!(!ingress.partitioned(Some(NodeId(1)), Some(NodeId(5)), SimTime(5)));
+        assert!(fate(&ingress, Some(NodeId(5)), Some(NodeId(1)), 5).partitioned);
+        assert!(!fate(&ingress, Some(NodeId(1)), Some(NodeId(5)), 5).partitioned);
     }
 
     #[test]
@@ -1288,10 +1205,16 @@ mod tests {
         let plan = FaultPlan::new(0)
             .slow_nic(NodeId(1), 4.0, SimTime(10), SimTime(20))
             .slow_nic(NodeId(1), 2.0, SimTime(10), SimTime(30));
-        assert_eq!(plan.slow_nic_mult(NodeId(1), SimTime(9)), 1.0);
-        assert_eq!(plan.slow_nic_mult(NodeId(1), SimTime(15)), 8.0);
-        assert_eq!(plan.slow_nic_mult(NodeId(1), SimTime(25)), 2.0);
-        assert_eq!(plan.slow_nic_mult(NodeId(2), SimTime(15)), 1.0);
+        let mult = |node: u16, at: u64| fate(&plan, Some(NodeId(node)), None, at).latency_mult;
+        assert_eq!(mult(1, 9), 1.0);
+        assert_eq!(mult(1, 15), 8.0);
+        assert_eq!(mult(1, 25), 2.0);
+        assert_eq!(mult(2, 15), 1.0);
+        // Each endpoint pays its own NIC's multiplier.
+        assert_eq!(
+            fate(&plan, Some(NodeId(1)), Some(NodeId(1)), 25).latency_mult,
+            4.0
+        );
         assert!(plan.validate().is_ok());
     }
 
@@ -1300,10 +1223,11 @@ mod tests {
         let plan = FaultPlan::new(0)
             .clock_skew(NodeId(1), 5_000, SimTime(10), SimTime(20))
             .clock_skew(NodeId(1), -2_000, SimTime(10), SimTime(30));
-        assert_eq!(plan.clock_skew_nanos(NodeId(1), SimTime(9)), 0);
-        assert_eq!(plan.clock_skew_nanos(NodeId(1), SimTime(15)), 3_000);
-        assert_eq!(plan.clock_skew_nanos(NodeId(1), SimTime(25)), -2_000);
-        assert_eq!(plan.clock_skew_nanos(NodeId(2), SimTime(15)), 0);
+        let skew = |node: u16, at: u64| plan.payload_fate(NodeId(node), SimTime(at)).0;
+        assert_eq!(skew(1, 9), 0);
+        assert_eq!(skew(1, 15), 3_000);
+        assert_eq!(skew(1, 25), -2_000);
+        assert_eq!(skew(2, 15), 0);
         assert!(plan.has_payload_faults());
         assert!(!FaultPlan::new(0).lossy_all(0.1).has_payload_faults());
     }
@@ -1313,10 +1237,10 @@ mod tests {
         let plan = FaultPlan::new(0)
             .duplicated(0.5, SimDuration(2 * MS), SimTime(0), SimTime(100))
             .duplicated(0.5, SimDuration(MS), SimTime(0), SimTime(100));
-        let (p, echo) = plan.duplicate_probability(SimTime(50));
+        let (p, echo) = plan.duplication(SimTime(50));
         assert!((p - 0.75).abs() < 1e-12);
         assert_eq!(echo, SimDuration(2 * MS));
-        assert_eq!(plan.duplicate_probability(SimTime(100)).0, 0.0);
+        assert_eq!(plan.duplication(SimTime(100)).0, 0.0);
 
         let plan = FaultPlan::new(0).reordered(
             Some(FaultOp::Socket),
@@ -1325,13 +1249,13 @@ mod tests {
             SimTime(0),
             SimTime(100),
         );
-        let (p, extra) = plan.reorder_probability(None, None, FaultOp::Socket, SimTime(50));
-        assert!((p - 0.4).abs() < 1e-12);
-        assert_eq!(extra, SimDuration(3 * MS));
+        let held = fate(&plan, None, None, 50);
+        assert!((held.reorder - 0.4).abs() < 1e-12);
+        assert_eq!(held.reorder_extra, SimDuration(3 * MS));
         // Op filter applies.
         assert_eq!(
-            plan.reorder_probability(None, None, FaultOp::RdmaRead, SimTime(50))
-                .0,
+            plan.frame_fate(None, None, FaultOp::RdmaRead, SimTime(50))
+                .reorder,
             0.0
         );
     }
@@ -1339,12 +1263,14 @@ mod tests {
     #[test]
     fn corruption_targets_producers() {
         let plan = FaultPlan::new(0).corrupting(Some(NodeId(1)), 0.3, SimTime(0), SimTime(100));
-        assert!((plan.corrupt_probability(NodeId(1), SimTime(50)) - 0.3).abs() < 1e-12);
-        assert_eq!(plan.corrupt_probability(NodeId(2), SimTime(50)), 0.0);
-        assert_eq!(plan.corrupt_probability(NodeId(1), SimTime(100)), 0.0);
+        let corrupt =
+            |plan: &FaultPlan, node: u16, at: u64| plan.payload_fate(NodeId(node), SimTime(at)).1;
+        assert!((corrupt(&plan, 1, 50) - 0.3).abs() < 1e-12);
+        assert_eq!(corrupt(&plan, 2, 50), 0.0);
+        assert_eq!(corrupt(&plan, 1, 100), 0.0);
         assert!(plan.has_payload_faults());
         let any = FaultPlan::new(0).corrupting(None, 0.2, SimTime(0), SimTime(100));
-        assert!((any.corrupt_probability(NodeId(9), SimTime(50)) - 0.2).abs() < 1e-12);
+        assert!((corrupt(&any, 9, 50) - 0.2).abs() < 1e-12);
     }
 
     #[test]

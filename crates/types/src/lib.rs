@@ -18,9 +18,8 @@ pub mod tenancy;
 
 pub use config::{CostModel, MonitorConfig, NetConfig, OsConfig};
 pub use fault::{
-    ClockSkewRule, CongestionWindow, CorruptionRule, CrashWindow, DuplicateRule, FaultOp,
-    FaultPlan, FaultPlanError, LossRule, NicStall, PartitionRule, ReorderRule, ReplyOutcome,
-    RetryPolicy, RetryTracker, SlowNicRule, TimeoutAction,
+    FaultEffect, FaultOp, FaultPlan, FaultPlanError, FaultRule, FrameFate, ReplyOutcome,
+    RetryPolicy, RetryTracker, TimeoutAction,
 };
 pub use health::{
     BreakerConfig, BreakerEvent, BreakerState, ChannelHealthStats, CircuitBreaker, FenceGate,

@@ -193,23 +193,26 @@ proptest! {
         prop_assert!(plan.validate().is_ok());
 
         for op in [FaultOp::Socket, FaultOp::RdmaRead, FaultOp::RdmaWrite, FaultOp::Mcast] {
-            let p = plan.loss_probability(Some(NodeId(0)), Some(NodeId(1)), op, SimTime(at));
+            let fate = plan.frame_fate(Some(NodeId(0)), Some(NodeId(1)), op, SimTime(at));
+            let p = fate.loss;
             prop_assert!((0.0..=1.0).contains(&p));
             let strongest = probs.iter().copied().fold(0.0f64, f64::max);
             prop_assert!(p >= strongest - 1e-12,
                 "composed loss {} below strongest rule {}", p, strongest);
+            let m = fate.latency_mult;
+            prop_assert!(m.is_finite() && m >= 1.0);
         }
 
-        let m = plan.latency_mult(SimTime(at));
-        prop_assert!(m.is_finite() && m >= 1.0);
-
         let crashy = FaultPlan::new(1).crash(NodeId(node), SimTime(100), SimTime(200));
-        prop_assert!(!crashy.crashed(NodeId(node), SimTime(99)));
-        prop_assert!(crashy.crashed(NodeId(node), SimTime(100)));
-        prop_assert!(crashy.crashed(NodeId(node), SimTime(199)));
-        prop_assert!(!crashy.crashed(NodeId(node), SimTime(200)));
+        let crashed = |n: u16, at: u64| {
+            crashy.frame_fate(Some(NodeId(n)), None, FaultOp::Socket, SimTime(at)).crashed
+        };
+        prop_assert!(!crashed(node, 99));
+        prop_assert!(crashed(node, 100));
+        prop_assert!(crashed(node, 199));
+        prop_assert!(!crashed(node, 200));
         // Other nodes are unaffected.
-        prop_assert!(!crashy.crashed(NodeId(node + 1), SimTime(150)));
+        prop_assert!(!crashed(node + 1, 150));
 
         // Malformed probabilities are rejected, not silently clamped.
         prop_assert!(FaultPlan::new(0).lossy_all(1.5).validate().is_err());

@@ -9,30 +9,48 @@
 
 use fgmon_balancer::Dispatcher;
 use fgmon_cluster::{
-    congested_switch, crash_during_burst, fault_compare_world, lossy_fabric, FaultCompareWorld,
+    congested_switch, crash_during_burst, fault_compare_world, flaky_rdma_failover,
+    gray_failure_world, lossy_fabric, Cluster, FaultCompareWorld, RubisWorld,
 };
-use fgmon_core::MonitorFrontendService;
+use fgmon_core::{BackendView, MonitorFrontendService};
 use fgmon_net::FabricStats;
 use fgmon_sim::{SimDuration, SimTime};
-use fgmon_types::{FaultPlan, RetryPolicy, Scheme};
+use fgmon_types::{FaultOp, FaultPlan, NodeId, RaceMode, RetryPolicy, Scheme};
 
 const POLL: SimDuration = SimDuration::from_millis(20);
 
-/// Everything observable about one comparison run, bit-exact.
-fn fingerprint(mut w: FaultCompareWorld, dur: SimDuration) -> (FabricStats, Vec<u64>, u64) {
+/// Everything observable about one run, bit-exact.
+type Fingerprint = (FabricStats, Vec<u64>, u64);
+
+/// [`observe`] one comparison run: both pollers' staleness and views.
+fn fingerprint(mut w: FaultCompareWorld, dur: SimDuration) -> Fingerprint {
     w.cluster.run_for(dur);
+    let views = [w.fe_socket, w.fe_rdma].map(|slot| {
+        let svc: &MonitorFrontendService = w.cluster.service(w.frontend, slot);
+        svc.client.views()[0]
+    });
+    observe(&w.cluster, &["Socket-Sync", "RDMA-Sync"], &views)
+}
+
+/// [`observe`] one RUBiS run, whose poller is the dispatcher's monitor.
+fn rubis_fingerprint(mut w: RubisWorld, label: &str, dur: SimDuration) -> Fingerprint {
+    w.cluster.run_for(dur);
+    let disp: &Dispatcher = w.cluster.service(w.frontend, w.dispatcher_slot);
+    observe(&w.cluster, &[label], disp.monitor.views())
+}
+
+/// Fabric counters, the labelled staleness histograms, the pollers'
+/// per-backend counters, and the event count.
+fn observe(cluster: &Cluster, labels: &[&str], views: &[BackendView]) -> Fingerprint {
     let mut metrics = Vec::new();
-    for label in ["Socket-Sync", "RDMA-Sync"] {
-        let h = w
-            .cluster
+    for label in labels {
+        let h = cluster
             .recorder()
             .get_histogram(&format!("mon/staleness/{label}"))
             .expect("staleness histogram");
         metrics.extend([h.count(), h.mean().to_bits(), h.min(), h.max()]);
     }
-    for slot in [w.fe_socket, w.fe_rdma] {
-        let svc: &MonitorFrontendService = w.cluster.service(w.frontend, slot);
-        let v = svc.client.views()[0];
+    for v in views {
         metrics.extend([
             v.polls,
             v.replies,
@@ -43,10 +61,103 @@ fn fingerprint(mut w: FaultCompareWorld, dur: SimDuration) -> (FabricStats, Vec<
         ]);
     }
     (
-        w.cluster.fabric_stats(),
+        cluster.fabric_stats(),
         metrics,
-        w.cluster.eng.events_processed(),
+        cluster.eng.events_processed(),
     )
+}
+
+/// FNV-1a over a fingerprint's `Debug` rendering. The torn-read count is
+/// left out: it is the race sanitizer's report, which
+/// `FGMON_RACE_CHECK=strict` switches on without perturbing the run.
+fn digest(fp: Fingerprint) -> u64 {
+    let (mut stats, metrics, events) = fp;
+    stats.torn_reads = 0;
+    format!("{:?}", (stats, metrics, events))
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// One rule of each of the ten kinds on the two-node comparison world,
+/// every window inside the first virtual second.
+fn every_kind_plan() -> FaultPlan {
+    let ms = |m: u64| SimTime(m * 1_000_000);
+    let (fe, be) = (NodeId(0), NodeId(1));
+    FaultPlan::new(0x7E4)
+        .lossy_link(be, fe, 0.1)
+        .congested(ms(100), ms(400), 2.5)
+        .crash(be, ms(600), ms(700))
+        .nic_stall(be, ms(150), ms(350), SimDuration::from_micros(40))
+        .partition(Some(fe), Some(be), ms(450), ms(500))
+        .slow_nic(fe, 1.7, ms(200), ms(550))
+        .clock_skew(be, -300_000, ms(250), ms(800))
+        .duplicated(0.2, SimDuration::from_millis(3), ms(50), ms(900))
+        .reordered(
+            Some(FaultOp::Socket),
+            0.3,
+            SimDuration::from_millis(2),
+            ms(300),
+            ms(750),
+        )
+        .corrupting(Some(be), 0.15, ms(100), ms(950))
+}
+
+/// [`digest`] of each fault scenario, pinned across commits: a change to
+/// fate evaluation that is not bitwise neutral moves at least one.
+const GOLDEN: [(&str, u64); 6] = [
+    ("lossy_fabric", 0x5bad_5c29_0b40_3711),
+    ("congested_switch", 0xbc7e_4544_c840_bd09),
+    ("crash_during_burst", 0x4e5c_40e7_72f2_00e0),
+    ("gray_failure_world", 0xbdf2_d2ea_03f8_d7f5),
+    ("flaky_rdma_failover", 0x6731_c234_9e89_9ae5),
+    ("every_rule_kind", 0x3f3a_2b45_46d1_a9d1),
+];
+
+#[test]
+fn fault_fingerprints_match_golden() {
+    let ms = |m: u64| SimTime(m * 1_000_000);
+    let sec = SimDuration::from_secs(1);
+    let retry = RetryPolicy::aggressive(POLL.mul_f64(3.0));
+    let got = [
+        ("lossy_fabric", fingerprint(lossy_fabric(0.3, POLL, 7), sec)),
+        (
+            "congested_switch",
+            fingerprint(congested_switch(6.0, ms(200), ms(700), POLL, 13), sec),
+        ),
+        (
+            "crash_during_burst",
+            rubis_fingerprint(
+                crash_during_burst(Scheme::RdmaSync, ms(300), ms(700), 23).world,
+                "RDMA-Sync",
+                sec,
+            ),
+        ),
+        // These two open their fault windows at 1 s, so they run until
+        // every window has closed.
+        (
+            "gray_failure_world",
+            fingerprint(
+                gray_failure_world(5, RaceMode::Off),
+                SimDuration::from_secs(4),
+            ),
+        ),
+        (
+            "flaky_rdma_failover",
+            rubis_fingerprint(
+                flaky_rdma_failover(Scheme::RdmaSync, 9).world,
+                "RDMA-Sync",
+                SimDuration::from_millis(4_500),
+            ),
+        ),
+        (
+            "every_rule_kind",
+            fingerprint(fault_compare_world(every_kind_plan(), retry, POLL, 3), sec),
+        ),
+    ]
+    .map(|(name, fp)| (name, digest(fp)));
+    assert_eq!(got, GOLDEN);
 }
 
 #[test]
@@ -230,4 +341,24 @@ fn fabric_stats_reset_scopes_counters_to_a_segment() {
     );
     // The fault plan kept running across the reset.
     assert!(second.fault_checks > 0);
+}
+
+/// A rule naming a node the cluster lacks is rejected when the cluster is
+/// built, naming the rule and the node. Without the check a crash rule
+/// indexed past the node table, and any other rule never fired.
+#[test]
+#[should_panic(expected = "crash rule 0: names node9, but the cluster has 2 nodes")]
+fn crash_rule_on_a_missing_node_is_rejected() {
+    let plan = FaultPlan::new(1).crash(NodeId(9), SimTime(0), SimTime(1_000_000));
+    fault_compare_world(plan, RetryPolicy::OFF, POLL, 7);
+}
+
+#[test]
+#[should_panic(expected = "slow-nic rule 1: names node9, but the cluster has 2 nodes")]
+fn slow_nic_rule_on_a_missing_node_is_rejected() {
+    let plan =
+        FaultPlan::new(1)
+            .lossy_all(0.1)
+            .slow_nic(NodeId(9), 4.0, SimTime::ZERO, SimTime::MAX);
+    fault_compare_world(plan, RetryPolicy::OFF, POLL, 7);
 }
