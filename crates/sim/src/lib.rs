@@ -35,9 +35,7 @@ pub use engine::{Actor, ActorId, Ctx, Engine, RunOutcome};
 pub use metrics::{
     Counter, CounterId, Histogram, HistogramId, Recorder, SeriesId, Summary, TimeSeries,
 };
-pub use parallel::{
-    run_sharded, run_sharded_cooperative, run_sharded_threaded, ReplicaSet, ShardPlan,
-};
+pub use parallel::{run_sharded, run_sharded_cooperative, ReplicaSet, ShardPlan};
 pub use queue::QueueKind;
 pub use rng::{DetRng, ZipfSampler};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

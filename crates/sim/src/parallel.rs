@@ -4,15 +4,39 @@
 //! [`run_sharded`] partitions an [`Engine`]'s actors across worker
 //! shards — each owning its own timing-wheel queue — and lets every
 //! shard advance *independently* as far as its neighbors' published
-//! watermarks allow. There is no global barrier: shard `s` publishes a
+//! promises allow. There is no global barrier: shard `s` publishes a
 //! monotonically increasing watermark `W_s` (a lower bound on the time
-//! of any event it will ever process again), and processes its local
-//! events strictly below `min over in-neighbors p of (W_p + L)`, where
-//! the *lookahead* `L` is a static lower bound on every cross-shard
-//! latency. Cross-shard events travel through per-`(src, dst)` mailbox
-//! channels with their engine `(time, seq)` keys already assigned and
-//! are flushed once per window as a batch (buffers recycle between the
-//! two endpoints, so steady state allocates nothing).
+//! of any event it will ever process again) and, per in-neighbor `p`, a
+//! floor `excl[s][p]` on its own future processing that leaves out the
+//! mail from `p` it has not drained yet. It processes its local events
+//! strictly below the smallest bound on future mail from any
+//! in-neighbor, where the *lookahead* `L` is a static lower bound on
+//! every cross-shard latency. Cross-shard events travel through
+//! per-`(src, dst)` mailbox channels with their engine `(time, seq)`
+//! keys already assigned and are flushed once per window as a batch
+//! (buffers recycle between the two endpoints, so steady state
+//! allocates nothing).
+//!
+//! ## The bound on future mail
+//!
+//! At the start of a step, shard `s` reads each destination's count of
+//! batches drained from `s`, then, for each in-neighbor `p`, `W_p` and
+//! `excl[p][s]` (all Acquire). Batches `s` deposited to `p` that the
+//! count does not cover are still in flight; `infl` is the earliest key
+//! time among them. After draining its own mailboxes, with local head
+//! `h`, `s` bounds every key `p` will send it from now on by
+//!
+//! ```text
+//! B_p = max(W_p + L, min(excl[p][s], infl, h + L, min_{q≠p} W_q + 2L) + L)
+//! ```
+//!
+//! (`q` ranging over `s`'s other in-neighbors), processes every event
+//! below `min_p B_p`, and then publishes, for each `p`,
+//! `excl[s][p] = min(h', min_{q≠p} B_q)` (`h'` its head after the
+//! window) *before* its count of batches drained from `p`, and finally
+//! `W_s = min(h', min_p B_p)` (all Release). On two shards with no
+//! third in-neighbor, an idle pair of shards thus jumps straight to the
+//! next event instead of passing watermarks forward by `L` per step.
 //!
 //! ## Determinism argument
 //!
@@ -25,19 +49,35 @@
 //!    actor's deterministic handling stream. Since every actor processes
 //!    the same events in the same order whichever shard hosts it, every
 //!    staged event gets the same key in any execution.
-//! 2. **No event is processed early.** Shard `s` only processes times
-//!    `< min_p(W_p + L)` *after* draining its inbound channels. A
-//!    watermark read of `W_p = X` synchronizes with `p`'s publish, so
-//!    every batch `p` deposited before publishing `X` is visible to the
-//!    drain; mail `p` deposits later comes from events at times `≥ X`
-//!    and so arrives with keys `≥ X + L` — at or beyond everything `s`
-//!    processes under that read. (Replicated actors — the fabric — are
-//!    the reason node→fabric sends are exempt: those are same-instant
-//!    sends to a local replica.)
-//! 3. **Progress.** Suppose every shard is stuck: each `W_s` equals
-//!    `min_p(W_p) + L`. The globally minimal watermark would then have
-//!    to exceed itself by `L > 0` — a contradiction — so some shard can
-//!    always either raise its watermark or process its head event.
+//! 2. **Visibility.** A shard publishes only after depositing its
+//!    window's mail, and reads its neighbors' values before draining. A
+//!    read of `W_p` or `excl[p][s]` synchronizes with `p`'s store, so
+//!    every batch `p` deposited before that store is drained in this
+//!    step; mail still to come is sent by events `p` handles after both
+//!    stores.
+//! 3. **No event is processed early.** Such an event lies at least `L`
+//!    before the key it sends. It is at or after `W_p`, which gives the
+//!    first term, and it has one of three causes:
+//!    * work `p` held at the `excl` store — its queue and every other
+//!      in-neighbor's undrained mail — at or after `excl[p][s]`;
+//!    * a batch from `s` that `p` had not drained at that store, at or
+//!      after `infl`. The count is stored after the floor and loaded
+//!      before it, so the floor read is at least as new as the count
+//!      read, and every batch the count leaves out feeds `infl`;
+//!    * mail `s` sends from now on, whose key is at or after `h + L` if
+//!      it comes from `s`'s queue, `W_q + 2L` if it answers a third
+//!      in-neighbor `q`, and `B_p + L` if it answers mail from `p` —
+//!      whose own answer then lands past `B_p`.
+//!
+//!    So a key below some shard's bound needs an earlier key below a
+//!    bound first, and the earliest such key cannot exist. (Replicated
+//!    actors — the fabric — are the reason node→fabric sends are exempt:
+//!    those are same-instant sends to a local replica.)
+//! 4. **Progress.** `B_p ≥ W_p + L`, so suppose every shard is stuck:
+//!    each `W_s` equals `min_p(W_p) + L`. The globally minimal
+//!    watermark would then have to exceed itself by `L > 0` — a
+//!    contradiction — so some shard can always either raise its
+//!    watermark or process its head event.
 //!
 //! The caller supplies per-shard replicas of actors that logically exist
 //! on every shard (the fabric: pure routing + additive counters) and
@@ -45,26 +85,24 @@
 //!
 //! ## Execution modes
 //!
-//! * [`run_sharded`] — picks the best mode for the host: real worker
-//!   threads when more than one core is available, otherwise the
+//! * [`run_sharded`] — picks the driver for the host: one worker thread
+//!   per shard when more than one core is available, otherwise the
 //!   cooperative driver (one core cannot overlap shards; preemptive
 //!   interleaving would only add context switches to the identical
-//!   protocol).
-//! * [`run_sharded_threaded`] — always spawns one OS thread per shard.
+//!   protocol). If an actor panics on a worker thread, the other workers
+//!   stop and the original panic is re-raised on the calling thread.
 //! * [`run_sharded_cooperative`] — steps shards one at a time on the
 //!   calling thread in an arbitrary caller-chosen order; any order
 //!   yields the bitwise-identical result (the equivalence proptests
-//!   drive this with random schedules). Being single-threaded, it can
-//!   observe a globally quiescent instant — a watermark-only step with
-//!   every mailbox empty — and leap all watermarks to the minimum
-//!   local queue head at once, instead of crawling across idle gaps in
-//!   lookahead-sized hops.
+//!   drive this with random schedules).
 //!
+//! Both drivers run the same step, so both leap idle gaps the same way.
 //! Windows ignore `Ctx::request_stop` and event budgets — bounded-lag
 //! windows must drain deterministically. Worlds driven through the
 //! parallel path use plain horizons (all shipped scenarios do).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::engine::{Actor, ActorId, Engine};
@@ -241,55 +279,172 @@ impl<M> MailChannel<M> {
 struct Shared<M> {
     /// `watermarks[s]`: shard `s`'s published safe-time floor. Monotone.
     watermarks: Vec<AtomicU64>,
+    /// `excl[s * shards + p]`: shard `s`'s floor on its own future
+    /// processing, leaving out the mail from `p` it has not drained.
+    excl: Vec<AtomicU64>,
+    /// `drained[s * shards + p]`: batches shard `s` has drained from `p`.
+    /// Always stored after the `excl` entry that accounts for them.
+    drained: Vec<AtomicU64>,
     /// `chans[dst][src]`: the directed mailbox channel src→dst.
     chans: Vec<Vec<MailChannel<M>>>,
-    /// `in_nbrs[s]`: shards whose watermark bounds `s`'s window.
+    /// `in_nbrs[s]`: shards whose mail bounds `s`'s window.
     in_nbrs: Vec<Vec<usize>>,
     /// `out_ok[src * shards + dst]`: channel declared by the plan.
     out_ok: Vec<bool>,
     lookahead: u64,
     /// Exclusive event-time bound (`horizon + 1`).
     bound: u64,
+    /// The first shard whose worker panicked, or [`NO_ABORT`]. Workers
+    /// stop stepping once it is set.
+    abort: AtomicUsize,
+}
+
+const NO_ABORT: usize = usize::MAX;
+
+/// Shard `s`'s view of one in-neighbor `p` (thread-private).
+struct InLink {
+    p: usize,
+    /// Batches drained from `p` so far.
+    drained: u64,
+    /// The drained count last published to `p`.
+    acked: u64,
+    /// The floor last published to `p`.
+    excl: u64,
+    /// This step's read of `W_p`.
+    wm: u64,
+    /// This step's `min(excl[p][s], infl)`.
+    floor: u64,
+    /// This step's bound on the keys of mail from `p` still to come.
+    bound: u64,
+}
+
+/// Shard `s`'s side of the channel to one destination (thread-private).
+struct OutLink<M> {
+    /// Staging buffer for the current window's flush.
+    outbox: Vec<Entry<M>>,
+    /// Batches deposited so far.
+    sent: u64,
+    /// Earliest key of each deposited batch the destination has not yet
+    /// counted as drained, oldest first.
+    unacked: VecDeque<u64>,
 }
 
 /// Per-shard worker bookkeeping (thread-private).
 struct ShardWorker<M> {
     s: usize,
-    /// Per-destination staging buffers for the current window's flush.
-    outbox: Vec<Vec<Entry<M>>>,
+    ins: Vec<InLink>,
+    /// Indexed by destination shard.
+    outs: Vec<OutLink<M>>,
     /// Last published watermark (avoids redundant stores).
     watermark: u64,
+    /// The local head the last bounds were computed with.
+    head: Option<u64>,
     done: bool,
 }
 
-/// One protocol step for shard `s`: read neighbor watermarks, drain
-/// inbound mail, process the safe window, flush outbound batches, and
-/// republish the watermark. Returns `(advanced, worked)`: `advanced`
-/// is true if anything changed at all (including a watermark-only
-/// publish), `worked` only if mail was drained or events ran — the
-/// distinction lets the cooperative driver spot pure watermark crawls
-/// across idle gaps and leap them (see `run_sharded_cooperative`).
+impl<M> ShardWorker<M> {
+    fn new(s: usize, sh: &Shared<M>) -> Self {
+        let start = sh.watermarks[s].load(Ordering::Relaxed);
+        ShardWorker {
+            s,
+            ins: sh.in_nbrs[s]
+                .iter()
+                .map(|&p| InLink {
+                    p,
+                    drained: 0,
+                    acked: 0,
+                    excl: start,
+                    wm: start,
+                    floor: start,
+                    bound: start,
+                })
+                .collect(),
+            outs: (0..sh.watermarks.len())
+                .map(|_| OutLink {
+                    outbox: Vec::new(),
+                    sent: 0,
+                    unacked: VecDeque::new(),
+                })
+                .collect(),
+            watermark: start,
+            head: None,
+            done: false,
+        }
+    }
+}
+
+/// `min over j ≠ i of vals[j]` for every `i`, from one pass over `vals`.
+struct MinBut {
+    least: u64,
+    at: usize,
+    next: u64,
+}
+
+impl MinBut {
+    fn of(vals: impl Iterator<Item = u64>) -> Self {
+        let mut m = MinBut {
+            least: u64::MAX,
+            at: usize::MAX,
+            next: u64::MAX,
+        };
+        for (i, v) in vals.enumerate() {
+            if v < m.least {
+                (m.next, m.least, m.at) = (m.least, v, i);
+            } else if v < m.next {
+                m.next = v;
+            }
+        }
+        m
+    }
+
+    fn but(&self, i: usize) -> u64 {
+        if i == self.at {
+            self.next
+        } else {
+            self.least
+        }
+    }
+}
+
+/// One protocol step for shard `s`: read the neighbors' promises, drain
+/// inbound mail, bound the mail still to come, process the safe window,
+/// flush outbound batches, and republish (see the module docs). Returns
+/// whether anything changed: mail drained, events run, or a promise
+/// raised.
 fn step<M: Send + 'static>(
     se: &mut Engine<M>,
     w: &mut ShardWorker<M>,
     sh: &Shared<M>,
     shard_of: &[u16],
-) -> (bool, bool) {
+) -> bool {
     if w.done {
-        return (false, false);
+        return false;
     }
-    let mut worked = false;
-    // Read watermarks *before* draining mail: the Acquire load
-    // synchronizes with the neighbor's Release publish, so every batch
-    // deposited before the value we read is visible to the drain below,
-    // and later deposits carry keys `>= read value + L`.
-    let mut safe_in = u64::MAX;
-    for &p in &sh.in_nbrs[w.s] {
-        let wp = sh.watermarks[p].load(Ordering::Acquire);
-        safe_in = safe_in.min(wp.saturating_add(sh.lookahead));
+    let (s, shards, l) = (w.s, sh.watermarks.len(), sh.lookahead);
+    // Retire the batches each destination has counted as drained. Every
+    // count is loaded before the floor it pairs with below.
+    for (d, out) in w.outs.iter_mut().enumerate() {
+        if !out.unacked.is_empty() {
+            let acked = sh.drained[d * shards + s].load(Ordering::Acquire);
+            let pending = (out.sent - acked) as usize;
+            out.unacked.drain(..out.unacked.len() - pending);
+        }
     }
-    for &p in &sh.in_nbrs[w.s] {
-        let ch = &sh.chans[w.s][p];
+    // Read promises *before* draining mail: the Acquire loads
+    // synchronize with the neighbor's Release publishes, so every batch
+    // deposited before the values we read is visible to the drain below.
+    let mut changed = false;
+    for link in w.ins.iter_mut() {
+        let wm = sh.watermarks[link.p].load(Ordering::Acquire);
+        let excl = sh.excl[link.p * shards + s].load(Ordering::Acquire);
+        let infl = w.outs[link.p].unacked.iter().copied().min();
+        let floor = excl.min(infl.unwrap_or(u64::MAX));
+        changed |= (wm, floor) != (link.wm, link.floor);
+        (link.wm, link.floor) = (wm, floor);
+    }
+    let mut advanced = false;
+    for link in w.ins.iter_mut() {
+        let ch = &sh.chans[s][link.p];
         if !ch.has_mail.load(Ordering::Relaxed) || !ch.has_mail.swap(false, Ordering::Acquire) {
             continue;
         }
@@ -299,56 +454,84 @@ fn step<M: Send + 'static>(
                 se.inject_entry(entry);
             }
             slot.spare.push(batch);
-            worked = true;
+            link.drained += 1;
+            advanced = true;
         }
     }
-    let safe = safe_in.min(sh.bound);
-    let head = se.peek_head().map(|(t, _)| t.0).unwrap_or(u64::MAX);
+    let head = se.peek_head().map_or(u64::MAX, |(t, _)| t.0);
+    // The same reads, no mail and the same head would recompute the last
+    // step's bounds and publish nothing new: a spinning shard stops here.
+    if !advanced && !changed && w.head == Some(head) {
+        return false;
+    }
+    w.head = Some(head);
+    // Mail from `p` answers work `p` holds, batches in flight to it, mail
+    // this shard sends from its queue (`head + L`), or mail a third
+    // in-neighbor `q` sends here first (`W_q + 2L`).
+    let third = MinBut::of(w.ins.iter().map(|link| link.wm.saturating_add(2 * l)));
+    for (i, link) in w.ins.iter_mut().enumerate() {
+        let cause = link.floor.min(head.saturating_add(l)).min(third.but(i));
+        link.bound = link.wm.max(cause).saturating_add(l);
+    }
+    let bounds = MinBut::of(w.ins.iter().map(|link| link.bound));
+    let safe = bounds.least.min(sh.bound);
     if head < safe {
         se.run_window(SimTime(safe));
-        worked = true;
+        advanced = true;
         // Flush cross-shard output as one batch per (src, dst, window).
         for entry in se.take_foreign() {
             let dst = shard_of[entry.dst.index()] as usize;
-            w.outbox[dst].push(entry);
+            w.outs[dst].outbox.push(entry);
         }
-        let shards = sh.in_nbrs.len();
-        for dst in 0..shards {
-            if w.outbox[dst].is_empty() {
+        for (dst, out) in w.outs.iter_mut().enumerate() {
+            let Some(first) = out.outbox.iter().map(|e| e.time.0).min() else {
                 continue;
-            }
+            };
             assert!(
-                sh.out_ok[w.s * shards + dst],
+                sh.out_ok[s * shards + dst],
                 "cross-shard event outside the declared channel graph \
-                 (shard {} -> shard {dst}); the plan's channel edges must \
-                 cover every communicating pair",
-                w.s
+                 (shard {s} -> shard {dst}); the plan's channel edges must \
+                 cover every communicating pair"
             );
-            let ch = &sh.chans[dst][w.s];
+            let ch = &sh.chans[dst][s];
             let mut slot = ch.slot.lock().expect("mail channel poisoned");
             let replacement = slot.spare.pop().unwrap_or_default();
-            let batch = std::mem::replace(&mut w.outbox[dst], replacement);
+            let batch = std::mem::replace(&mut out.outbox, replacement);
             slot.full.push(batch);
             drop(slot);
             ch.has_mail.store(true, Ordering::Release);
+            out.sent += 1;
+            out.unacked.push_back(first);
         }
     }
-    // Republish: the floor of everything this shard can still process is
-    // its local head min'd with the bound on future inbound mail. Both
-    // components are monotone under the reasoning above; the max() keeps
-    // the promise monotone even across head fluctuations from new mail.
-    let head_after = se.peek_head().map(|(t, _)| t.0).unwrap_or(u64::MAX);
-    let wm = safe_in.min(head_after).max(w.watermark);
-    let mut advanced = worked;
+    // Republish. Each floor leaves out only its own neighbor's undrained
+    // mail, and goes out before the drained count it accounts for.
+    let head_after = se.peek_head().map_or(u64::MAX, |(t, _)| t.0);
+    for (i, link) in w.ins.iter_mut().enumerate() {
+        let at = s * shards + link.p;
+        let excl = head_after.min(bounds.but(i));
+        if excl != link.excl {
+            link.excl = excl;
+            sh.excl[at].store(excl, Ordering::Release);
+            advanced = true;
+        }
+        if link.drained != link.acked {
+            link.acked = link.drained;
+            sh.drained[at].store(link.drained, Ordering::Release);
+        }
+    }
+    // The watermark floors everything this shard can still process; the
+    // max() keeps the promise monotone across head fluctuations.
+    let wm = bounds.least.min(head_after).max(w.watermark);
     if wm > w.watermark {
         w.watermark = wm;
-        sh.watermarks[w.s].store(wm, Ordering::Release);
+        sh.watermarks[s].store(wm, Ordering::Release);
         advanced = true;
     }
     if wm >= sh.bound {
         w.done = true;
     }
-    (advanced, worked)
+    advanced
 }
 
 /// Everything [`run_sharded`]'s phases share, independent of how the
@@ -444,8 +627,9 @@ fn split_shards<M: Send + 'static>(
         shard_engines[owner as usize].inject_entry(entry);
     }
 
-    // Shared protocol state. Watermarks start at the fork instant: a
-    // valid floor, since phase 0 drained everything at or below it.
+    // Shared protocol state. Watermarks and floors start at the fork
+    // instant: a valid floor, since phase 0 drained everything at or
+    // below it.
     let in_nbrs: Vec<Vec<usize>> = match &plan.channels {
         Some(channels) => channels
             .iter()
@@ -461,8 +645,13 @@ fn split_shards<M: Send + 'static>(
             out_ok[src * shards + dst] = true;
         }
     }
+    let start = eng.now().0;
     let shared = Shared {
-        watermarks: (0..shards).map(|_| AtomicU64::new(eng.now().0)).collect(),
+        watermarks: (0..shards).map(|_| AtomicU64::new(start)).collect(),
+        excl: (0..shards * shards)
+            .map(|_| AtomicU64::new(start))
+            .collect(),
+        drained: (0..shards * shards).map(|_| AtomicU64::new(0)).collect(),
         chans: (0..shards)
             .map(|_| (0..shards).map(|_| MailChannel::fresh()).collect())
             .collect(),
@@ -470,6 +659,7 @@ fn split_shards<M: Send + 'static>(
         out_ok,
         lookahead: lookahead.nanos(),
         bound: bound.0,
+        abort: AtomicUsize::new(NO_ABORT),
     };
     SplitRun {
         shard_engines,
@@ -571,6 +761,8 @@ fn rejoin<M: Send + 'static>(
 /// crosses a channel the plan does not declare, or a shard interns new
 /// metric keys mid-window (see
 /// [`Recorder::merge_shard_deltas`](crate::metrics::Recorder::merge_shard_deltas)).
+/// A panic on a worker thread stops every worker and is re-raised here
+/// with its original payload.
 pub fn run_sharded<M: Send + 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
@@ -594,8 +786,25 @@ pub fn run_sharded<M: Send + 'static>(
     }
 }
 
+/// Records the first worker to unwind, so its peers stop instead of
+/// spinning forever on a watermark that will never move again.
+struct AbortOnUnwind<'a> {
+    abort: &'a AtomicUsize,
+    s: usize,
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ =
+                self.abort
+                    .compare_exchange(NO_ABORT, self.s, Ordering::AcqRel, Ordering::Relaxed);
+        }
+    }
+}
+
 /// [`run_sharded`] on one OS thread per shard, regardless of core count.
-pub fn run_sharded_threaded<M: Send + 'static>(
+fn run_sharded_threaded<M: Send + 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
     lookahead: SimDuration,
@@ -609,35 +818,52 @@ pub fn run_sharded_threaded<M: Send + 'static>(
     // disjoint actor sets, cross-shard traffic flows only through the
     // keyed mailbox channels, and the watermark protocol above makes the
     // result bitwise identical to the sequential engine.
-    std::thread::scope(|scope| {
-        for (s, se) in run.shard_engines.iter_mut().enumerate() {
-            let shard_of = &plan.shard_of;
-            // lint: thread-spawn — see the scope justification above.
-            scope.spawn(move || {
-                let mut w = ShardWorker {
-                    s,
-                    outbox: (0..shared.in_nbrs.len()).map(|_| Vec::new()).collect(),
-                    watermark: shared.watermarks[s].load(Ordering::Relaxed),
-                    done: false,
-                };
-                let mut idle = 0u32;
-                while !w.done {
-                    if step(se, &mut w, shared, shard_of).0 {
-                        idle = 0;
-                    } else {
-                        idle += 1;
-                        // Spin briefly, then yield so oversubscribed hosts
-                        // (more shards than cores) still make progress.
-                        if idle < 64 {
-                            std::hint::spin_loop();
+    let panicked = std::thread::scope(|scope| {
+        let workers: Vec<_> = run
+            .shard_engines
+            .iter_mut()
+            .enumerate()
+            .map(|(s, se)| {
+                let shard_of = &plan.shard_of;
+                // lint: thread-spawn — see the scope justification above.
+                scope.spawn(move || {
+                    let _abort = AbortOnUnwind {
+                        abort: &shared.abort,
+                        s,
+                    };
+                    let mut w = ShardWorker::new(s, shared);
+                    let mut idle = 0u32;
+                    while !w.done && shared.abort.load(Ordering::Relaxed) == NO_ABORT {
+                        if step(se, &mut w, shared, shard_of) {
+                            idle = 0;
                         } else {
-                            std::thread::yield_now();
+                            idle += 1;
+                            // Spin briefly, then yield so oversubscribed
+                            // hosts (more shards than cores) still make
+                            // progress.
+                            if idle < 64 {
+                                std::hint::spin_loop();
+                            } else {
+                                std::thread::yield_now();
+                            }
                         }
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        // Join explicitly so the first panic's own payload survives; the
+        // scope would replace it with a generic message.
+        let joined: Vec<_> = workers.into_iter().map(|worker| worker.join()).collect();
+        let first = shared.abort.load(Ordering::Acquire);
+        joined
+            .into_iter()
+            .enumerate()
+            .filter_map(|(s, joined)| joined.err().map(|payload| (s != first, payload)))
+            .min_by_key(|&(later, _)| later)
     });
+    if let Some((_, payload)) = panicked {
+        std::panic::resume_unwind(payload);
+    }
     rejoin(eng, horizon, plan, run)
 }
 
@@ -659,19 +885,14 @@ pub fn run_sharded_cooperative<M: Send + 'static>(
     let mut run = split_shards(eng, horizon, lookahead, plan, replicas);
     let shards = plan.shards;
     let mut workers: Vec<ShardWorker<M>> = (0..shards)
-        .map(|s| ShardWorker {
-            s,
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
-            watermark: run.shared.watermarks[s].load(Ordering::Relaxed),
-            done: false,
-        })
+        .map(|s| ShardWorker::new(s, &run.shared))
         .collect();
     let mut live = shards;
     let mut stalled = 0usize;
     while live > 0 {
         let s = pick(shards) % shards;
         let was_done = workers[s].done;
-        let (advanced, worked) = step(
+        let advanced = step(
             &mut run.shard_engines[s],
             &mut workers[s],
             &run.shared,
@@ -679,43 +900,6 @@ pub fn run_sharded_cooperative<M: Send + 'static>(
         );
         if !was_done && workers[s].done {
             live -= 1;
-        }
-        // Quiescence jump. Running on one thread, this driver can see a
-        // globally idle instant the concurrent protocol cannot: on any
-        // watermark-only step, if no channel holds mail (outboxes are
-        // always empty between steps), then the smallest local queue
-        // head T across live shards bounds every future send anywhere —
-        // so every watermark may leap straight to T instead of crawling
-        // there in lookahead-sized hops. Deposits made after the leap
-        // still carry keys >= T + lookahead, keeping exactly the
-        // promise the watermark encodes.
-        if advanced && !worked {
-            let mail_free = run
-                .shared
-                .chans
-                .iter()
-                .flatten()
-                .all(|ch| !ch.has_mail.load(Ordering::Relaxed));
-            if mail_free {
-                let t = workers
-                    .iter()
-                    .filter(|w| !w.done)
-                    .map(|w| {
-                        run.shard_engines[w.s]
-                            .peek_head()
-                            .map(|(t, _)| t.0)
-                            .unwrap_or(u64::MAX)
-                    })
-                    .min()
-                    .unwrap_or(u64::MAX)
-                    .min(run.shared.bound);
-                for w in workers.iter_mut().filter(|w| !w.done) {
-                    if t > w.watermark {
-                        w.watermark = t;
-                        run.shared.watermarks[w.s].store(t, Ordering::Release);
-                    }
-                }
-            }
         }
         if advanced {
             stalled = 0;
@@ -728,7 +912,7 @@ pub fn run_sharded_cooperative<M: Send + 'static>(
             let mut any = false;
             for (s, w) in workers.iter_mut().enumerate() {
                 let was_done = w.done;
-                if step(&mut run.shard_engines[s], w, &run.shared, &plan.shard_of).0 {
+                if step(&mut run.shard_engines[s], w, &run.shared, &plan.shard_of) {
                     any = true;
                 }
                 if !was_done && w.done {
@@ -802,7 +986,9 @@ mod tests {
 
     const WIRE: SimDuration = SimDuration::from_micros(5);
 
-    fn build(nodes: u32) -> (Engine<TestMsg>, ActorId) {
+    /// A ring of `nodes` nodes around one replicated hub, nothing
+    /// scheduled yet.
+    fn ring(nodes: u32) -> (Engine<TestMsg>, ActorId) {
         let mut eng: Engine<TestMsg> = Engine::new();
         let hub = eng.reserve_actor();
         let ids: Vec<ActorId> = (0..nodes).map(|_| eng.reserve_actor()).collect();
@@ -826,9 +1012,33 @@ mod tests {
             }),
         );
         eng.mark_replicated(hub);
-        for (i, &id) in ids.iter().enumerate() {
+        (eng, hub)
+    }
+
+    fn build(nodes: u32) -> (Engine<TestMsg>, ActorId) {
+        let (mut eng, hub) = ring(nodes);
+        for i in 0..nodes {
             // Staggered starts, long relay chains crossing every node.
+            let id = ActorId(1 + i);
             eng.schedule(SimTime(1 + 7 * i as u64), id, TestMsg::Tick { hops: 4000 });
+        }
+        (eng, hub)
+    }
+
+    /// Two nodes that each wake every 10 ms (2000 lookaheads) and ping
+    /// the other through the hub. The ping lands one lookahead after the
+    /// wake and the answer a second one later: exactly on the exclusive
+    /// bound `head + 2L` of the waker's window.
+    fn build_sparse() -> (Engine<TestMsg>, ActorId) {
+        let (mut eng, hub) = ring(2);
+        for k in 0..100u64 {
+            let wake = 10_000_000 * k + 1;
+            eng.schedule(SimTime(wake), ActorId(1), TestMsg::Tick { hops: 2 });
+            eng.schedule(
+                SimTime(wake + 5_000_000),
+                ActorId(2),
+                TestMsg::Tick { hops: 2 },
+            );
         }
         (eng, hub)
     }
@@ -992,15 +1202,21 @@ mod tests {
         assert_eq!((p_seen, p_now, p_hists), (seen, now, hists));
     }
 
+    /// A world whose ring really does cross shards, under a declared
+    /// channel graph with no channels at all.
+    fn undeclared_world() -> (Engine<TestMsg>, ActorId, ShardPlan) {
+        let (eng, hub) = build(4);
+        let mut plan = ring_plan(4, 2, hub, false);
+        plan.channels = Some(vec![Vec::new(), Vec::new()]);
+        (eng, hub, plan)
+    }
+
     #[test]
     #[should_panic(expected = "outside the declared channel graph")]
     fn undeclared_channel_panics() {
-        // Declare an empty channel graph for a world whose ring really
-        // does cross shards: the first cross-shard flush must die loudly
-        // rather than let the receiver's clock race the mail.
-        let (mut eng, hub) = build(4);
-        let mut plan = ring_plan(4, 2, hub, false);
-        plan.channels = Some(vec![Vec::new(), Vec::new()]);
+        // The first cross-shard flush must die loudly rather than let the
+        // receiver's clock race the mail.
+        let (mut eng, hub, plan) = undeclared_world();
         let _ = run_sharded_cooperative(
             &mut eng,
             SimTime(10_000_000),
@@ -1009,6 +1225,78 @@ mod tests {
             hub_replicas(2, hub),
             |_| 0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the declared channel graph")]
+    fn undeclared_channel_panics_threaded() {
+        // Both workers panic here; the caller still sees the original
+        // message, not the thread scope's generic one.
+        let (mut eng, hub, plan) = undeclared_world();
+        let _ = run_sharded_threaded(
+            &mut eng,
+            SimTime(10_000_000),
+            WIRE,
+            &plan,
+            hub_replicas(2, hub),
+        );
+    }
+
+    /// An actor that panics on the first event it handles.
+    struct Bomb;
+
+    impl Actor<TestMsg> for Bomb {
+        fn handle(&mut self, now: SimTime, _msg: TestMsg, _ctx: &mut Ctx<'_, TestMsg>) {
+            panic!("bomb went off at {now:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bomb went off")]
+    fn worker_panic_stops_every_worker() {
+        // Node 1 lives on shard 1 and panics at its first tick. Shard 0
+        // must stop waiting for a watermark that will never move again,
+        // and the bomb's own message must reach the caller.
+        let (mut eng, hub) = build(4);
+        let victim = ActorId(2);
+        assert!(eng.take_actor(victim).is_some());
+        eng.install(victim, Box::new(Bomb));
+        let plan = ring_plan(4, 2, hub, true);
+        let _ = run_sharded_threaded(
+            &mut eng,
+            SimTime(10_000_000),
+            WIRE,
+            &plan,
+            hub_replicas(2, hub),
+        );
+    }
+
+    #[test]
+    fn sparse_traffic_leaps_idle_gaps() {
+        let horizon = SimTime(1_000_000_000);
+        let (mut seq_eng, _) = build_sparse();
+        seq_eng.run_until(horizon);
+        let expected = fingerprint(&seq_eng, 2);
+        let events = seq_eng.events_processed();
+        assert_eq!(expected.0, 600, "every wake pings and is answered");
+
+        // Crawling the 10 ms gaps 5 µs at a time would take ~400k steps.
+        let (mut eng, hub) = build_sparse();
+        let plan = ring_plan(2, 2, hub, true);
+        let mut picks = 0u64;
+        run_sharded_cooperative(&mut eng, horizon, WIRE, &plan, hub_replicas(2, hub), |_| {
+            picks += 1;
+            picks as usize
+        });
+        assert_eq!(fingerprint(&eng, 2), expected);
+        assert!(
+            picks <= 2 * events + 16,
+            "{picks} cooperative steps for {events} events"
+        );
+
+        let (mut eng, hub) = build_sparse();
+        run_sharded_threaded(&mut eng, horizon, WIRE, &plan, hub_replicas(2, hub));
+        assert_eq!(fingerprint(&eng, 2), expected);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! lopsided, or leaving some shards empty — produces the exact
 //! sequential fingerprint. Same-timestamp cross-shard events must merge
 //! in `(time, seq)` order no matter which mailbox they travelled
-//! through, so the partition is unobservable.
+//! through, so the partition is unobservable. A think time makes the
+//! hub hold some relays for up to ~50 lookaheads, so idle gaps wider
+//! than the lookahead occur between the bursts.
 
 use fgmon_sim::{
-    run_sharded, run_sharded_cooperative, Actor, ActorId, Ctx, Engine, ReplicaSet, ShardPlan,
-    SimDuration, SimTime,
+    run_sharded, run_sharded_cooperative, Actor, ActorId, Ctx, Engine, ReplicaSet, RunOutcome,
+    ShardPlan, SimDuration, SimTime,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -47,7 +49,16 @@ impl Actor<TestMsg> for TestNode {
 
 const WIRE: SimDuration = SimDuration::from_micros(5);
 
+/// Long enough to drain every chain: at most 120 hops of at most
+/// `1 + MAX_THINK` lookaheads each.
+const HORIZON: SimTime = SimTime(40_000_000);
+const MAX_THINK: u64 = 50;
+
+/// Relays each hop after the wire latency plus a think time of 0 to
+/// `think` extra lookaheads, a fixed function of the hop so every
+/// execution waits alike.
 struct TestHub {
+    think: u64,
     forwarded: u64,
 }
 
@@ -55,12 +66,21 @@ impl Actor<TestMsg> for TestHub {
     fn handle(&mut self, _now: SimTime, msg: TestMsg, ctx: &mut Ctx<'_, TestMsg>) {
         if let TestMsg::Via { dst, hops } = msg {
             self.forwarded += 1;
-            ctx.send_in(WIRE, dst, TestMsg::Tick { hops });
+            let pause = ((u64::from(hops) * 0x9E37_79B9) >> 7) % (self.think + 1);
+            let wait = WIRE.nanos() * (1 + pause);
+            ctx.send_in(SimDuration(wait), dst, TestMsg::Tick { hops });
         }
     }
 }
 
-fn build(nodes: usize, hops: u32) -> (Engine<TestMsg>, ActorId, Vec<ActorId>) {
+fn hub(think: u64) -> Box<dyn Actor<TestMsg>> {
+    Box::new(TestHub {
+        think,
+        forwarded: 0,
+    })
+}
+
+fn build(nodes: usize, hops: u32, think: u64) -> (Engine<TestMsg>, ActorId, Vec<ActorId>) {
     let mut eng: Engine<TestMsg> = Engine::new();
     let hub = eng.reserve_actor();
     let ids: Vec<ActorId> = (0..nodes).map(|_| eng.reserve_actor()).collect();
@@ -76,7 +96,7 @@ fn build(nodes: usize, hops: u32) -> (Engine<TestMsg>, ActorId, Vec<ActorId>) {
             }),
         );
     }
-    eng.install(hub, Box::new(TestHub { forwarded: 0 }));
+    eng.install(hub, self::hub(think));
     eng.mark_replicated(hub);
     for (i, &id) in ids.iter().enumerate() {
         // Several chains start at the *same* timestamp so cross-shard
@@ -116,11 +136,11 @@ fn fingerprint(eng: &Engine<TestMsg>, ids: &[ActorId], forwarded: u64) -> Fp {
 fn run_with_partition(
     nodes: usize,
     hops: u32,
-    horizon: SimTime,
+    think: u64,
     partition: &[u16],
     interleave: Option<u64>,
 ) -> Fp {
-    let (mut eng, hub, ids) = build(nodes, hops);
+    let (mut eng, hub, ids) = build(nodes, hops, think);
     let shards = (*partition.iter().max().unwrap() + 1).max(2) as usize;
     let mut shard_of = vec![0u16; eng.actor_count()];
     shard_of[hub.index()] = ShardPlan::REPLICATED;
@@ -130,12 +150,10 @@ fn run_with_partition(
     let mut plan = ShardPlan::new(shard_of, shards);
     let replicas = vec![ReplicaSet {
         id: hub,
-        replicas: (0..shards)
-            .map(|_| Box::new(TestHub { forwarded: 0 }) as Box<dyn Actor<TestMsg>>)
-            .collect(),
+        replicas: (0..shards).map(|_| self::hub(think)).collect(),
     }];
     let returned = match interleave {
-        None => run_sharded(&mut eng, horizon, WIRE, &plan, replicas),
+        None => run_sharded(&mut eng, HORIZON, WIRE, &plan, replicas),
         Some(seed) => {
             // The toy world's only cross-shard traffic is the hub relay
             // along the ring: declare exactly those channels so random
@@ -147,7 +165,7 @@ fn run_with_partition(
                 .collect();
             plan.derive_channels(&edges);
             let mut state = seed;
-            run_sharded_cooperative(&mut eng, horizon, WIRE, &plan, replicas, move |n| {
+            run_sharded_cooperative(&mut eng, HORIZON, WIRE, &plan, replicas, move |n| {
                 // splitmix64 step: a deterministic, seed-dependent stream
                 // of shard picks (arbitrary interleaving, same result).
                 state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -170,9 +188,10 @@ fn run_with_partition(
     fingerprint(&eng, &ids, forwarded)
 }
 
-fn run_sequential(nodes: usize, hops: u32, horizon: SimTime) -> Fp {
-    let (mut eng, hub, ids) = build(nodes, hops);
-    eng.run_until(horizon);
+fn run_sequential(nodes: usize, hops: u32, think: u64) -> Fp {
+    let (mut eng, hub, ids) = build(nodes, hops, think);
+    let outcome = eng.run_until(HORIZON);
+    assert_eq!(outcome, RunOutcome::QueueDrained, "horizon must drain");
     let forwarded = eng.actor::<TestHub>(hub).unwrap().forwarded;
     fingerprint(&eng, &ids, forwarded)
 }
@@ -186,13 +205,13 @@ proptest! {
     fn any_partition_matches_sequential(
         nodes in 2usize..8,
         hops in 20u32..120,
+        think in 0u64..=MAX_THINK,
         partition_seed in vec(0u16..4, 8..9),
     ) {
         let partition: Vec<u16> = (0..nodes).map(|i| partition_seed[i]).collect();
-        let horizon = SimTime(2_000_000); // 2 ms: long enough to drain every chain
-        let sequential = run_sequential(nodes, hops, horizon);
+        let sequential = run_sequential(nodes, hops, think);
         prop_assert!(sequential.0 > 0, "toy world must actually run");
-        let parallel = run_with_partition(nodes, hops, horizon, &partition, None);
+        let parallel = run_with_partition(nodes, hops, think, &partition, None);
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -205,15 +224,15 @@ proptest! {
     fn any_interleaving_matches_sequential(
         nodes in 2usize..8,
         hops in 20u32..120,
+        think in 0u64..=MAX_THINK,
         partition_seed in vec(0u16..4, 8..9),
         schedule_seed in any::<u64>(),
     ) {
         let partition: Vec<u16> = (0..nodes).map(|i| partition_seed[i]).collect();
-        let horizon = SimTime(2_000_000);
-        let sequential = run_sequential(nodes, hops, horizon);
+        let sequential = run_sequential(nodes, hops, think);
         prop_assert!(sequential.0 > 0, "toy world must actually run");
         let parallel =
-            run_with_partition(nodes, hops, horizon, &partition, Some(schedule_seed));
+            run_with_partition(nodes, hops, think, &partition, Some(schedule_seed));
         prop_assert_eq!(sequential, parallel);
     }
 }
