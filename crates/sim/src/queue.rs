@@ -50,15 +50,6 @@ pub enum QueueKind {
     Wheel,
 }
 
-impl QueueKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Wheel => "wheel",
-        }
-    }
-}
-
 /// One scheduled event. Ordered by `(time, seq)`; `seq` is unique, so the
 /// order is total.
 pub(crate) struct Entry<M> {

@@ -5,7 +5,7 @@ use fgmon_cluster::{float_granularity, micro_latency};
 use fgmon_core::MonitorFrontendService;
 use fgmon_os::NodeActor;
 use fgmon_sim::SimDuration;
-use fgmon_types::{OsConfig, Scheme};
+use fgmon_types::{CostModel, OsConfig, Scheme};
 use fgmon_workload::FloatApp;
 
 /// Mean monitoring latency (µs) for a scheme at a background-thread count.
@@ -107,6 +107,25 @@ fn fig4_shape_fine_granularity_hurts_sockets_not_rdma_sync() {
     );
 }
 
+/// Mean Socket-Sync monitoring latency (ns) over 5 virtual s, with
+/// `threads` CPU-bound background threads on the back-end.
+fn socket_latency(threads: u32, cfg: OsConfig, seed: u64) -> f64 {
+    let mut w = micro_latency(
+        Scheme::SocketSync,
+        threads,
+        false,
+        SimDuration::from_millis(50),
+        cfg,
+        seed,
+    );
+    w.cluster.run_for(SimDuration::from_secs(5));
+    w.cluster
+        .recorder()
+        .get_histogram("mon/latency/Socket-Sync")
+        .expect("latency recorded")
+        .mean()
+}
+
 #[test]
 fn wake_boost_ablation_reduces_socket_latency() {
     let lat = |boost: bool| {
@@ -114,20 +133,7 @@ fn wake_boost_ablation_reduces_socket_latency() {
             wake_boost: boost,
             ..OsConfig::default()
         };
-        let mut w = micro_latency(
-            Scheme::SocketSync,
-            24,
-            false,
-            SimDuration::from_millis(50),
-            cfg,
-            13,
-        );
-        w.cluster.run_for(SimDuration::from_secs(5));
-        w.cluster
-            .recorder()
-            .get_histogram("mon/latency/Socket-Sync")
-            .expect("latency recorded")
-            .mean()
+        socket_latency(24, cfg, 13)
     };
     let fair = lat(false);
     let boosted = lat(true);
@@ -136,6 +142,26 @@ fn wake_boost_ablation_reduces_socket_latency() {
     assert!(
         boosted < fair / 2.0,
         "boost should cut latency: fair {fair} boosted {boosted}"
+    );
+}
+
+#[test]
+fn quantum_ablation_stretches_socket_latency() {
+    let [short, mid, long] = [1, 10, 100].map(|quantum_ms| {
+        let cfg = OsConfig {
+            costs: CostModel {
+                quantum: SimDuration::from_millis(quantum_ms),
+                ..CostModel::default()
+            },
+            ..OsConfig::default()
+        };
+        socket_latency(16, cfg, 11)
+    });
+    // The socket monitor waits behind busy threads that each run a full
+    // quantum, so a longer quantum stretches its latency.
+    assert!(
+        short < mid && mid < long,
+        "latency should rise with the quantum: 1 ms {short}, 10 ms {mid}, 100 ms {long}"
     );
 }
 
