@@ -3,7 +3,7 @@
 //! accuracy-vs-hostile-load table in EXPERIMENTS.md.
 
 use fgmon_bench::HarnessOpts;
-use fgmon_cluster::{noisy_neighbor_raced, sweep_parallel, Table, NOISY_RATE_LIMIT};
+use fgmon_cluster::{noisy_neighbor, sweep_parallel, Table, NOISY_RATE_LIMIT};
 use fgmon_core::{mean_deviation, scheme_quality, AccuracyMetric};
 use fgmon_sim::SimDuration;
 use fgmon_types::{QosPolicy, RaceMode, Scheme};
@@ -25,7 +25,8 @@ fn main() {
     };
 
     let results = sweep_parallel(configs, |&(label, qos, hostile)| {
-        let mut w = noisy_neighbor_raced(qos, hostile, opts.seed, RaceMode::Off);
+        let mut w = noisy_neighbor(qos, hostile, opts.seed);
+        w.cluster.set_race_mode(RaceMode::Off);
         w.cluster.run_for(SimDuration::from_secs(opts.seconds));
         let rec = w.cluster.recorder();
         let sdev = mean_deviation(rec, Scheme::SocketSync, w.backend, AccuracyMetric::CpuUtil)

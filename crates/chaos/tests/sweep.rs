@@ -12,24 +12,27 @@ use fgmon_chaos::{
     run_schedule, search, PlannerConfig, RunConfig, Schedule, SchedulePlanner, SearchConfig,
 };
 
-fn schedules_from_env(default: usize) -> usize {
-    std::env::var("FGMON_CHAOS_SCHEDULES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Read an integer knob from the environment; unset means `None`.
+/// Anything but a plain decimal integer panics, so a typo cannot
+/// silently change how much the sweep checks.
+fn int_from_env(var: &str) -> Option<u64> {
+    let raw = std::env::var_os(var)?;
+    let value = raw.to_string_lossy();
+    match value.parse() {
+        Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => Some(n),
+        _ => panic!("{var}={value:?} is not a plain integer; accepted: unset or decimal digits"),
+    }
 }
 
 #[test]
 fn sweep_reports_zero_violations_with_identical_verdicts() {
     let cfg = SearchConfig {
-        schedules: schedules_from_env(24),
+        schedules: int_from_env("FGMON_CHAOS_SCHEDULES").map_or(24, |n| n as usize),
         seed: 0xC405_0001,
         // CI bounds the job with `FGMON_CHAOS_BUDGET_MS`; any failing
         // schedule's shrunk reproducer lands under `target/` for the
         // artifact upload.
-        budget_ms: std::env::var("FGMON_CHAOS_BUDGET_MS")
-            .ok()
-            .and_then(|s| s.parse().ok()),
+        budget_ms: int_from_env("FGMON_CHAOS_BUDGET_MS"),
         reproducer_dir: Some(
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-reproducers"),
         ),

@@ -25,10 +25,13 @@ pub struct ClusterBuilder {
 }
 
 impl ClusterBuilder {
+    /// Start an empty cluster. The torn-read sanitizer follows
+    /// `FGMON_RACE_CHECK` (off when unset); [`Cluster::set_race_mode`]
+    /// pins another mode before the run.
     pub fn new(seed: u64, net: NetConfig) -> Self {
         let mut eng: Engine<Msg> = Engine::new();
         let fabric_slot = eng.reserve_actor();
-        let mut b = ClusterBuilder {
+        ClusterBuilder {
             eng,
             fabric_slot,
             fabric: Fabric::new(net, Vec::new()),
@@ -36,31 +39,7 @@ impl ClusterBuilder {
             // lint: rng-construction — this is the cluster's root RNG; every
             // other stream in the simulation is forked from it by label.
             rng: DetRng::new(seed),
-            race: None,
-        };
-        b.set_race_mode(RaceMode::from_env());
-        b
-    }
-
-    /// Select the torn-read sanitizer mode. `RaceMode::Off` (the default
-    /// unless `FGMON_RACE_CHECK` is set) removes the detector entirely so
-    /// the hot path pays nothing. May be called at any point during
-    /// assembly: the detector is (un)installed on every node added so far
-    /// and on all nodes added later.
-    pub fn set_race_mode(&mut self, mode: RaceMode) {
-        self.race = if mode == RaceMode::Off {
-            None
-        } else {
-            Some(RaceDetector::new_shared(mode))
-        };
-        let race = self.race.clone();
-        for &actor in &self.nodes {
-            let core = self
-                .eng
-                .actor_mut::<NodeActor>(actor)
-                .expect("node actor")
-                .core_mut();
-            core.set_race_detector(race.clone());
+            race: race_detector(RaceMode::from_env()),
         }
     }
 
@@ -186,9 +165,7 @@ impl ClusterBuilder {
             })
             .collect();
         fabric.set_node_actors(self.nodes.clone());
-        if let Some(race) = &self.race {
-            fabric.set_race_detector(race.clone());
-        }
+        fabric.set_race_detector(self.race.clone());
         // Rate limiting is enforced where a post is made: each limited
         // node's NIC gets its own bucket, and the fabric only counts the
         // frames those NICs mark refused.
@@ -234,6 +211,12 @@ impl ClusterBuilder {
     }
 }
 
+/// The shared detector for `mode`; `RaceMode::Off` installs none, so the
+/// hot path pays nothing.
+fn race_detector(mode: RaceMode) -> Option<SharedRaceDetector> {
+    (mode != RaceMode::Off).then(|| RaceDetector::new_shared(mode))
+}
+
 /// A fully assembled cluster ready to run.
 pub struct Cluster {
     pub eng: Engine<Msg>,
@@ -248,6 +231,32 @@ pub struct Cluster {
 }
 
 impl Cluster {
+    /// Select the torn-read sanitizer mode, replacing the one
+    /// `FGMON_RACE_CHECK` chose at assembly, on every node and the fabric.
+    ///
+    /// # Panics
+    /// Panics once an event has run: a detector swapped mid-run would
+    /// miss the writes and reads already in flight.
+    pub fn set_race_mode(&mut self, mode: RaceMode) {
+        assert_eq!(
+            self.eng.events_processed(),
+            0,
+            "set_race_mode must be called before the first event runs"
+        );
+        self.race = race_detector(mode);
+        for &actor in &self.nodes {
+            self.eng
+                .actor_mut::<NodeActor>(actor)
+                .expect("node actor")
+                .core_mut()
+                .set_race_detector(self.race.clone());
+        }
+        self.eng
+            .actor_mut::<Fabric>(self.fabric)
+            .expect("fabric actor")
+            .set_race_detector(self.race.clone());
+    }
+
     /// Run for `dur` of virtual time.
     pub fn run_for(&mut self, dur: SimDuration) -> RunOutcome {
         self.eng.run_for(dur)

@@ -4,12 +4,15 @@
 
 use fgmon_balancer::{Dispatcher, DispatcherConfig, Policy, ReconfigPolicy, Reconfigurator};
 use fgmon_core::backend::{RdmaAsyncBackend, RdmaSyncBackend, SocketBackend};
-use fgmon_core::{make_backend, BackendConfig, BackendHandle, MonitorFrontendService};
-use fgmon_ganglia::{GmetricPublisher, Gmond};
+use fgmon_core::{
+    make_backend, BackendConfig, BackendHandle, MonitorClient, MonitorFrontendService,
+    MONITOR_GROUP,
+};
+use fgmon_ganglia::{GmetricPublisher, Gmond, GANGLIA_GROUP};
 use fgmon_sim::{DetRng, SimDuration, SimTime};
 use fgmon_types::{
-    BreakerConfig, FaultOp, FaultPlan, McastGroup, NetConfig, NodeId, OsConfig, QosPolicy,
-    RaceMode, RegionId, RetryPolicy, Scheme, ServiceSlot, TenancyConfig, TenantId,
+    BreakerConfig, FaultOp, FaultPlan, NetConfig, NodeId, OsConfig, QosPolicy, RaceMode, RegionId,
+    RetryPolicy, Scheme, ServiceSlot, TenancyConfig, TenantId,
 };
 use fgmon_workload::{
     CommLoad, CommSink, ComputeHogs, FloatApp, LoadRamp, LockClient, LockHost, RampStep, RdmaFlood,
@@ -23,9 +26,11 @@ pub const GT_PERIOD: SimDuration = SimDuration(997_000); // ~1 ms, tick-unaligne
 
 /// Wire one monitoring pair (front-end slot ↔ back-end) for `scheme`.
 ///
-/// Adds the backend service as the *first* service of `backend` (so its
-/// region, if any, is `RegionId(0)` — the builder convention the front-end
-/// handle relies on) and returns the handle the front-end needs.
+/// Adds the backend service as the next service of `backend` and returns
+/// the handle the front-end needs. `expected_region` is the region a
+/// one-sided reporter registers (its ordinal among `backend`'s
+/// registrations) or, for write-push, the front-end buffer it targets;
+/// nothing reads it for the other schemes.
 ///
 /// `fe_slot` is the front-end service slot that will embed the client.
 fn wire_monitoring(
@@ -46,27 +51,8 @@ fn wire_monitoring(
     let svc = make_backend(scheme, cfg);
     let slot = b.add_service(backend, svc);
     let conn = b.connect(frontend, fe_slot, backend, slot);
-    register_backend_conn(b, backend, slot, conn);
-    if scheme == Scheme::McastPush {
-        b.join_mcast(McastGroup(0), frontend);
-        b.join_mcast(McastGroup(0), backend);
-    }
-    BackendHandle {
-        node: backend,
-        conn: Some(conn),
-        region: Some(RegionId(expected_region)),
-    }
-}
-
-/// Tell a just-wired backend service which connection the front-end talks
-/// over. Socket backends answer requests on it; RDMA backends use it for
-/// fallback replies and restart re-advertisements.
-fn register_backend_conn(
-    b: &mut ClusterBuilder,
-    backend: NodeId,
-    slot: ServiceSlot,
-    conn: fgmon_types::ConnId,
-) {
+    // Socket backends answer requests on the connection; RDMA backends
+    // use it for fallback replies and restart re-advertisements.
     if let Some(sb) = b.node_service_mut::<SocketBackend>(backend, slot) {
         sb.conns.push(conn);
     }
@@ -76,6 +62,37 @@ fn register_backend_conn(
     if let Some(rb) = b.node_service_mut::<RdmaAsyncBackend>(backend, slot) {
         rb.conns.push(conn);
     }
+    if scheme == Scheme::McastPush {
+        b.join_mcast(MONITOR_GROUP, frontend);
+        b.join_mcast(MONITOR_GROUP, backend);
+    }
+    BackendHandle {
+        node: backend,
+        conn: Some(conn),
+        region: Some(RegionId(expected_region)),
+    }
+}
+
+/// Wire a `scheme` reporter as the next service on `backend` and, as the
+/// next service on `frontend`, a [`MonitorFrontendService`] polling it
+/// every `cfg.calc_interval`; returns the poller's slot. The reporter's
+/// region, if it has one, must be the back-end's first (`RegionId(0)`).
+/// `tune` adjusts the poller's client before it is installed.
+fn add_poller(
+    b: &mut ClusterBuilder,
+    scheme: Scheme,
+    cfg: BackendConfig,
+    frontend: NodeId,
+    backend: NodeId,
+    tune: impl FnOnce(&mut MonitorClient),
+) -> ServiceSlot {
+    let fe_node = b.node_actor_mut(frontend).expect("front-end node");
+    let fe_slot = ServiceSlot(fe_node.service_count() as u16);
+    let handle = wire_monitoring(b, scheme, cfg, frontend, fe_slot, backend, 0);
+    let poll = cfg.calc_interval;
+    let mut svc = MonitorFrontendService::new(scheme, scheme.uses_irq_signal(), poll, vec![handle]);
+    tune(&mut svc.client);
+    b.add_service(frontend, Box::new(svc))
 }
 
 // ---------------------------------------------------------------------------
@@ -107,31 +124,12 @@ pub fn micro_latency(
     let backend = b.add_node(backend_os);
     let peer = b.add_node(OsConfig::default());
 
-    // Front-end monitor is slot 0 there; back-end monitor is slot 0 too.
-    let handle = wire_monitoring(
-        &mut b,
-        scheme,
-        BackendConfig {
-            calc_interval: poll,
-            via_kernel_module: false,
-            mcast_group: McastGroup(0),
-            push_target: None,
-            fallback_reporter: false,
-        },
-        frontend,
-        ServiceSlot(0),
-        backend,
-        0,
-    );
-    let fe_mon = b.add_service(
-        frontend,
-        Box::new(MonitorFrontendService::new(
-            scheme,
-            scheme.uses_irq_signal(),
-            poll,
-            vec![handle],
-        )),
-    );
+    // The monitor pair is slot 0 on both the front-end and the back-end.
+    let cfg = BackendConfig {
+        calc_interval: poll,
+        ..BackendConfig::default()
+    };
+    let fe_mon = add_poller(&mut b, scheme, cfg, frontend, backend, |_| {});
 
     if bg_threads > 0 {
         b.add_service(backend, Box::new(ComputeHogs::new(bg_threads)));
@@ -176,30 +174,11 @@ pub fn float_granularity(scheme: Scheme, g: SimDuration, seed: u64) -> FloatWorl
     let mut b = ClusterBuilder::new(seed, NetConfig::default());
     let frontend = b.add_node(OsConfig::frontend());
     let backend = b.add_node(OsConfig::default());
-    let handle = wire_monitoring(
-        &mut b,
-        scheme,
-        BackendConfig {
-            calc_interval: g,
-            via_kernel_module: false,
-            mcast_group: McastGroup(0),
-            push_target: None,
-            fallback_reporter: false,
-        },
-        frontend,
-        ServiceSlot(0),
-        backend,
-        0,
-    );
-    b.add_service(
-        frontend,
-        Box::new(MonitorFrontendService::new(
-            scheme,
-            scheme.uses_irq_signal(),
-            g,
-            vec![handle],
-        )),
-    );
+    let cfg = BackendConfig {
+        calc_interval: g,
+        ..BackendConfig::default()
+    };
+    add_poller(&mut b, scheme, cfg, frontend, backend, |_| {});
     let app_slot = b.add_service(
         backend,
         Box::new(FloatApp::new(SimDuration::from_millis(10))),
@@ -246,38 +225,21 @@ pub fn accuracy_world(
     let backend = b.add_node(OsConfig::default());
     let peer = b.add_node(OsConfig::frontend());
 
-    // Back-end: the four scheme backends first (deterministic region ids:
-    // RdmaAsync registers region 0, RdmaSync region 1).
+    // Back-end: the four scheme backends first. One-sided ones register
+    // regions in wiring order (RdmaAsync region 0, RdmaSync region 1); a
+    // two-sided handle's region is never read.
     let cfg = BackendConfig {
         calc_interval: poll,
         via_kernel_module,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
+        ..BackendConfig::default()
     };
     let mut handles = Vec::new();
-    let mut region_counter = 0u32;
+    let mut region = 0;
     for (i, &scheme) in Scheme::MICRO.iter().enumerate() {
-        let expected_region = if scheme.is_one_sided() {
-            let r = region_counter;
-            region_counter += 1;
-            r
-        } else {
-            u32::MAX // unused
-        };
-        let svc = make_backend(scheme, cfg);
-        let slot = b.add_service(backend, svc);
-        let conn = b.connect(frontend, ServiceSlot(i as u16), backend, slot);
-        register_backend_conn(&mut b, backend, slot, conn);
-        handles.push(BackendHandle {
-            node: backend,
-            conn: Some(conn),
-            region: if expected_region == u32::MAX {
-                None
-            } else {
-                Some(RegionId(expected_region))
-            },
-        });
+        let fe_slot = ServiceSlot(i as u16);
+        let h = wire_monitoring(&mut b, scheme, cfg, frontend, fe_slot, backend, region);
+        handles.push(h);
+        region += u32::from(scheme.is_one_sided());
     }
 
     // Front-end: one poller per scheme, with series recording on.
@@ -421,6 +383,16 @@ pub struct RubisWorld {
 }
 
 pub fn rubis_world(cfg: &RubisWorldCfg) -> RubisWorld {
+    build_rubis(cfg, |_, _, _| ()).0
+}
+
+/// Assemble [`rubis_world`], then let `extend` add services (given the
+/// builder, the front-end and the back-ends) just before `finish`.
+/// Returns the world and what `extend` returned.
+fn build_rubis<T>(
+    cfg: &RubisWorldCfg,
+    extend: impl FnOnce(&mut ClusterBuilder, NodeId, &[NodeId]) -> T,
+) -> (RubisWorld, T) {
     let mut b = ClusterBuilder::new(cfg.seed, NetConfig::default());
     let frontend = b.add_node(OsConfig::frontend());
     let client_node = b.add_node(OsConfig::frontend());
@@ -430,10 +402,8 @@ pub fn rubis_world(cfg: &RubisWorldCfg) -> RubisWorld {
 
     let bcfg = BackendConfig {
         calc_interval: cfg.granularity,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
         fallback_reporter: cfg.fallback_reporter,
+        ..BackendConfig::default()
     };
 
     // Back-ends: slot 0 = monitor backend (region 0 by construction),
@@ -566,16 +536,17 @@ pub fn rubis_world(cfg: &RubisWorldCfg) -> RubisWorld {
     if !cfg.faults.is_empty() {
         b.set_fault_plan(cfg.faults.clone());
     }
-    let cluster = b.finish(&[]);
-    RubisWorld {
-        cluster,
+    let extra = extend(&mut b, frontend, &backends);
+    let world = RubisWorld {
+        cluster: b.finish(&[]),
         frontend,
         client_node,
         backends,
         dispatcher_slot,
         rubis_client_slot,
         zipf_client_slot,
-    }
+    };
+    (world, extra)
 }
 
 // ---------------------------------------------------------------------------
@@ -597,62 +568,26 @@ pub struct FaultCompareWorld {
 }
 
 /// Build the comparison world with an arbitrary [`FaultPlan`]. The race
-/// sanitizer follows `FGMON_RACE_CHECK` (the builder default).
+/// sanitizer follows `FGMON_RACE_CHECK`; [`Cluster::set_race_mode`] pins
+/// another mode.
 pub fn fault_compare_world(
     plan: FaultPlan,
     retry: RetryPolicy,
     poll: SimDuration,
     seed: u64,
 ) -> FaultCompareWorld {
-    fault_compare_world_raced(plan, retry, poll, seed, RaceMode::from_env())
-}
-
-/// [`fault_compare_world`] with an explicit sanitizer mode (tests pin the
-/// mode instead of inheriting the environment).
-pub fn fault_compare_world_raced(
-    plan: FaultPlan,
-    retry: RetryPolicy,
-    poll: SimDuration,
-    seed: u64,
-    race: RaceMode,
-) -> FaultCompareWorld {
     let mut b = ClusterBuilder::new(seed, NetConfig::default());
-    b.set_race_mode(race);
     let frontend = b.add_node(OsConfig::frontend());
     let backend = b.add_node(OsConfig::default());
     let cfg = BackendConfig {
         calc_interval: poll,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
+        ..BackendConfig::default()
     };
     // Back-end slot 0 = socket backend (registers no region), slot 1 =
     // RDMA backend — its exported region is therefore RegionId(0).
-    let h_sock = wire_monitoring(
-        &mut b,
-        Scheme::SocketSync,
-        cfg,
-        frontend,
-        ServiceSlot(0),
-        backend,
-        0,
-    );
-    let h_rdma = wire_monitoring(
-        &mut b,
-        Scheme::RdmaSync,
-        cfg,
-        frontend,
-        ServiceSlot(1),
-        backend,
-        0,
-    );
-    let mut sock = MonitorFrontendService::new(Scheme::SocketSync, false, poll, vec![h_sock]);
-    sock.client.set_retry_policy(retry);
-    let fe_socket = b.add_service(frontend, Box::new(sock));
-    let mut rdma = MonitorFrontendService::new(Scheme::RdmaSync, false, poll, vec![h_rdma]);
-    rdma.client.set_retry_policy(retry);
-    let fe_rdma = b.add_service(frontend, Box::new(rdma));
+    let tune = |c: &mut MonitorClient| c.set_retry_policy(retry);
+    let fe_socket = add_poller(&mut b, Scheme::SocketSync, cfg, frontend, backend, tune);
+    let fe_rdma = add_poller(&mut b, Scheme::RdmaSync, cfg, frontend, backend, tune);
     // Light background compute so the monitored signal is not constant.
     b.add_service(backend, Box::new(ComputeHogs::new(2)));
     b.set_fault_plan(plan);
@@ -686,7 +621,7 @@ pub fn lossy_fabric(loss_p: f64, poll: SimDuration, seed: u64) -> FaultCompareWo
 /// (skew), which makes this the canonical world for the parallel
 /// determinism suite: every shard must agree bit-for-bit on fates that
 /// depend on draw-index discipline.
-pub fn gray_failure_world(seed: u64, race: RaceMode) -> FaultCompareWorld {
+pub fn gray_failure_world(seed: u64) -> FaultCompareWorld {
     let poll = SimDuration::from_millis(5);
     let sec = |s: u64| SimTime(SimDuration::from_secs(s).nanos());
     let plan = FaultPlan::new(seed ^ 0x64AF)
@@ -694,7 +629,7 @@ pub fn gray_failure_world(seed: u64, race: RaceMode) -> FaultCompareWorld {
         .slow_nic(NodeId(1), 3.0, SimTime(1_500_000_000), sec(3))
         .clock_skew(NodeId(1), -2_000_000, sec(2), sec(4));
     let retry = RetryPolicy::aggressive(poll.mul_f64(3.0));
-    fault_compare_world_raced(plan, retry, poll, seed, race)
+    fault_compare_world(plan, retry, poll, seed)
 }
 
 /// Congested-switch scenario: every frame's wire latency is multiplied by
@@ -731,41 +666,22 @@ pub struct TornReadWorld {
 /// congestion fault stretches the read's request leg from ~5 µs to
 /// ~100 µs, so writes routinely land *inside* open read windows. Strict
 /// mode reports them as [`fgmon_types::TornRead`]s; seqlock mode retries
-/// them away at a modeled cost.
-pub fn torn_read_world(race: RaceMode, seed: u64) -> TornReadWorld {
+/// them away at a modeled cost. Pin the mode with
+/// [`Cluster::set_race_mode`].
+pub fn torn_read_world(seed: u64) -> TornReadWorld {
     let poll = SimDuration::from_millis(1);
     let mut b = ClusterBuilder::new(seed, NetConfig::default());
-    b.set_race_mode(race);
     let frontend = b.add_node(OsConfig::frontend());
     let backend = b.add_node(OsConfig::default());
     let peer = b.add_node(OsConfig::default());
 
     // Back-end slot 0 = RDMA-Sync backend; its kernel region is
     // RegionId(0) by construction.
-    let handle = wire_monitoring(
-        &mut b,
-        Scheme::RdmaSync,
-        BackendConfig {
-            calc_interval: poll,
-            via_kernel_module: false,
-            mcast_group: McastGroup(0),
-            push_target: None,
-            fallback_reporter: false,
-        },
-        frontend,
-        ServiceSlot(0),
-        backend,
-        0,
-    );
-    let fe_mon = b.add_service(
-        frontend,
-        Box::new(MonitorFrontendService::new(
-            Scheme::RdmaSync,
-            false,
-            poll,
-            vec![handle],
-        )),
-    );
+    let cfg = BackendConfig {
+        calc_interval: poll,
+        ..BackendConfig::default()
+    };
+    let fe_mon = add_poller(&mut b, Scheme::RdmaSync, cfg, frontend, backend, |_| {});
 
     // Bursty chatter peer→backend. The sink must *drain* between frames
     // so it keeps blocking and re-waking — each transition is a kernel
@@ -920,121 +836,39 @@ pub struct GangliaWorld {
     pub publisher_slot: ServiceSlot,
 }
 
+/// The [`rubis_world`] of `base`, so every field of `base` applies, with
+/// gmetric and gmond added on top.
 pub fn ganglia_world(
     base: &RubisWorldCfg,
     gmetric_scheme: Scheme,
     gmetric_granularity: SimDuration,
 ) -> GangliaWorld {
-    // Build the RUBiS world manually so we can attach Ganglia services
-    // before boot.
-    let mut b = ClusterBuilder::new(base.seed, NetConfig::default());
-    let frontend = b.add_node(OsConfig::frontend());
-    let client_node = b.add_node(OsConfig::frontend());
-    let backends: Vec<NodeId> = (0..base.backends)
-        .map(|_| b.add_node(OsConfig::default()))
-        .collect();
-
-    // Back-ends: slot 0 = dispatcher's monitor backend (e-RDMA-Sync per
-    // the paper), slot 1 = web server, slot 2 = gmetric's scheme backend,
-    // slot 3 = gmond.
-    let dispatch_cfg = BackendConfig {
-        calc_interval: base.granularity,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
-    };
-    let gmetric_cfg = BackendConfig {
-        calc_interval: gmetric_granularity,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
-    };
-
-    let mut monitor_handles = Vec::new();
-    let mut gmetric_handles = Vec::new();
-    let mut work_conns = Vec::new();
-    for &be in &backends {
-        // Dispatcher monitoring (region 0 on each backend).
-        let h = wire_monitoring(
-            &mut b,
-            base.scheme,
-            dispatch_cfg,
-            frontend,
-            ServiceSlot(0),
-            be,
-            0,
-        );
-        monitor_handles.push(h);
-        let mut server = WorkerPoolServer::new();
-        let conn = b.connect(frontend, ServiceSlot(0), be, ServiceSlot(1));
-        server.conns.push(conn);
-        b.add_service(be, Box::new(server));
-        work_conns.push((be, conn));
-
-        // gmetric capture path: its RDMA region follows the dispatcher's
-        // (one-sided dispatcher schemes register region 0 first).
-        let expected_region = if gmetric_scheme.is_one_sided() {
-            if base.scheme.is_one_sided() {
-                1
-            } else {
-                0
-            }
-        } else {
-            u32::MAX
+    let (rubis, publisher_slot) = build_rubis(base, |b, frontend, backends| {
+        // Each back-end adds gmetric's reporter (slot 2 unless the base
+        // config added services) and gmond; the publisher is front-end
+        // slot 1, after the dispatcher. gmetric's region follows the
+        // dispatcher's, which a one-sided dispatcher scheme registers first.
+        let cfg = BackendConfig {
+            calc_interval: gmetric_granularity,
+            ..BackendConfig::default()
         };
-        let svc = make_backend(gmetric_scheme, gmetric_cfg);
-        let slot = b.add_service(be, svc);
-        let gconn = b.connect(frontend, ServiceSlot(1), be, slot);
-        register_backend_conn(&mut b, be, slot, gconn);
-        gmetric_handles.push(BackendHandle {
-            node: be,
-            conn: Some(gconn),
-            region: if expected_region == u32::MAX {
-                None
-            } else {
-                Some(RegionId(expected_region))
-            },
-        });
-
-        // gmond daemon + ganglia channel membership.
-        b.add_service(be, Box::new(Gmond::new(SimDuration::from_secs(1))));
-        b.join_mcast(fgmon_ganglia::GANGLIA_GROUP, be);
-    }
-    b.join_mcast(fgmon_ganglia::GANGLIA_GROUP, frontend);
-
-    let rubis_conn = b.connect(client_node, ServiceSlot(0), frontend, ServiceSlot(0));
-
-    let mut dcfg = DispatcherConfig::for_scheme(base.scheme, base.granularity);
-    dcfg.policy = base.policy;
-    let dispatcher = Dispatcher::new(dcfg, work_conns, monitor_handles, vec![rubis_conn]);
-    let dispatcher_slot = b.add_service(frontend, Box::new(dispatcher));
-
-    // gmetric publisher on the front-end (slot 1).
-    let publisher = GmetricPublisher::new(gmetric_scheme, gmetric_granularity, gmetric_handles);
-    let publisher_slot = b.add_service(frontend, Box::new(publisher));
-
-    let rubis_client_slot = b.add_service(
-        client_node,
-        Box::new(RubisClient::new(
-            rubis_conn,
-            base.rubis_sessions,
-            base.think_mean,
-        )),
-    );
-
-    let cluster = b.finish(&[]);
+        let region = u32::from(base.scheme.is_one_sided());
+        let handles = backends
+            .iter()
+            .map(|&be| {
+                let h =
+                    wire_monitoring(b, gmetric_scheme, cfg, frontend, ServiceSlot(1), be, region);
+                b.add_service(be, Box::new(Gmond::new(SimDuration::from_secs(1))));
+                b.join_mcast(GANGLIA_GROUP, be);
+                h
+            })
+            .collect();
+        b.join_mcast(GANGLIA_GROUP, frontend);
+        let publisher = GmetricPublisher::new(gmetric_scheme, gmetric_granularity, handles);
+        b.add_service(frontend, Box::new(publisher))
+    });
     GangliaWorld {
-        rubis: RubisWorld {
-            cluster,
-            frontend,
-            client_node,
-            backends,
-            dispatcher_slot,
-            rubis_client_slot,
-            zipf_client_slot: None,
-        },
+        rubis,
         publisher_slot,
     }
 }
@@ -1043,113 +877,47 @@ pub fn ganglia_world(
 // Large-cluster scaling scenario — the parallel-executor workload
 // ---------------------------------------------------------------------------
 
-/// The assembled large-cluster world.
-pub struct BigClusterWorld {
-    pub cluster: Cluster,
-    pub frontend: NodeId,
-    pub client_node: NodeId,
-    pub backends: Vec<NodeId>,
-    pub dispatcher_slot: ServiceSlot,
-    pub rubis_client_slot: ServiceSlot,
-}
-
-/// A cluster far past the paper's 8-node testbed (64–256 back-ends): one
-/// dispatcher polling every back-end over RDMA-Sync at a tight
-/// granularity, a closed-loop RUBiS client driving web traffic, and
-/// east-west chatter on a ring (each back-end streams frames to its
-/// successor) so event load spreads over *every* node rather than
-/// concentrating on the front-end. This is the workload the sharded
-/// executor is measured on: with round-robin node placement the ring
-/// chatter makes nearly all traffic cross shards.
-pub fn big_cluster(backend_count: u16, seed: u64) -> BigClusterWorld {
-    let mut b = ClusterBuilder::new(seed, NetConfig::default());
-    let frontend = b.add_node(OsConfig::frontend());
-    let client_node = b.add_node(OsConfig::frontend());
-    let backends: Vec<NodeId> = (0..backend_count)
-        .map(|_| b.add_node(OsConfig::default()))
-        .collect();
-
-    let granularity = SimDuration::from_millis(10);
-    let bcfg = BackendConfig {
-        calc_interval: granularity,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
+/// A cluster far past the paper's 8-node testbed (64–256 back-ends): a
+/// [`rubis_world`] whose dispatcher polls every back-end over RDMA-Sync
+/// at a tight 10 ms granularity while 4 RUBiS sessions per back-end drive
+/// web traffic, plus east-west chatter on a ring (each back-end streams
+/// frames to its successor) so event load spreads over *every* node
+/// rather than concentrating on the front-end. This is the workload the
+/// sharded executor is measured on: with round-robin node placement the
+/// ring chatter makes nearly all traffic cross shards.
+pub fn big_cluster(backend_count: u16, seed: u64) -> RubisWorld {
+    let cfg = RubisWorldCfg {
+        backends: backend_count,
+        rubis_sessions: 4 * u32::from(backend_count),
+        granularity: SimDuration::from_millis(10),
+        seed,
+        ..Default::default()
     };
-
-    // Back-ends: slot 0 = monitor backend, slot 1 = web server,
-    // slot 2 = ring chatter source, slot 3 = ring chatter sink.
-    let mut monitor_handles = Vec::new();
-    let mut work_conns = Vec::new();
-    for &be in &backends {
-        let handle = wire_monitoring(
-            &mut b,
-            Scheme::RdmaSync,
-            bcfg,
-            frontend,
-            ServiceSlot(0),
-            be,
-            0,
-        );
-        monitor_handles.push(handle);
-        let mut server = WorkerPoolServer::new();
-        let conn = b.connect(frontend, ServiceSlot(0), be, ServiceSlot(1));
-        server.conns.push(conn);
-        b.add_service(be, Box::new(server));
-        work_conns.push((be, conn));
-    }
-    // East-west ring: back-end i streams to back-end i+1. Staggered
-    // periods (all well above the wire latency) keep senders from
-    // phase-locking into one synchronized burst per interval. Connections
-    // are registered first so each node can then receive its source
-    // (slot 2) and sink (slot 3) in a fixed order.
-    let n = backends.len();
-    let ring_conns: Vec<_> = (0..n)
-        .map(|i| {
-            b.connect(
-                backends[i],
-                ServiceSlot(2),
-                backends[(i + 1) % n],
-                ServiceSlot(3),
-            )
-        })
-        .collect();
-    for (i, &be) in backends.iter().enumerate() {
-        let period = SimDuration::from_micros(150 + (i as u64 % 7) * 10);
-        b.add_service(be, Box::new(CommLoad::new(ring_conns[i], period)));
-        b.add_service(
-            be,
-            Box::new(fgmon_workload::CommSink::new(
-                ring_conns[(i + n - 1) % n],
-                false,
-            )),
-        );
-    }
-
-    let rubis_conn = b.connect(client_node, ServiceSlot(0), frontend, ServiceSlot(0));
-    let dcfg = DispatcherConfig::for_scheme(Scheme::RdmaSync, granularity);
-    let dispatcher = Dispatcher::new(dcfg, work_conns, monitor_handles, vec![rubis_conn]);
-    let dispatcher_slot = b.add_service(frontend, Box::new(dispatcher));
-
-    let rubis_client_slot = b.add_service(
-        client_node,
-        Box::new(RubisClient::new(
-            rubis_conn,
-            4 * backend_count as u32,
-            SimDuration::from_millis(300),
-        )),
-    );
-
-    let cluster = b.finish(&[]);
-    BigClusterWorld {
-        cluster,
-        frontend,
-        client_node,
-        backends,
-        dispatcher_slot,
-        rubis_client_slot,
-    }
+    build_rubis(&cfg, |b, _, backends| {
+        // East-west ring: back-end i streams to back-end i+1. Staggered
+        // periods (all well above the wire latency) keep senders from
+        // phase-locking into one synchronized burst per interval.
+        // Connections are registered first so each node can then receive
+        // its source (slot 2) and sink (slot 3) in a fixed order.
+        let n = backends.len();
+        let ring_conns: Vec<_> = (0..n)
+            .map(|i| {
+                b.connect(
+                    backends[i],
+                    ServiceSlot(2),
+                    backends[(i + 1) % n],
+                    ServiceSlot(3),
+                )
+            })
+            .collect();
+        for (i, &be) in backends.iter().enumerate() {
+            let period = SimDuration::from_micros(150 + (i as u64 % 7) * 10);
+            b.add_service(be, Box::new(CommLoad::new(ring_conns[i], period)));
+            let sink = CommSink::new(ring_conns[(i + n - 1) % n], false);
+            b.add_service(be, Box::new(sink));
+        }
+    })
+    .0
 }
 
 // ---------------------------------------------------------------------------
@@ -1173,22 +941,18 @@ pub struct NoisyWorld {
     pub flood_slot: ServiceSlot,
 }
 
-/// [`noisy_neighbor`] with explicit QoS, hostile switch, and sanitizer
-/// mode. The back-end runs an oscillating compute load so there is a
-/// moving signal for the deviation metric; the hostile node (tenant 1)
-/// aims a one-sided read flood at the back-end NIC — past the QP-cache
-/// working set, so co-tenant completions thrash and shed — and pours
-/// echoed socket chatter into the back-end CPU, the host-side half of
-/// the attack that hits the two-sided scheme hardest.
-pub fn noisy_neighbor_raced(
-    qos: QosPolicy,
-    hostile_on: bool,
-    seed: u64,
-    race: RaceMode,
-) -> NoisyWorld {
+/// The noisy-neighbor world. The back-end runs an oscillating compute
+/// load so there is a moving signal for the deviation metric; the
+/// hostile node (tenant 1) aims a one-sided read flood at the back-end
+/// NIC — past the QP-cache working set, so co-tenant completions thrash
+/// and shed — and pours echoed socket chatter into the back-end CPU, the
+/// host-side half of the attack that hits the two-sided scheme hardest.
+/// `QosPolicy::None` with the hostile tenant on is the adversarial
+/// baseline, another `qos` defends it, and `hostile_on: false` is the
+/// quiet control with the hostile services idle.
+pub fn noisy_neighbor(qos: QosPolicy, hostile_on: bool, seed: u64) -> NoisyWorld {
     let poll = SimDuration::from_millis(1);
     let mut b = ClusterBuilder::new(seed, NetConfig::default());
-    b.set_race_mode(race);
     let frontend = b.add_node(OsConfig::frontend());
     let backend = b.add_node(OsConfig::default());
     let hostile = b.add_node(OsConfig::frontend());
@@ -1197,41 +961,19 @@ pub fn noisy_neighbor_raced(
 
     let cfg = BackendConfig {
         calc_interval: poll,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
+        ..BackendConfig::default()
     };
     // Back-end slot 0 = socket backend (no region), slot 1 = RDMA
     // backend — its exported region is RegionId(0), which is also what
-    // the hostile flood reads.
-    let h_sock = wire_monitoring(
-        &mut b,
-        Scheme::SocketSync,
-        cfg,
-        frontend,
-        ServiceSlot(0),
-        backend,
-        0,
-    );
-    let h_rdma = wire_monitoring(
-        &mut b,
-        Scheme::RdmaSync,
-        cfg,
-        frontend,
-        ServiceSlot(1),
-        backend,
-        0,
-    );
-    // Shed completions must be retried, not waited on forever.
+    // the hostile flood reads. Shed completions must be retried, not
+    // waited on forever.
     let retry = RetryPolicy::aggressive(poll.mul_f64(3.0));
-    for (slot_scheme, handle) in [(Scheme::SocketSync, h_sock), (Scheme::RdmaSync, h_rdma)] {
-        let mut svc = MonitorFrontendService::new(slot_scheme, false, poll, vec![handle]);
-        svc.client.set_retry_policy(retry);
-        svc.client.record_series = true;
-        b.add_service(frontend, Box::new(svc));
-    }
-    let (fe_socket, fe_rdma) = (ServiceSlot(0), ServiceSlot(1));
+    let tune = |c: &mut MonitorClient| {
+        c.set_retry_policy(retry);
+        c.record_series = true;
+    };
+    let fe_socket = add_poller(&mut b, Scheme::SocketSync, cfg, frontend, backend, tune);
+    let fe_rdma = add_poller(&mut b, Scheme::RdmaSync, cfg, frontend, backend, tune);
 
     // The monitored signal: compute load oscillating 0 ↔ 8 threads every
     // 40 ms, so a scheme that samples late or loses samples deviates.
@@ -1278,21 +1020,6 @@ pub fn noisy_neighbor_raced(
         fe_rdma,
         flood_slot,
     }
-}
-
-/// The adversarial baseline: hostile tenant on, no QoS.
-pub fn noisy_neighbor(seed: u64) -> NoisyWorld {
-    noisy_neighbor_raced(QosPolicy::None, true, seed, RaceMode::from_env())
-}
-
-/// The defended world: hostile tenant on, QoS isolating it.
-pub fn noisy_neighbor_qos(qos: QosPolicy, seed: u64) -> NoisyWorld {
-    noisy_neighbor_raced(qos, true, seed, RaceMode::from_env())
-}
-
-/// The quiet control: same world, hostile services disabled.
-pub fn quiet_neighbor(seed: u64) -> NoisyWorld {
-    noisy_neighbor_raced(QosPolicy::None, false, seed, RaceMode::from_env())
 }
 
 /// The per-window rate limit the defended worlds use: 24 posted ops per
@@ -1351,21 +1078,8 @@ pub fn rdma_lock_world(
     crash: Option<(SimTime, SimTime)>,
     seed: u64,
 ) -> LockWorld {
-    rdma_lock_world_raced(clients, n_locks, crash, seed, RaceMode::from_env())
-}
-
-/// [`rdma_lock_world`] with an explicit race-checking mode, for the
-/// strict-sanitizer determinism suites.
-pub fn rdma_lock_world_raced(
-    clients: u32,
-    n_locks: u32,
-    crash: Option<(SimTime, SimTime)>,
-    seed: u64,
-    race: RaceMode,
-) -> LockWorld {
     assert!(clients > 0);
     let mut b = ClusterBuilder::new(seed, NetConfig::default());
-    b.set_race_mode(race);
     let host = b.add_node(OsConfig::default());
     let host_slot = b.add_service(
         host,
@@ -1478,55 +1192,34 @@ pub const CHAOS_POLL: SimDuration = SimDuration(5_000_000); // 5 ms
 ///
 /// The sampled `plan` arrives pre-validated by the chaos planner; the
 /// builder validates it again on `finish` (defense in depth, not the
-/// primary gate).
+/// primary gate). `race` pins the sanitizer mode through
+/// [`Cluster::set_race_mode`].
 pub fn chaos_world(plan: FaultPlan, seed: u64, race: RaceMode) -> ChaosWorld {
     let poll = CHAOS_POLL;
     let mut b = ClusterBuilder::new(seed, NetConfig::default());
-    b.set_race_mode(race);
     let frontend = b.add_node(OsConfig::frontend());
     let backend = b.add_node(OsConfig::default());
     let lock_host = b.add_node(OsConfig::default());
     let cfg = BackendConfig {
         calc_interval: poll,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
-        push_target: None,
-        fallback_reporter: false,
+        ..BackendConfig::default()
     };
     // Back-end slot 0 = socket reporter (no region), slot 1 = RDMA
     // reporter — its exported region is RegionId(0). The RDMA reporter
     // keeps a fallback socket path alive so the breaker has somewhere to
     // fail over to when a schedule degrades the RDMA op class.
-    let h_sock = wire_monitoring(
-        &mut b,
-        Scheme::SocketSync,
-        cfg,
-        frontend,
-        ServiceSlot(0),
-        backend,
-        0,
-    );
+    let retry = RetryPolicy::aggressive(poll.mul_f64(3.0));
+    let fe_socket = add_poller(&mut b, Scheme::SocketSync, cfg, frontend, backend, |c| {
+        c.set_retry_policy(retry)
+    });
     let rdma_cfg = BackendConfig {
         fallback_reporter: true,
         ..cfg
     };
-    let h_rdma = wire_monitoring(
-        &mut b,
-        Scheme::RdmaSync,
-        rdma_cfg,
-        frontend,
-        ServiceSlot(1),
-        backend,
-        0,
-    );
-    let retry = RetryPolicy::aggressive(poll.mul_f64(3.0));
-    let mut sock = MonitorFrontendService::new(Scheme::SocketSync, false, poll, vec![h_sock]);
-    sock.client.set_retry_policy(retry);
-    let fe_socket = b.add_service(frontend, Box::new(sock));
-    let mut rdma = MonitorFrontendService::new(Scheme::RdmaSync, false, poll, vec![h_rdma]);
-    rdma.client.set_retry_policy(retry);
-    rdma.client.set_breaker(BreakerConfig::default());
-    let fe_rdma = b.add_service(frontend, Box::new(rdma));
+    let fe_rdma = add_poller(&mut b, Scheme::RdmaSync, rdma_cfg, frontend, backend, |c| {
+        c.set_retry_policy(retry);
+        c.set_breaker(BreakerConfig::default());
+    });
     b.add_service(backend, Box::new(ComputeHogs::new(2)));
     // The host's atomic region is its first registration: RegionId(0).
     let host_slot = b.add_service(
@@ -1558,7 +1251,8 @@ pub fn chaos_world(plan: FaultPlan, seed: u64, race: RaceMode) -> ChaosWorld {
     if !plan.is_empty() {
         b.set_fault_plan(plan);
     }
-    let cluster = b.finish(&[]);
+    let mut cluster = b.finish(&[]);
+    cluster.set_race_mode(race);
     ChaosWorld {
         cluster,
         frontend,

@@ -12,8 +12,8 @@
 use fgmon_os::{OsApi, Service};
 use fgmon_sim::{SimDuration, SimTime};
 use fgmon_types::{
-    ConnId, LoadSnapshot, McastGroup, MonitorConfig, NodeId, Payload, RdmaResult, RecordFence,
-    RegionId, Scheme, ThreadId,
+    ConnId, LoadSnapshot, McastGroup, NodeId, Payload, RdmaResult, RecordFence, RegionId, Scheme,
+    ThreadId,
 };
 
 /// Tokens used by backend threads.
@@ -24,6 +24,10 @@ const TOK_PUSH_DONE: u64 = 0xBAC0_0004;
 const TOK_PUSH_WAKE: u64 = 0xBAC0_0005;
 const TOK_STANDBY_DONE: u64 = 0xBAC0_0006;
 
+/// Multicast group of the multicast-push extension: every Mcast-Push
+/// back-end publishes into it and every Mcast-Push front-end listens.
+pub const MONITOR_GROUP: McastGroup = McastGroup(0);
+
 /// Configuration shared by the backend services.
 #[derive(Clone, Copy, Debug)]
 pub struct BackendConfig {
@@ -32,8 +36,6 @@ pub struct BackendConfig {
     /// Expose `irq_stat` to the user-space schemes through the helper
     /// kernel module (the paper's Fig. 6 experiment setup).
     pub via_kernel_module: bool,
-    /// Multicast group for the multicast-push extension.
-    pub mcast_group: McastGroup,
     /// Target of the RDMA-write-push extension: the front-end node and
     /// the buffer registered there for this back-end.
     pub push_target: Option<(NodeId, RegionId)>,
@@ -50,19 +52,8 @@ impl Default for BackendConfig {
         BackendConfig {
             calc_interval: SimDuration::from_millis(50),
             via_kernel_module: false,
-            mcast_group: McastGroup(0),
             push_target: None,
             fallback_reporter: false,
-        }
-    }
-}
-
-impl BackendConfig {
-    pub fn from_monitor(cfg: &MonitorConfig) -> Self {
-        BackendConfig {
-            calc_interval: cfg.calc_interval,
-            via_kernel_module: cfg.want_detail,
-            ..BackendConfig::default()
         }
     }
 }
@@ -570,11 +561,7 @@ impl Service for McastPushBackend {
             let snap = os.proc_snapshot(self.cfg.via_kernel_module);
             let origin = os.node();
             self.pushes += 1;
-            os.mcast_send(
-                tid,
-                self.cfg.mcast_group,
-                Payload::StatusPush { origin, snap },
-            );
+            os.mcast_send(tid, MONITOR_GROUP, Payload::StatusPush { origin, snap });
             os.sleep(tid, self.cfg.calc_interval, TOK_PUSH_WAKE);
         }
     }

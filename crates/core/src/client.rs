@@ -25,9 +25,11 @@ use fgmon_os::OsApi;
 use fgmon_sim::{HistogramId, Recorder, SeriesId, SimTime};
 use fgmon_types::{
     BreakerConfig, BreakerEvent, BreakerState, ChannelHealthStats, CircuitBreaker, ConnId,
-    FenceGate, FenceVerdict, LoadSnapshot, McastGroup, NodeId, Payload, RdmaResult, RecordFence,
-    RegionData, RegionId, ReplyOutcome, RetryPolicy, RetryTracker, Scheme, TimeoutAction,
+    FenceGate, FenceVerdict, LoadSnapshot, NodeId, Payload, RdmaResult, RecordFence, RegionData,
+    RegionId, ReplyOutcome, RetryPolicy, RetryTracker, Scheme, TimeoutAction,
 };
+
+use crate::backend::MONITOR_GROUP;
 
 /// Token namespace for this component's RDMA work requests:
 /// `BASE | idx << 32 | seq`.
@@ -152,7 +154,6 @@ pub struct MonitorClient {
     inflight: Vec<Inflight>,
     conn_to_idx: BTreeMap<ConnId, usize>,
     node_to_idx: BTreeMap<NodeId, usize>,
-    mcast_group: McastGroup,
     /// Local buffers the back-ends push into (RDMA-write-push scheme),
     /// indexed by backend; registered in [`MonitorClient::start`].
     local_regions: Vec<Option<RegionId>>,
@@ -236,7 +237,6 @@ impl MonitorClient {
             inflight,
             conn_to_idx,
             node_to_idx,
-            mcast_group: McastGroup(0),
             local_regions: Vec::new(),
             policy: RetryPolicy::OFF,
             next_req: 0,
@@ -377,7 +377,7 @@ impl MonitorClient {
             }
         }
         if self.scheme == Scheme::McastPush {
-            os.subscribe_mcast(self.mcast_group);
+            os.subscribe_mcast(MONITOR_GROUP);
         }
         if self.scheme == Scheme::RdmaWritePush {
             self.local_regions = (0..self.backends.len())

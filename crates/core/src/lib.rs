@@ -22,7 +22,8 @@ pub mod frontend;
 
 pub use accuracy::{mean_deviation, mean_reported, scheme_quality, AccuracyMetric, SchemeQuality};
 pub use backend::{
-    make_backend, BackendConfig, McastPushBackend, RdmaAsyncBackend, RdmaSyncBackend, SocketBackend,
+    make_backend, BackendConfig, McastPushBackend, RdmaAsyncBackend, RdmaSyncBackend,
+    SocketBackend, MONITOR_GROUP,
 };
 pub use client::{BackendHandle, BackendView, MonitorClient, MON_TOKEN_BASE};
 pub use frontend::MonitorFrontendService;

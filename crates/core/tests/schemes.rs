@@ -3,14 +3,13 @@
 
 use fgmon_core::{
     make_backend, scheme_quality, BackendConfig, BackendHandle, MonitorFrontendService,
-    RdmaSyncBackend, SocketBackend,
+    RdmaSyncBackend, SocketBackend, MONITOR_GROUP,
 };
 use fgmon_net::Fabric;
 use fgmon_os::{NodeActor, OsApi, OsCore, Service};
 use fgmon_sim::{DetRng, Engine, SimDuration, SimTime};
 use fgmon_types::{
-    ConnId, McastGroup, Msg, NetConfig, NodeId, NodeMsg, OsConfig, RegionId, Scheme, ServiceSlot,
-    ThreadId,
+    ConnId, Msg, NetConfig, NodeId, NodeMsg, OsConfig, RegionId, Scheme, ServiceSlot, ThreadId,
 };
 
 /// CPU hogs for background load.
@@ -51,7 +50,7 @@ fn build(scheme: Scheme, hogs: u32, poll: SimDuration) -> World {
     let mut fabric = Fabric::new(NetConfig::default(), vec![fe, be]);
     // Conn between frontend service slot 0 and backend monitor slot 0.
     let conn = fabric.add_conn(NodeId(0), ServiceSlot(0), NodeId(1), ServiceSlot(0));
-    fabric.join_mcast(McastGroup(0), NodeId(0));
+    fabric.join_mcast(MONITOR_GROUP, NodeId(0));
     eng.install(fabric_id, Box::new(fabric));
 
     // Back-end node: monitor backend first (region id 0 by convention),
@@ -65,8 +64,6 @@ fn build(scheme: Scheme, hogs: u32, poll: SimDuration) -> World {
     ));
     let bcfg = BackendConfig {
         calc_interval: poll,
-        via_kernel_module: false,
-        mcast_group: McastGroup(0),
         // Write-push backends target the front-end's first registered
         // buffer (the FE monitor registers it at boot).
         push_target: if scheme == Scheme::RdmaWritePush {
@@ -74,7 +71,7 @@ fn build(scheme: Scheme, hogs: u32, poll: SimDuration) -> World {
         } else {
             None
         },
-        fallback_reporter: false,
+        ..BackendConfig::default()
     };
     let mut backend = make_backend(scheme, bcfg);
     // Socket backends need their listening connections configured.
@@ -321,16 +318,7 @@ fn e_rdma_sync_sees_pending_interrupt_detail() {
         be,
         DetRng::new(3),
     ));
-    be_node.add_service(make_backend(
-        Scheme::ERdmaSync,
-        BackendConfig {
-            calc_interval: SimDuration::from_millis(50),
-            via_kernel_module: false,
-            mcast_group: McastGroup(0),
-            push_target: None,
-            fallback_reporter: false,
-        },
-    ));
+    be_node.add_service(make_backend(Scheme::ERdmaSync, BackendConfig::default()));
     be_node.add_service(Box::new(Hogs { n: 4 }));
     eng.install(be, Box::new(be_node));
 

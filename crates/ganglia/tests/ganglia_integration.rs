@@ -6,9 +6,7 @@ use fgmon_ganglia::{GmetricPublisher, Gmond, GANGLIA_GROUP};
 use fgmon_net::Fabric;
 use fgmon_os::{NodeActor, OsCore};
 use fgmon_sim::{ActorId, DetRng, Engine, SimDuration, SimTime};
-use fgmon_types::{
-    McastGroup, Msg, NetConfig, NodeId, NodeMsg, OsConfig, RegionId, Scheme, ServiceSlot,
-};
+use fgmon_types::{Msg, NetConfig, NodeId, NodeMsg, OsConfig, RegionId, Scheme, ServiceSlot};
 
 fn gmond_world(n_nodes: usize) -> (Engine<Msg>, Vec<ActorId>) {
     let mut eng: Engine<Msg> = Engine::new();
@@ -99,10 +97,7 @@ fn gmetric_publisher_feeds_gmonds_with_captured_metric() {
         Scheme::RdmaSync,
         BackendConfig {
             calc_interval: SimDuration::from_millis(32),
-            via_kernel_module: false,
-            mcast_group: McastGroup(0),
-            push_target: None,
-            fallback_reporter: false,
+            ..BackendConfig::default()
         },
     ));
     be_node.add_service(Box::new(Gmond::new(SimDuration::from_secs(1))));

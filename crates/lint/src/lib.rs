@@ -599,6 +599,24 @@ let r = DetRng::new(seed);
     }
 
     #[test]
+    fn env_reads_need_justification() {
+        assert_eq!(
+            rules_hit("let v = std::env::var(\"FGMON_X\");"),
+            vec!["env-read"]
+        );
+        assert_eq!(rules_hit("for (k, v) in env::vars() {}"), vec!["env-read"]);
+        assert_eq!(rules_hit("let v = var_os(\"FGMON_X\");"), vec!["env-read"]);
+        let justified = "\
+// lint: env-read — the one sanctioned knob
+let v = std::env::var_os(\"FGMON_X\");
+";
+        assert!(rules_hit(justified).is_empty());
+        // `env!` is a compile-time constant, and lookalikes stay clean.
+        assert!(rules_hit("let d = env!(\"CARGO_MANIFEST_DIR\");").is_empty());
+        assert!(rules_hit("let x = covar_os(1);").is_empty());
+    }
+
+    #[test]
     fn payload_clones_need_justification() {
         assert_eq!(
             rules_hit("let copy = packet.payload.clone();"),

@@ -133,6 +133,16 @@ pub const RULES: &[Rule] = &[
                      every stream derives from the world seed",
     },
     Rule {
+        id: "env-read",
+        summary: "environment variable read inside the simulation",
+        needles: &["env::var", "env::vars", "var_os"],
+        allow_paths: &[],
+        suggestion: "a hidden environment knob changes a run without \
+                     changing its seed or config; pass the value in through \
+                     the world's config, or justify the knob with a \
+                     `// lint: env-read` comment",
+    },
+    Rule {
         id: "payload-clone",
         summary: "payload-carrying value cloned on the simulation path",
         needles: &[

@@ -258,9 +258,9 @@ impl Fabric {
         &self.cfg
     }
 
-    /// Attach the cluster-wide race detector (builder wiring).
-    pub fn set_race_detector(&mut self, detector: SharedRaceDetector) {
-        self.race = Some(detector);
+    /// Attach the cluster-wide race detector, or detach it with `None`.
+    pub fn set_race_detector(&mut self, detector: Option<SharedRaceDetector>) {
+        self.race = detector;
     }
 
     /// Reset all frame/fault counters to zero. Harnesses that re-run

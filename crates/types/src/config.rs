@@ -8,9 +8,6 @@
 
 use fgmon_sim::SimDuration;
 
-use crate::health::BreakerConfig;
-use crate::scheme::Scheme;
-
 /// Per-operation CPU costs and scheduler parameters for one node's OS.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
@@ -146,59 +143,6 @@ impl NetConfig {
     }
 }
 
-/// Front-end monitoring configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct MonitorConfig {
-    /// Which scheme the front-end and back-ends run.
-    pub scheme: Scheme,
-    /// Front-end polling interval (the paper's default: 50 ms).
-    pub poll_interval: SimDuration,
-    /// Back-end calc-thread refresh interval `T` for the async schemes.
-    pub calc_interval: SimDuration,
-    /// Request kernel-level detail (pending interrupts) where available.
-    pub want_detail: bool,
-    /// Circuit-breaker trip/cool-down thresholds for per-backend channel
-    /// failover. `None` (the default) disables the breaker: a degraded
-    /// backend is only ever marked unreachable, never failed over.
-    pub breaker: Option<BreakerConfig>,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            scheme: Scheme::RdmaSync,
-            poll_interval: SimDuration::from_millis(50),
-            calc_interval: SimDuration::from_millis(50),
-            want_detail: false,
-            breaker: None,
-        }
-    }
-}
-
-impl MonitorConfig {
-    pub fn with_scheme(scheme: Scheme) -> Self {
-        MonitorConfig {
-            scheme,
-            want_detail: scheme.uses_irq_signal(),
-            ..Self::default()
-        }
-    }
-
-    /// Enable the channel-health circuit breaker.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// Set both the polling and calc granularity (the experiments sweep
-    /// them together).
-    pub fn with_granularity(mut self, g: SimDuration) -> Self {
-        self.poll_interval = g;
-        self.calc_interval = g;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,17 +162,6 @@ mod tests {
     fn frontend_tick_is_finer() {
         let fe = OsConfig::frontend();
         assert!(fe.costs.timer_tick < OsConfig::default().costs.timer_tick);
-    }
-
-    #[test]
-    fn monitor_config_builders() {
-        let m = MonitorConfig::with_scheme(Scheme::ERdmaSync);
-        assert!(m.want_detail);
-        let m = MonitorConfig::with_scheme(Scheme::SocketSync)
-            .with_granularity(SimDuration::from_millis(4));
-        assert!(!m.want_detail);
-        assert_eq!(m.poll_interval, SimDuration::from_millis(4));
-        assert_eq!(m.calc_interval, SimDuration::from_millis(4));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod race;
 pub mod scheme;
 pub mod tenancy;
 
-pub use config::{CostModel, MonitorConfig, NetConfig, OsConfig};
+pub use config::{CostModel, NetConfig, OsConfig};
 pub use fault::{
     FaultEffect, FaultOp, FaultPlan, FaultPlanError, FaultRule, FrameFate, ReplyOutcome,
     RetryPolicy, RetryTracker, TimeoutAction,

@@ -87,13 +87,32 @@ pub enum RaceMode {
 }
 
 impl RaceMode {
-    /// Read the mode from `FGMON_RACE_CHECK`. Unset or unrecognized
-    /// values mean [`RaceMode::Off`].
+    /// Read the mode from `FGMON_RACE_CHECK`: unset means
+    /// [`RaceMode::Off`], and `off`, `strict` and `seqlock` name a mode.
+    ///
+    /// # Panics
+    /// Panics on any other value, naming the variable, the value and the
+    /// accepted forms, so a misspelled mode cannot run with the sanitizer
+    /// silently off.
     pub fn from_env() -> RaceMode {
-        match std::env::var("FGMON_RACE_CHECK").as_deref() {
-            Ok("strict") | Ok("STRICT") | Ok("1") | Ok("on") => RaceMode::Strict,
-            Ok("seqlock") | Ok("SEQLOCK") => RaceMode::Seqlock,
-            _ => RaceMode::Off,
+        // lint: env-read — the sanitizer mode is the simulator's one
+        // environment knob, read while a world is assembled.
+        let value = std::env::var_os("FGMON_RACE_CHECK");
+        let value = value.as_deref().map(|v| v.to_string_lossy());
+        RaceMode::parse_env(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The parsing half of [`RaceMode::from_env`], kept pure so tests
+    /// need not touch the process environment.
+    fn parse_env(value: Option<&str>) -> Result<RaceMode, String> {
+        match value {
+            None | Some("off") => Ok(RaceMode::Off),
+            Some("strict") => Ok(RaceMode::Strict),
+            Some("seqlock") => Ok(RaceMode::Seqlock),
+            Some(other) => Err(format!(
+                "FGMON_RACE_CHECK={other:?} is not a race-check mode; \
+                 accepted: unset, `off`, `strict` or `seqlock`"
+            )),
         }
     }
 
@@ -498,6 +517,24 @@ mod tests {
 
     fn at(t: u64, seq: u64) -> PostedKey {
         (SimTime(t), seq)
+    }
+
+    #[test]
+    fn race_check_values_parse_strictly() {
+        assert_eq!(RaceMode::parse_env(None), Ok(RaceMode::Off));
+        for mode in [RaceMode::Off, RaceMode::Strict, RaceMode::Seqlock] {
+            assert_eq!(RaceMode::parse_env(Some(mode.label())), Ok(mode));
+        }
+        // Spellings the old reader mapped to a mode or, silently, to Off.
+        for bad in ["Strict", "STRICT", "1", "on", "", "seq lock"] {
+            let err = RaceMode::parse_env(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("FGMON_RACE_CHECK")
+                    && err.contains(&format!("{bad:?}"))
+                    && err.contains("`strict` or `seqlock`"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cargo run --release --example noisy_neighbor
 //! ```
 
-use fgmon_cluster::{noisy_neighbor_raced, NoisyWorld, NOISY_RATE_LIMIT};
+use fgmon_cluster::{noisy_neighbor, NoisyWorld, NOISY_RATE_LIMIT};
 use fgmon_core::{mean_deviation, scheme_quality, AccuracyMetric};
 use fgmon_sim::SimDuration;
 use fgmon_types::{QosPolicy, RaceMode, Scheme};
@@ -24,7 +24,8 @@ struct Row {
 }
 
 fn run(qos: QosPolicy, hostile: bool) -> Row {
-    let mut w: NoisyWorld = noisy_neighbor_raced(qos, hostile, 11, RaceMode::Off);
+    let mut w: NoisyWorld = noisy_neighbor(qos, hostile, 11);
+    w.cluster.set_race_mode(RaceMode::Off);
     w.cluster.run_for(SimDuration::from_secs(2));
     let rec = w.cluster.recorder();
     let tenants = w.cluster.fabric_stats().tenants;

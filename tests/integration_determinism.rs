@@ -2,7 +2,7 @@
 
 use fgmon_balancer::Dispatcher;
 use fgmon_cluster::{
-    crash_restart_recovery, fault_compare_world_raced, micro_latency, rubis_world, RubisWorldCfg,
+    crash_restart_recovery, fault_compare_world, micro_latency, rubis_world, Cluster, RubisWorldCfg,
 };
 use fgmon_sim::{QueueKind, SimDuration, SimTime};
 use fgmon_types::{ChannelHealthStats, FaultPlan, OsConfig, RaceMode, RetryPolicy, Scheme};
@@ -79,13 +79,13 @@ fn race_sanitizer_runs_are_bitwise_identical() {
         let plan = FaultPlan::new(seed ^ 0xD15C)
             .congested(SimTime::ZERO, SimTime::MAX, 16.0)
             .lossy_all(0.02);
-        let mut w = fault_compare_world_raced(
+        let mut w = fault_compare_world(
             plan,
             RetryPolicy::aggressive(SimDuration::from_millis(30)),
             SimDuration::from_millis(5),
             seed,
-            RaceMode::Strict,
         );
+        w.cluster.set_race_mode(RaceMode::Strict);
         w.cluster.run_for(SimDuration::from_secs(3));
         (
             w.cluster.fabric_stats(),
@@ -149,13 +149,13 @@ fn timing_wheel_is_golden_equivalent_to_heap() {
         let plan = FaultPlan::new(seed ^ 0xD15C)
             .congested(SimTime::ZERO, SimTime::MAX, 16.0)
             .lossy_all(0.02);
-        let mut w = fault_compare_world_raced(
+        let mut w = fault_compare_world(
             plan,
             RetryPolicy::aggressive(SimDuration::from_millis(30)),
             SimDuration::from_millis(5),
             seed,
-            RaceMode::Strict,
         );
+        w.cluster.set_race_mode(RaceMode::Strict);
         w.cluster.eng.set_queue_kind(queue);
         w.cluster.run_for(SimDuration::from_secs(3));
         let hists: Vec<(String, u64, u64, u64)> = w
@@ -215,10 +215,11 @@ fn recorder_keys_are_stable_ordered() {
 /// drift, and a tenant-free run keeps every non-infra row zeroed.
 #[test]
 fn tenant_ledger_is_seed_determined() {
-    use fgmon_cluster::noisy_neighbor_raced;
+    use fgmon_cluster::noisy_neighbor;
     use fgmon_types::{QosPolicy, TenantStats};
     let run = |seed| {
-        let mut w = noisy_neighbor_raced(QosPolicy::None, true, seed, RaceMode::Off);
+        let mut w = noisy_neighbor(QosPolicy::None, true, seed);
+        w.cluster.set_race_mode(RaceMode::Off);
         w.cluster.run_for(SimDuration::from_secs(1));
         (
             w.cluster.fabric_stats().tenants,
@@ -247,4 +248,182 @@ fn tenant_ledger_is_seed_determined() {
     for row in &t[1..] {
         assert_eq!(row, &TenantStats::default());
     }
+}
+
+/// FNV-1a over everything one run records: the event count, every
+/// recorder histogram and counter, and the fabric counters. The
+/// torn-read count is left out: it is the race sanitizer's report, which
+/// `FGMON_RACE_CHECK=strict` switches on without perturbing the run.
+fn world_digest(mut cluster: Cluster, dur: SimDuration) -> u64 {
+    use std::fmt::Write as _;
+    cluster.run_for(dur);
+    let rec = cluster.recorder();
+    let mut s = format!("events={};", cluster.eng.events_processed());
+    for k in rec.histogram_keys() {
+        let h = rec.get_histogram(k).expect("listed key");
+        write!(s, "{k}={h:?};").unwrap();
+    }
+    for k in rec.counter_keys() {
+        let c = rec.get_counter(k).expect("listed key").get();
+        write!(s, "{k}={c};").unwrap();
+    }
+    let mut stats = cluster.fabric_stats();
+    stats.torn_reads = 0;
+    write!(s, "{stats:?}").unwrap();
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// [`world_digest`] of one run of every world family, pinned across
+/// commits: a change to how a world is wired that is not bitwise neutral
+/// moves at least one.
+const GOLDEN_WORLDS: [(&str, u64); 13] = [
+    ("micro_latency", 0x8fe7_9435_ae08_0388),
+    ("float_granularity", 0x8a73_4308_3bf9_683d),
+    ("accuracy_world", 0xfd66_e9ed_192c_0376),
+    ("rubis_world", 0xd563_5f99_c36c_5651),
+    ("ganglia_world/RdmaSync", 0xe81b_c1fd_27a2_b136),
+    ("ganglia_world/SocketAsync", 0x9da1_220b_a3c1_5d5c),
+    ("big_cluster", 0x7b59_2df1_c273_3a99),
+    ("torn_read_world", 0xcd29_d8ae_f262_8922),
+    ("noisy_neighbor", 0xacdf_d9c2_8813_b481),
+    ("noisy_rubis", 0xc099_dab5_f448_0348),
+    ("rdma_lock_crash", 0xa79f_303f_b717_2c25),
+    ("chaos_world", 0xaa83_3327_e37e_4328),
+    ("crash_restart_recovery", 0xa0cd_3939_aa80_803c),
+];
+
+#[test]
+fn scenario_worlds_match_golden() {
+    use fgmon_cluster::{
+        accuracy_world, big_cluster, chaos_world, float_granularity, ganglia_world, noisy_neighbor,
+        noisy_rubis, rdma_lock_crash, torn_read_world, NOISY_RATE_LIMIT,
+    };
+    use fgmon_types::NodeId;
+    use fgmon_workload::RampStep;
+    let ms = SimDuration::from_millis;
+    let at = |m: u64| SimTime(m * 1_000_000);
+    let ganglia_base = RubisWorldCfg {
+        scheme: Scheme::ERdmaSync,
+        backends: 3,
+        rubis_sessions: 24,
+        granularity: ms(20),
+        seed: 8,
+        ..Default::default()
+    };
+    let mut torn = torn_read_world(42).cluster;
+    torn.set_race_mode(RaceMode::Seqlock);
+    let chaos_plan = FaultPlan::new(0xC4A0)
+        .lossy_all(0.05)
+        .crash(NodeId(1), at(300), at(600));
+    let got = [
+        (
+            "micro_latency",
+            world_digest(
+                micro_latency(
+                    Scheme::SocketSync,
+                    16,
+                    true,
+                    ms(20),
+                    OsConfig::default(),
+                    11,
+                )
+                .cluster,
+                ms(1_000),
+            ),
+        ),
+        (
+            "float_granularity",
+            world_digest(
+                float_granularity(Scheme::RdmaAsync, ms(4), 3).cluster,
+                ms(1_000),
+            ),
+        ),
+        (
+            "accuracy_world",
+            world_digest(
+                accuracy_world(
+                    ms(20),
+                    vec![RampStep {
+                        at: SimTime::ZERO,
+                        hogs: 4,
+                    }],
+                    16,
+                    true,
+                    true,
+                    5,
+                )
+                .cluster,
+                ms(300),
+            ),
+        ),
+        (
+            "rubis_world",
+            world_digest(
+                rubis_world(&RubisWorldCfg {
+                    scheme: Scheme::RdmaWritePush,
+                    backends: 4,
+                    rubis_sessions: 24,
+                    zipf: Some((0.5, 8)),
+                    granularity: ms(10),
+                    background_hogs: 1,
+                    seed: 6,
+                    ..Default::default()
+                })
+                .cluster,
+                ms(1_000),
+            ),
+        ),
+        (
+            "ganglia_world/RdmaSync",
+            world_digest(
+                ganglia_world(&ganglia_base, Scheme::RdmaSync, ms(10))
+                    .rubis
+                    .cluster,
+                ms(1_500),
+            ),
+        ),
+        (
+            "ganglia_world/SocketAsync",
+            world_digest(
+                ganglia_world(&ganglia_base, Scheme::SocketAsync, ms(10))
+                    .rubis
+                    .cluster,
+                ms(1_500),
+            ),
+        ),
+        (
+            "big_cluster",
+            world_digest(big_cluster(16, 1).cluster, ms(500)),
+        ),
+        ("torn_read_world", world_digest(torn, ms(1_000))),
+        (
+            "noisy_neighbor",
+            world_digest(noisy_neighbor(NOISY_RATE_LIMIT, true, 3).cluster, ms(300)),
+        ),
+        (
+            "noisy_rubis",
+            world_digest(
+                noisy_rubis(Scheme::RdmaSync, NOISY_RATE_LIMIT, true, 3).cluster,
+                ms(300),
+            ),
+        ),
+        (
+            "rdma_lock_crash",
+            world_digest(rdma_lock_crash(5).cluster, ms(2_000)),
+        ),
+        (
+            "chaos_world",
+            world_digest(chaos_world(chaos_plan, 4, RaceMode::Off).cluster, ms(1_000)),
+        ),
+        (
+            "crash_restart_recovery",
+            world_digest(
+                crash_restart_recovery(Scheme::RdmaSync, 42).world.cluster,
+                ms(5_500),
+            ),
+        ),
+    ];
+    assert_eq!(got, GOLDEN_WORLDS);
 }

@@ -1,11 +1,12 @@
 //! Integration: accuracy (Fig. 5), interrupt detail (Fig. 6), Ganglia
 //! disturbance (Fig. 8) and fine-vs-coarse throughput (Fig. 9) shapes.
 
+use fgmon_balancer::Dispatcher;
 use fgmon_cluster::{accuracy_world, ganglia_world, rubis_world, RubisWorldCfg};
 use fgmon_core::{mean_deviation, mean_reported, AccuracyMetric};
 use fgmon_ganglia::GmetricPublisher;
 use fgmon_sim::{SimDuration, SimTime};
-use fgmon_types::Scheme;
+use fgmon_types::{FaultPlan, NodeId, Scheme, ServiceSlot};
 use fgmon_workload::{RampStep, RubisClient};
 
 fn ramp() -> Vec<RampStep> {
@@ -240,5 +241,38 @@ fn fig9_shape_fine_grained_rdma_beats_coarse_and_fine_sockets() {
     assert!(
         rdma_fine as f64 > sock_fine as f64 * 1.02,
         "rdma {rdma_fine} vs socket {sock_fine}"
+    );
+}
+
+#[test]
+fn ganglia_world_honors_its_whole_base_config() {
+    // The Ganglia testbed is the RUBiS world plus gmetric and gmond: a
+    // Zipf service, a crash plan, and per-back-end write-push regions in
+    // the base config must all reach the cluster it builds.
+    let ms = |m: u64| SimTime(m * 1_000_000);
+    let base = RubisWorldCfg {
+        scheme: Scheme::RdmaWritePush,
+        backends: 3,
+        zipf: Some((0.5, 8)),
+        faults: FaultPlan::new(7).crash(NodeId(2), ms(200), ms(400)),
+        ..Default::default()
+    };
+    let mut w = ganglia_world(&base, Scheme::RdmaSync, SimDuration::from_millis(16));
+    w.rubis.cluster.run_for(SimDuration::from_secs(1));
+    let rubis = &w.rubis;
+    assert_eq!(rubis.zipf_client_slot, Some(ServiceSlot(1)));
+    assert!(rubis.cluster.fabric_stats().fault_checks > 0);
+    let disp: &Dispatcher = rubis.cluster.service(rubis.frontend, rubis.dispatcher_slot);
+    // Each back-end pushes into its own front-end buffer, so the
+    // dispatcher hears from all three.
+    let views: Vec<(u64, bool)> = disp
+        .monitor
+        .views()
+        .iter()
+        .map(|v| (v.replies, v.latest.is_some()))
+        .collect();
+    assert!(
+        views.iter().all(|&(replies, seen)| replies > 0 && seen),
+        "per-back-end (replies, has record): {views:?}"
     );
 }

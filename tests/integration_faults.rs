@@ -15,7 +15,7 @@ use fgmon_cluster::{
 use fgmon_core::{BackendView, MonitorFrontendService};
 use fgmon_net::FabricStats;
 use fgmon_sim::{SimDuration, SimTime};
-use fgmon_types::{FaultOp, FaultPlan, NodeId, RaceMode, RetryPolicy, Scheme};
+use fgmon_types::{FaultOp, FaultPlan, NodeId, RetryPolicy, Scheme};
 
 const POLL: SimDuration = SimDuration::from_millis(20);
 
@@ -138,10 +138,7 @@ fn fault_fingerprints_match_golden() {
         // every window has closed.
         (
             "gray_failure_world",
-            fingerprint(
-                gray_failure_world(5, RaceMode::Off),
-                SimDuration::from_secs(4),
-            ),
+            fingerprint(gray_failure_world(5), SimDuration::from_secs(4)),
         ),
         (
             "flaky_rdma_failover",

@@ -6,14 +6,21 @@
 //! observe tearing; seqlock mode must eliminate it and pay for that in
 //! monitoring latency.
 
-use fgmon_cluster::torn_read_world;
+use fgmon_cluster::{torn_read_world, TornReadWorld};
 use fgmon_sim::SimDuration;
 use fgmon_types::RaceMode;
 
 const RUN: SimDuration = SimDuration::from_secs(2);
 
+/// [`torn_read_world`] with the sanitizer pinned to `mode`.
+fn pinned(mode: RaceMode, seed: u64) -> TornReadWorld {
+    let mut w = torn_read_world(seed);
+    w.cluster.set_race_mode(mode);
+    w
+}
+
 fn run(mode: RaceMode, seed: u64) -> (fgmon_types::RaceReport, f64, u64) {
-    let mut w = torn_read_world(mode, seed);
+    let mut w = pinned(mode, seed);
     w.cluster.run_for(RUN);
     let lat = w
         .cluster
@@ -69,7 +76,7 @@ fn strict_mode_never_perturbs_the_run() {
     // Observation must be free: an Off run and a Strict run of the same
     // seed execute the identical event sequence.
     let events = |mode| {
-        let mut w = torn_read_world(mode, 4242);
+        let mut w = pinned(mode, 4242);
         w.cluster.run_for(RUN);
         (
             w.cluster.eng.events_processed(),
@@ -79,6 +86,14 @@ fn strict_mode_never_perturbs_the_run() {
     let off = events(RaceMode::Off);
     let strict = events(RaceMode::Strict);
     assert_eq!(off, strict);
+}
+
+#[test]
+#[should_panic(expected = "before the first event runs")]
+fn race_mode_is_fixed_once_an_event_has_run() {
+    let mut w = torn_read_world(5);
+    w.cluster.run_for(SimDuration::from_millis(1));
+    w.cluster.set_race_mode(RaceMode::Strict);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! honor the env var).
 
 use fgmon_cluster::{
-    noisy_neighbor_raced, rdma_lock_crash, rdma_lock_world, Cluster, NoisyWorld, NOISY_RATE_LIMIT,
+    noisy_neighbor, rdma_lock_crash, rdma_lock_world, Cluster, NoisyWorld, NOISY_RATE_LIMIT,
 };
 use fgmon_core::{mean_deviation, scheme_quality, AccuracyMetric};
 use fgmon_sim::SimDuration;
@@ -40,8 +40,7 @@ struct Probe {
 }
 
 fn probe(qos: QosPolicy, hostile: bool, seed: u64) -> Probe {
-    let w: NoisyWorld = noisy_neighbor_raced(qos, hostile, seed, RaceMode::from_env());
-    probe_world(w)
+    probe_world(noisy_neighbor(qos, hostile, seed))
 }
 
 fn probe_world(mut w: NoisyWorld) -> Probe {
@@ -236,7 +235,8 @@ fn histograms(c: &Cluster) -> Vec<(String, u64, u64, u64)> {
 #[test]
 fn noisy_world_is_bitwise_deterministic_under_strict_race() {
     let run = |seed| {
-        let mut w = noisy_neighbor_raced(QosPolicy::None, true, seed, RaceMode::Strict);
+        let mut w = noisy_neighbor(QosPolicy::None, true, seed);
+        w.cluster.set_race_mode(RaceMode::Strict);
         w.cluster.run_for(SimDuration(1_000_000_000));
         let hist = histograms(&w.cluster);
         (
@@ -389,11 +389,11 @@ fn rdma_lock_crash_recovery_is_epoch_fenced() {
 /// client counter and fabric byte.
 #[test]
 fn lock_world_is_bitwise_deterministic_under_strict_race() {
-    use fgmon_cluster::rdma_lock_world_raced;
     use fgmon_sim::SimTime;
     let run = |seed| {
         let crash = Some((SimTime(1_000_000_000), SimTime(1_600_000_000)));
-        let mut w = rdma_lock_world_raced(4, 1, crash, seed, RaceMode::Strict);
+        let mut w = rdma_lock_world(4, 1, crash, seed);
+        w.cluster.set_race_mode(RaceMode::Strict);
         w.cluster.run_for(SimDuration(3_000_000_000));
         let counters: Vec<(u64, u64, u64, u64)> = w
             .clients

@@ -8,7 +8,7 @@
 //! failover world.
 
 use fgmon_balancer::Dispatcher;
-use fgmon_cluster::{big_cluster, fault_compare_world_raced, flaky_rdma_failover, Cluster};
+use fgmon_cluster::{big_cluster, fault_compare_world, flaky_rdma_failover, Cluster};
 use fgmon_net::FabricStats;
 use fgmon_sim::{SimDuration, SimTime};
 use fgmon_types::{ChannelHealthStats, FaultPlan, RaceMode, RaceReport, RetryPolicy, Scheme};
@@ -46,13 +46,13 @@ fn fault_world_is_bitwise_identical_across_thread_counts() {
         let plan = FaultPlan::new(seed ^ 0xD15C)
             .congested(SimTime::ZERO, SimTime::MAX, 16.0)
             .lossy_all(0.02);
-        let mut w = fault_compare_world_raced(
+        let mut w = fault_compare_world(
             plan,
             RetryPolicy::aggressive(SimDuration::from_millis(30)),
             SimDuration::from_millis(5),
             seed,
-            RaceMode::Strict,
         );
+        w.cluster.set_race_mode(RaceMode::Strict);
         run(&mut w.cluster, SimDuration::from_secs(3), threads);
         (
             w.cluster.fabric_stats(),
@@ -172,7 +172,8 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
         SimDuration(500_000_000),
     ];
     let fingerprint = |qos: QosPolicy, seed: u64, threads: usize| -> Fp {
-        let mut w = fgmon_cluster::noisy_neighbor_raced(qos, true, seed, RaceMode::Strict);
+        let mut w = fgmon_cluster::noisy_neighbor(qos, true, seed);
+        w.cluster.set_race_mode(RaceMode::Strict);
         for segment in SEGMENTS {
             run(&mut w.cluster, segment, threads);
         }
@@ -213,7 +214,8 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
 fn gray_failure_world_is_bitwise_identical_across_thread_counts() {
     type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
     let fingerprint = |seed: u64, threads: usize| -> Fp {
-        let mut w = fgmon_cluster::gray_failure_world(seed, RaceMode::Strict);
+        let mut w = fgmon_cluster::gray_failure_world(seed);
+        w.cluster.set_race_mode(RaceMode::Strict);
         run(&mut w.cluster, SimDuration::from_secs(5), threads);
         (
             w.cluster.fabric_stats(),
@@ -259,7 +261,8 @@ fn rdma_lock_world_is_bitwise_identical_across_thread_counts() {
     );
     let fingerprint = |seed: u64, threads: usize| -> Fp {
         let crash = Some((SimTime(1_000_000_000), SimTime(1_600_000_000)));
-        let mut w = fgmon_cluster::rdma_lock_world_raced(4, 1, crash, seed, RaceMode::Strict);
+        let mut w = fgmon_cluster::rdma_lock_world(4, 1, crash, seed);
+        w.cluster.set_race_mode(RaceMode::Strict);
         run(&mut w.cluster, SimDuration::from_secs(3), threads);
         let counters: Vec<(u64, u64, u64, u64)> = w
             .clients

@@ -114,8 +114,9 @@ fn warm_worlds_allocate_per_batch_not_per_event() {
         ..Default::default()
     };
     sequential("rubis-8", &mut rubis_world(&cfg).cluster, two_s);
-    let torn = &mut torn_read_world(RaceMode::Strict, 42).cluster;
-    sequential("torn_read_world", torn, two_s);
+    let mut torn = torn_read_world(42).cluster;
+    torn.set_race_mode(RaceMode::Strict);
+    sequential("torn_read_world", &mut torn, two_s);
     let failover = &mut flaky_rdma_failover(Scheme::RdmaSync, 42).world.cluster;
     sequential("flaky_rdma_failover", failover, two_s);
 
