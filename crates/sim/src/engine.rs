@@ -8,6 +8,19 @@
 //! Events at equal timestamps are delivered in sequence-number order, which
 //! makes runs fully deterministic for a given seed.
 //!
+//! ## One write, one move
+//!
+//! An event's message is written once and moved once (see
+//! [`crate::queue`]). [`Ctx::send_in`] and its siblings write the message
+//! straight into a free node of the queue's slab and stage the node's
+//! index. When the handler returns, the engine stamps each staged node's
+//! lane key (below) in submission order and files its index in the queue.
+//! [`Engine::run_until`], [`Engine::step`] and the sharded executor's
+//! windows pop an index and move the message out of the slab straight
+//! into [`Actor::handle`]; the node is free again before the handler runs.
+//! `run_until` fuses the horizon test with the pop, and its horizon is
+//! inclusive: an event at exactly the horizon runs.
+//!
 //! ## Lane-structured sequence numbers
 //!
 //! Tie-breaking sequence numbers are not a single global counter: they are
@@ -30,7 +43,7 @@
 use std::any::Any;
 
 use crate::metrics::Recorder;
-use crate::queue::{Entry, EventQueue, QueueKind};
+use crate::queue::{Entry, EventQueue, Link, QueueKind, Slab};
 use crate::time::{SimDuration, SimTime};
 
 /// Bit position splitting a sequence number into `lane | counter`.
@@ -70,8 +83,10 @@ pub trait Actor<M>: Any + Send {
 /// Context handed to an actor while it handles an event.
 ///
 /// Lets the actor schedule future events (to itself or any other actor) and
-/// record metrics. Scheduling is buffered and flushed into the event queue
-/// after the handler returns, so ordering stays deterministic.
+/// record metrics. Each send writes its message straight into a node of
+/// the queue's slab and stages the node's index; the engine keys and files
+/// the staged nodes after the handler returns, so ordering stays
+/// deterministic.
 pub struct Ctx<'a, M> {
     /// Current virtual time.
     pub now: SimTime,
@@ -81,7 +96,8 @@ pub struct Ctx<'a, M> {
     /// is the engine-wide total order position of the current event —
     /// used by the race sanitizer to order reads against host writes.
     pub event_seq: u64,
-    out: &'a mut Vec<(SimTime, ActorId, M)>,
+    slab: &'a mut Slab<M>,
+    staged: &'a mut Vec<u32>,
     recorder: &'a mut Recorder,
     stop_requested: &'a mut bool,
 }
@@ -90,7 +106,7 @@ impl<M> Ctx<'_, M> {
     /// Deliver `msg` to `dst` after `delay`.
     #[inline]
     pub fn send_in(&mut self, delay: SimDuration, dst: ActorId, msg: M) {
-        self.out.push((self.now + delay, dst, msg));
+        self.stage(self.now + delay, dst, msg);
     }
 
     /// Deliver `msg` to `dst` immediately (same timestamp, after currently
@@ -103,14 +119,19 @@ impl<M> Ctx<'_, M> {
     /// Deliver `msg` to `dst` at absolute time `at` (clamped to `now`).
     #[inline]
     pub fn send_at(&mut self, at: SimTime, dst: ActorId, msg: M) {
-        let at = at.max(self.now);
-        self.out.push((at, dst, msg));
+        self.stage(at.max(self.now), dst, msg);
     }
 
     /// Schedule a message to this actor after `delay`.
     #[inline]
     pub fn send_self_in(&mut self, delay: SimDuration, msg: M) {
         self.send_in(delay, self.self_id, msg);
+    }
+
+    #[inline]
+    fn stage(&mut self, at: SimTime, dst: ActorId, msg: M) {
+        let idx = self.slab.alloc(at, dst, msg);
+        self.staged.push(idx);
     }
 
     /// Access the global metric recorder.
@@ -147,7 +168,8 @@ pub struct Engine<M> {
     /// lane of their own, keeping keys shard-invariant.
     replicated: Vec<bool>,
     queue: EventQueue<M>,
-    staging: Vec<(SimTime, ActorId, M)>,
+    /// Slab nodes the running handler staged, in submission order.
+    staged: Vec<u32>,
     now: SimTime,
     /// Per-lane tie-break counters (see the module docs).
     lanes: Vec<u64>,
@@ -173,7 +195,7 @@ impl<M: 'static> Engine<M> {
             actors: Vec::new(),
             replicated: Vec::new(),
             queue: EventQueue::new(QueueKind::Wheel),
-            staging: Vec::new(),
+            staged: Vec::new(),
             now: SimTime::ZERO,
             lanes: Vec::new(),
             events_processed: 0,
@@ -196,19 +218,12 @@ impl<M: 'static> Engine<M> {
         self.queue.kind()
     }
 
-    /// Switch the event-queue implementation, migrating every queued event
-    /// with its original `(time, seq)` key — the run is bitwise unaffected
-    /// by when (or whether) the switch happens.
+    /// Switch the event-queue implementation, re-filing every queued
+    /// event's original `(time, seq)` key (messages stay in their slab
+    /// nodes) — the run is bitwise unaffected by when (or whether) the
+    /// switch happens.
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        if self.queue.kind() == kind {
-            return;
-        }
-        let mut next = EventQueue::new(kind);
-        next.reserve(self.queue.len());
-        while let Some(entry) = self.queue.pop() {
-            next.push(entry);
-        }
-        self.queue = next;
+        self.queue.set_kind(kind);
     }
 
     /// Capacity hint from world builders: pre-size the actor table for
@@ -218,8 +233,8 @@ impl<M: 'static> Engine<M> {
     pub fn reserve_capacity(&mut self, actors: usize, events: usize) {
         self.actors
             .reserve(actors.saturating_sub(self.actors.len()));
-        if self.staging.capacity() < 64 {
-            self.staging.reserve(64 - self.staging.capacity());
+        if self.staged.capacity() < 64 {
+            self.staged.reserve(64 - self.staged.capacity());
         }
         self.queue.reserve(events);
     }
@@ -304,19 +319,7 @@ impl<M: 'static> Engine<M> {
         );
         let at = at.max(self.now);
         let seq = self.alloc_lane(0, 1);
-        self.push_event(at, seq, dst, msg);
-    }
-
-    /// The single point where events enter the queue — both external
-    /// scheduling and the staged-send flush go through here.
-    #[inline]
-    fn push_event(&mut self, time: SimTime, seq: u64, dst: ActorId, msg: M) {
-        self.queue.push(Entry {
-            time,
-            seq,
-            dst,
-            msg,
-        });
+        self.queue.push(at, seq, dst, msg);
     }
 
     /// Schedule an event `delay` after the current time.
@@ -364,18 +367,15 @@ impl<M: 'static> Engine<M> {
             if self.events_processed >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
-            let Some((head_time, _)) = self.queue.peek_key() else {
-                return RunOutcome::QueueDrained;
-            };
-            if head_time > horizon {
+            // Fused peek + pop: one probe of the head per event.
+            let Some(node) = self.queue.pop_through(horizon) else {
+                if self.queue.len() == 0 {
+                    return RunOutcome::QueueDrained;
+                }
                 self.now = horizon;
                 return RunOutcome::HorizonReached;
-            }
-            let entry = self.queue.pop().expect("peeked entry vanished");
-            debug_assert!(entry.time >= self.now, "time went backwards");
-            self.now = entry.time;
-            self.events_processed += 1;
-            self.dispatch(entry);
+            };
+            self.dispatch(node);
         }
     }
 
@@ -401,19 +401,25 @@ impl<M: 'static> Engine<M> {
         if self.events_processed >= self.event_budget {
             return false;
         }
-        let Some(entry) = self.queue.pop() else {
+        let Some(node) = self.queue.pop_through(SimTime::MAX) else {
             return false;
         };
-        self.now = entry.time;
-        self.events_processed += 1;
-        self.dispatch(entry);
+        self.dispatch(node);
         true
     }
 
-    fn dispatch(&mut self, entry: Entry<M>) {
-        let idx = entry.dst.index();
+    /// Run the event in slab node `node`: its message moves out of the
+    /// slab (freeing the node for the handler's own sends) straight into
+    /// `Actor::handle`.
+    fn dispatch(&mut self, node: u32) {
+        let Link { time, seq, dst, .. } = self.queue.slab.link(node);
+        let msg = self.queue.slab.take(node);
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.events_processed += 1;
+        let idx = dst.index();
         // Temporarily move the actor out so it can borrow the engine's
-        // staging buffer and recorder without aliasing.
+        // slab and recorder without aliasing.
         let mut actor = match self.actors.get_mut(idx).and_then(Option::take) {
             Some(a) => a,
             // Messages to reserved-but-never-installed actors are dropped;
@@ -425,69 +431,62 @@ impl<M: 'static> Engine<M> {
             // event it is handling — the same lane whichever shard's
             // replica handles it.
             debug_assert!(
-                lane_of(entry.seq) % 2 == 1,
+                lane_of(seq) % 2 == 1,
                 "replicated actors may only receive actor-staged events"
             );
-            lane_of(entry.seq) + 1
+            lane_of(seq) + 1
         } else {
             2 * idx as u64 + 1
         };
-        {
-            let mut ctx = Ctx {
-                now: entry.time,
-                self_id: entry.dst,
-                event_seq: entry.seq,
-                out: &mut self.staging,
-                recorder: &mut self.recorder,
-                stop_requested: &mut self.stop_requested,
-            };
-            actor.handle(entry.time, entry.msg, &mut ctx);
-        }
+        let mut ctx = Ctx {
+            now: time,
+            self_id: dst,
+            event_seq: seq,
+            slab: &mut self.queue.slab,
+            staged: &mut self.staged,
+            recorder: &mut self.recorder,
+            stop_requested: &mut self.stop_requested,
+        };
+        actor.handle(time, msg, &mut ctx);
         self.actors[idx] = Some(actor);
         self.flush_staging(lane);
     }
 
-    /// Flush staged sends into the queue in submission order, keyed in
-    /// `lane`. The staging buffer is drained in place, so its capacity is
-    /// reused across dispatches and `Ctx::send_*` never reallocates in
-    /// steady state. Under a local mask (parallel run), sends to non-local
-    /// actors divert to the foreign buffer with their keys intact.
+    /// Key the staged nodes in `lane`, in submission order, and file them.
+    /// The index list is cleared in place, so its capacity is reused
+    /// across dispatches. Under a local mask (parallel run), sends to
+    /// non-local actors leave the slab for the foreign buffer with their
+    /// keys intact.
     fn flush_staging(&mut self, lane: u64) {
-        if self.staging.is_empty() {
-            return;
-        }
-        let base_seq = self.alloc_lane(lane, self.staging.len() as u64);
-        let mut staging = std::mem::take(&mut self.staging);
-        // The mask test is hoisted out of the loop: sequential runs (no
-        // mask) stay on a branch-free push path.
-        match &self.local_mask {
-            None => {
-                for (i, (time, dst, msg)) in staging.drain(..).enumerate() {
-                    self.queue.push(Entry {
-                        time,
-                        seq: base_seq + i as u64,
-                        dst,
-                        msg,
-                    });
+        if !self.staged.is_empty() {
+            let base_seq = self.alloc_lane(lane, self.staged.len() as u64);
+            // The mask test is hoisted out of the loop: sequential runs
+            // (no mask) stay on a branch-free filing path.
+            match &self.local_mask {
+                None => {
+                    for (i, &node) in self.staged.iter().enumerate() {
+                        self.queue.file(node, base_seq + i as u64);
+                    }
                 }
-            }
-            Some(mask) => {
-                for (i, (time, dst, msg)) in staging.drain(..).enumerate() {
-                    let entry = Entry {
-                        time,
-                        seq: base_seq + i as u64,
-                        dst,
-                        msg,
-                    };
-                    if mask[dst.index()] {
-                        self.queue.push(entry);
-                    } else {
-                        self.foreign.push(entry);
+                Some(mask) => {
+                    for (i, &node) in self.staged.iter().enumerate() {
+                        let seq = base_seq + i as u64;
+                        if mask[self.queue.slab.link(node).dst.index()] {
+                            self.queue.file(node, seq);
+                        } else {
+                            let entry = self.queue.take_entry(node);
+                            self.foreign.push(Entry { seq, ..entry });
+                        }
                     }
                 }
             }
+            self.staged.clear();
         }
-        self.staging = staging;
+        debug_assert_eq!(
+            self.queue.slab.in_use(),
+            self.queue.len(),
+            "a slab node is neither queued, staged nor free"
+        );
     }
 
     // ---- parallel-executor support (crate-internal) -------------------
@@ -505,14 +504,15 @@ impl<M: 'static> Engine<M> {
 
     /// Pop the earliest pending event, key and all.
     pub(crate) fn pop_entry(&mut self) -> Option<Entry<M>> {
-        self.queue.pop()
+        let node = self.queue.pop_through(SimTime::MAX)?;
+        Some(self.queue.take_entry(node))
     }
 
     /// Insert an event with a pre-assigned key (cross-shard delivery and
     /// shard splitting/rejoining; keys were allocated by `alloc_lane` on
     /// whichever engine staged the event).
     pub(crate) fn inject_entry(&mut self, entry: Entry<M>) {
-        self.queue.push(entry);
+        self.queue.push(entry.time, entry.seq, entry.dst, entry.msg);
     }
 
     /// Process every pending event strictly before `bound`, leaving `now`
@@ -520,14 +520,14 @@ impl<M: 'static> Engine<M> {
     /// event budgets) are not consulted — bounded-lag windows must drain
     /// deterministically (documented in `parallel`).
     pub(crate) fn run_window(&mut self, bound: SimTime) -> u64 {
+        let Some(last) = bound.0.checked_sub(1) else {
+            return 0;
+        };
         let mut n = 0;
         // Fused peek-min + pop: one queue probe per event instead of two.
-        while let Some(entry) = self.queue.pop_below(bound) {
-            debug_assert!(entry.time >= self.now, "time went backwards");
-            self.now = entry.time;
-            self.events_processed += 1;
+        while let Some(node) = self.queue.pop_through(SimTime(last)) {
             n += 1;
-            self.dispatch(entry);
+            self.dispatch(node);
         }
         n
     }
@@ -579,6 +579,12 @@ impl<M: 'static> Engine<M> {
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
+
+    /// Slab nodes ever allocated: the slab's high-water mark.
+    #[cfg(test)]
+    pub(crate) fn slab_nodes(&self) -> usize {
+        self.queue.slab.nodes()
+    }
 }
 
 #[cfg(test)]
@@ -589,8 +595,12 @@ mod tests {
     #[derive(Debug, PartialEq, Clone)]
     enum TestMsg {
         Ping(u32),
-        Relay { hops_left: u32 },
+        Relay {
+            hops_left: u32,
+        },
         StopNow,
+        /// Schedule a ping to self at the end of time.
+        Forever,
     }
 
     #[derive(Default)]
@@ -613,6 +623,7 @@ mod tests {
                     );
                 }
                 TestMsg::StopNow => ctx.request_stop(),
+                TestMsg::Forever => ctx.send_self_in(SimDuration::MAX, TestMsg::Ping(0)),
                 _ => {}
             }
             self.seen.push((now.nanos(), msg));
@@ -760,6 +771,113 @@ mod tests {
         eng.run_until(SimTime::MAX);
         let col: &Collector = eng.actor(a).unwrap();
         assert_eq!(col.seen[1].0, 100);
+    }
+
+    #[test]
+    fn event_at_end_of_time_is_reachable_on_both_queues() {
+        for kind in [QueueKind::Heap, QueueKind::Wheel] {
+            // A saturated `send_self_in(SimDuration::MAX)` parks an event at
+            // `SimTime::MAX`; a finite horizon must still return.
+            let mut eng: Engine<TestMsg> = Engine::new();
+            eng.set_queue_kind(kind);
+            let a = eng.add_actor(Box::new(Collector::default()));
+            eng.schedule(SimTime::ZERO, a, TestMsg::Forever);
+            assert_eq!(
+                eng.run_until(SimTime(1_000_000)),
+                RunOutcome::HorizonReached,
+                "{kind:?}"
+            );
+            assert_eq!(eng.peek_head(), Some((SimTime::MAX, 1 << LANE_SHIFT)));
+            // The inclusive horizon processes it.
+            assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
+            let col: &Collector = eng.actor(a).unwrap();
+            assert_eq!(col.seen.last(), Some(&(u64::MAX, TestMsg::Ping(0))));
+
+            let mut eng: Engine<TestMsg> = Engine::new();
+            eng.set_queue_kind(kind);
+            let a = eng.add_actor(Box::new(Collector::default()));
+            eng.schedule(SimTime::MAX, a, TestMsg::Ping(2));
+            eng.schedule(SimTime(5), a, TestMsg::Ping(1));
+            assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
+            let col: &Collector = eng.actor(a).unwrap();
+            assert_eq!(
+                col.seen,
+                vec![(5, TestMsg::Ping(1)), (u64::MAX, TestMsg::Ping(2))],
+                "{kind:?}"
+            );
+            assert_eq!(eng.now(), SimTime::MAX);
+        }
+    }
+
+    /// Relays itself `hops_left` times, 1 ns apart, and pings `to` on every
+    /// hop.
+    struct Spray {
+        to: ActorId,
+    }
+
+    impl Actor<TestMsg> for Spray {
+        fn handle(&mut self, _: SimTime, msg: TestMsg, ctx: &mut Ctx<'_, TestMsg>) {
+            if let TestMsg::Relay { hops_left } = msg {
+                ctx.send_now(self.to, TestMsg::Ping(hops_left));
+                if hops_left > 0 {
+                    let next = TestMsg::Relay {
+                        hops_left: hops_left - 1,
+                    };
+                    ctx.send_self_in(SimDuration(1), next);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undeliverable_events_give_their_nodes_back() {
+        let mut eng: Engine<TestMsg> = Engine::new();
+        let a = eng.reserve_actor();
+        let ghost = eng.reserve_actor();
+        eng.install(a, Box::new(Spray { to: ghost }));
+        eng.schedule(SimTime::ZERO, a, TestMsg::Relay { hops_left: 9_999 });
+        assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
+        assert_eq!(eng.events_processed(), 20_000);
+        assert!(eng.slab_nodes() <= 3, "slab grew to {}", eng.slab_nodes());
+    }
+
+    #[test]
+    fn foreign_sends_give_their_nodes_back() {
+        let mut eng: Engine<TestMsg> = Engine::new();
+        let a = eng.reserve_actor();
+        let remote = eng.reserve_actor();
+        eng.install(a, Box::new(Spray { to: remote }));
+        eng.set_local_mask(Some(vec![true, false]));
+        eng.schedule(SimTime::ZERO, a, TestMsg::Relay { hops_left: 9_999 });
+        let mut diverted = 0;
+        while eng.step() {
+            diverted += eng.take_foreign().count();
+        }
+        assert_eq!(diverted, 10_000);
+        assert!(eng.slab_nodes() <= 3, "slab grew to {}", eng.slab_nodes());
+    }
+
+    #[test]
+    fn set_queue_kind_mid_run_keeps_the_slab() {
+        let run = |switch: bool| {
+            let mut eng: Engine<TestMsg> = Engine::new();
+            let a = eng.add_actor(Box::new(Collector::default()));
+            for i in 0..200u32 {
+                let t = (i as u64 * 7_919) % 3_000_000;
+                eng.schedule(SimTime(t), a, TestMsg::Relay { hops_left: i % 5 });
+            }
+            eng.run_until(SimTime(1_000_000));
+            if switch {
+                let (nodes, queued) = (eng.slab_nodes(), eng.queue_len());
+                for kind in [QueueKind::Heap, QueueKind::Wheel] {
+                    eng.set_queue_kind(kind);
+                    assert_eq!((eng.slab_nodes(), eng.queue_len()), (nodes, queued));
+                }
+            }
+            eng.run_until(SimTime::MAX);
+            eng.actor::<Collector>(a).unwrap().seen.clone()
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

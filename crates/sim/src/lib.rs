@@ -17,9 +17,9 @@
 //!   lane-structured sequence numbers (per-actor staging streams; see
 //!   [`engine`]'s module docs).
 //! * **Sequential semantics, optional parallelism.** Actors need no
-//!   synchronization: the engine is single-threaded, and the bounded-lag
-//!   sharded executor in [`parallel`] reproduces the sequential run
-//!   bitwise while spreading shards across worker threads.
+//!   synchronization: each engine runs one handler at a time, and the
+//!   bounded-lag sharded executor in [`parallel`] reproduces the
+//!   sequential run bitwise while spreading shards across worker threads.
 //! * **Self-contained metrics.** A log-bucketed [`metrics::Histogram`],
 //!   [`metrics::TimeSeries`] and counters live in a shared
 //!   [`metrics::Recorder`], avoiding external metric dependencies.

@@ -43,6 +43,22 @@ pub struct LoadSnapshot {
     pub checksum: u32,
 }
 
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_PRIME^k` for `k = 0..=8`. A zero byte leaves FNV-1a's xor a no-op,
+/// `(h ^ 0) * P == h * P`, so a run of `k` zero bytes folds into one
+/// multiply by `P^k`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl LoadSnapshot {
     /// An all-zero snapshot measured at time zero.
     pub fn zero() -> Self {
@@ -62,15 +78,20 @@ impl LoadSnapshot {
     }
 
     /// FNV-1a over the content fields (everything except the seal
-    /// itself), folded to 32 bits. Never returns 0, so a sealed snapshot
-    /// is always distinguishable from an unsealed one.
+    /// itself), each as 8 little-endian bytes, folded to 32 bits. Never
+    /// returns 0, so a sealed snapshot is always distinguishable from an
+    /// unsealed one.
     pub fn content_checksum(&self) -> u32 {
-        const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
         let mut h = FNV_OFFSET;
         let mut eat = |v: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                h = (h ^ ((v >> shift) & 0xFF)).wrapping_mul(FNV_PRIME);
+            // Most words are small counters or unused CPU slots: their
+            // high zero bytes cost one multiply, not one each.
+            let len = 8 - (v.leading_zeros() / 8) as usize;
+            for i in 0..len {
+                h = (h ^ ((v >> (8 * i)) & 0xFF)).wrapping_mul(FNV_PRIME);
+            }
+            if len < 8 {
+                h = h.wrapping_mul(FNV_PRIME_POW[8 - len]);
             }
         };
         eat(self.measured_at.0);
@@ -285,6 +306,88 @@ mod tests {
         assert!(!skewed.checksum_ok());
         // Re-sealing after a legitimate producer-side edit restores it.
         assert!(skewed.sealed().checksum_ok());
+    }
+
+    /// The checksum as first written: FNV-1a one byte at a time.
+    fn bytewise_checksum(s: &LoadSnapshot) -> u32 {
+        let mut h = FNV_OFFSET;
+        let mut eat = |v: u64| {
+            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+                h = (h ^ ((v >> shift) & 0xFF)).wrapping_mul(FNV_PRIME);
+            }
+        };
+        eat(s.measured_at.0);
+        eat(s.cpu_util.to_bits());
+        eat(s.run_queue as u64);
+        eat(s.loadavg1.to_bits());
+        eat(s.nthreads as u64);
+        eat(s.mem_used_kb);
+        eat(s.net_kbps.to_bits());
+        eat(s.active_conns as u64);
+        for p in s.pending_irqs {
+            eat(p as u64);
+        }
+        for t in s.irq_total {
+            eat(t);
+        }
+        ((h ^ (h >> 32)) as u32).max(1)
+    }
+
+    #[test]
+    fn zero_byte_folding_matches_the_bytewise_checksum() {
+        let mut rng = fgmon_sim::DetRng::new(0xc5);
+        // Words of every significant length (0 to 8 bytes), with interior
+        // zero bytes, plus the edge values.
+        let edges = [
+            0,
+            1,
+            0xFF,
+            0x100,
+            u32::MAX as u64,
+            u64::MAX,
+            1 << 63,
+            (-0.0f64).to_bits(),
+            f64::NAN.to_bits(),
+            0x7FF8_0000_0000_0001,
+            f64::INFINITY.to_bits(),
+        ];
+        let word = |rng: &mut fgmon_sim::DetRng| {
+            if rng.chance(0.2) {
+                return edges[rng.index(edges.len())];
+            }
+            let bytes = rng.range_u64(0, 9);
+            let mut v = 0u64;
+            for i in 0..bytes {
+                if !rng.chance(0.3) {
+                    v |= rng.range_u64(1, 256) << (8 * i);
+                }
+            }
+            v
+        };
+        let mut snaps = vec![LoadSnapshot::zero(), busy_snapshot()];
+        for _ in 0..2_000 {
+            snaps.push(LoadSnapshot {
+                measured_at: SimTime(word(&mut rng)),
+                cpu_util: f64::from_bits(word(&mut rng)),
+                run_queue: word(&mut rng) as u32,
+                loadavg1: f64::from_bits(word(&mut rng)),
+                nthreads: word(&mut rng) as u32,
+                mem_used_kb: word(&mut rng),
+                net_kbps: f64::from_bits(word(&mut rng)),
+                active_conns: word(&mut rng) as u32,
+                pending_irqs: [(); MAX_CPUS].map(|_| word(&mut rng) as u32),
+                irq_total: [(); MAX_CPUS].map(|_| word(&mut rng)),
+                checksum: 0,
+            });
+        }
+        let mut all_ones = LoadSnapshot::zero();
+        all_ones.measured_at = SimTime::MAX;
+        all_ones.cpu_util = f64::from_bits(u64::MAX);
+        all_ones.irq_total = [u64::MAX; MAX_CPUS];
+        snaps.push(all_ones);
+        for s in &snaps {
+            assert_eq!(s.content_checksum(), bytewise_checksum(s), "{s:?}");
+        }
     }
 
     #[test]

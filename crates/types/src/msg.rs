@@ -260,6 +260,26 @@ mod tests {
         assert!(matches!(m, Msg::Net(NetMsg::RdmaRead { .. })));
     }
 
+    /// The engine moves every event's whole `Msg` at least twice: into
+    /// its queue slab node when sent, and out again into the handler.
+    #[test]
+    fn message_union_stays_small() {
+        let sizes = [
+            ("Msg", std::mem::size_of::<Msg>(), 160),
+            ("NodeMsg", std::mem::size_of::<NodeMsg>(), 152),
+            ("NetMsg", std::mem::size_of::<NetMsg>(), 160),
+        ];
+        for (name, size, limit) in sizes {
+            assert!(
+                size <= limit,
+                "{name} is {size} bytes, over its {limit}-byte budget: every event \
+                 moves the whole message union at least twice (into the queue slab \
+                 and out into the handler), so large data belongs out of line \
+                 (behind an Arc or Box, as SharedPayload does)"
+            );
+        }
+    }
+
     #[test]
     fn region_data_carries_snapshot() {
         let d = RegionData::Snapshot(LoadSnapshot::zero());
