@@ -8,7 +8,7 @@
 //! admit-time cross-check behind `fence_regressions`), and the registry
 //! only asserts over them. That keeps a check cheap enough to run every
 //! segment and — critically — identical under sequential and sharded
-//! execution, so verdicts can be compared bitwise across thread counts.
+//! execution, so verdicts can be compared bitwise across shard counts.
 
 use fgmon_cluster::ChaosWorld;
 use fgmon_core::MonitorFrontendService;

@@ -3,7 +3,7 @@
 //! FoundationDB-style simulation testing for the monitoring cluster:
 //! sample random fault schedules from a typed grammar, run each against
 //! the combined [`fgmon_cluster::chaos_world`] under both the sequential
-//! engine and the sharded parallel executor, evaluate a registry of
+//! engine and the sharded executor, evaluate a registry of
 //! cluster invariants at every segment boundary, and delta-debug any
 //! failing schedule down to a locally minimal, ready-to-commit
 //! reproducer.
@@ -21,7 +21,8 @@
 //!   time, and the availability floor for bounded schedules.
 //! * [`search`](mod@search) — [`run_schedule`]/[`search`](fn@search):
 //!   segmented execution with per-segment checks, sequential-vs-sharded
-//!   verdict equality, wall-clock budgeting, and shrink-on-failure.
+//!   verdict equality (the two legs run at once, one world per thread),
+//!   wall-clock budgeting, and shrink-on-failure.
 //! * [`shrink`](mod@shrink) — ddmin ([`shrink`](fn@shrink)) with a
 //!   verified 1-minimal postcondition ([`is_one_minimal`]).
 //! * [`report`] — reproducer snippets that replay the exact failing fate

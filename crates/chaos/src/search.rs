@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use fgmon_cluster::{chaos_world, ChaosWorld};
+use fgmon_cluster::{chaos_world, sweep_parallel, ChaosWorld};
 use fgmon_sim::SimDuration;
 use fgmon_types::RaceMode;
 
@@ -38,7 +38,7 @@ impl Default for RunConfig {
 }
 
 /// Everything observable about one schedule's run that must agree
-/// between thread counts.
+/// between shard counts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunVerdict {
     pub violations: Vec<Violation>,
@@ -57,9 +57,10 @@ impl RunVerdict {
     }
 }
 
-/// Execute one schedule at `threads` worker shards (1 = the sequential
-/// engine) and evaluate the invariant registry segment by segment.
-pub fn run_schedule(schedule: &Schedule, threads: usize, cfg: &RunConfig) -> RunVerdict {
+/// Execute one schedule on `shards` shards (1 = the sequential engine)
+/// and evaluate the invariant registry segment by segment. Every call
+/// builds, runs and drops its own world on the calling thread.
+pub fn run_schedule(schedule: &Schedule, shards: usize, cfg: &RunConfig) -> RunVerdict {
     let mut w = chaos_world(schedule.compile(), schedule.seed, cfg.race);
     let mut probe = InvariantProbe::new();
     let mut remaining = cfg.horizon;
@@ -69,10 +70,10 @@ pub fn run_schedule(schedule: &Schedule, threads: usize, cfg: &RunConfig) -> Run
         } else {
             cfg.segment
         };
-        if threads <= 1 {
+        if shards <= 1 {
             w.cluster.run_for(step);
         } else {
-            w.cluster.run_parallel(step, threads);
+            w.cluster.run_parallel(step, shards);
         }
         remaining = remaining - step;
         if remaining > SimDuration::ZERO {
@@ -172,9 +173,14 @@ pub struct SearchOutcome {
 }
 
 /// Run the chaos search: sample `cfg.schedules` schedules, execute each
-/// under the sequential engine *and* two worker shards, require verdict
+/// under the sequential engine *and* on two shards, require verdict
 /// equality, and shrink every sequential failure to a locally minimal
 /// reproducer.
+///
+/// A schedule's two legs are independent worlds, so they run at the same
+/// time, one per thread ([`sweep_parallel`]), and their verdicts are
+/// compared once both return. A panic in either leg reaches the caller
+/// with its own message.
 pub fn search(cfg: &SearchConfig) -> SearchOutcome {
     let mut planner = SchedulePlanner::new(cfg.seed, cfg.planner);
     let mut out = SearchOutcome::default();
@@ -189,8 +195,10 @@ pub fn search(cfg: &SearchConfig) -> SearchOutcome {
             }
         }
         let schedule = planner.next_schedule();
-        let sequential = run_schedule(&schedule, 1, &cfg.run);
-        let sharded = run_schedule(&schedule, 2, &cfg.run);
+        let legs = sweep_parallel(vec![1, 2], |&shards| {
+            run_schedule(&schedule, shards, &cfg.run)
+        });
+        let [sequential, sharded]: [RunVerdict; 2] = legs.try_into().expect("two legs");
         out.schedules_run += 1;
         out.total_checks += sequential.checks;
         if sequential != sharded {

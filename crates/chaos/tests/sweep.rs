@@ -1,6 +1,6 @@
 //! The clean-build chaos sweep: with no canary armed, a schedule sweep
 //! must report zero invariant violations, and every schedule's verdict
-//! must be identical under the sequential engine and two worker shards.
+//! must be identical under the sequential engine and on two shards.
 //!
 //! Schedule count scales with `FGMON_CHAOS_SCHEDULES` (CI smoke uses 64;
 //! the acceptance sweep runs 200 in release; the default keeps plain
@@ -109,4 +109,35 @@ fn wall_clock_budget_stops_the_sweep_early() {
     let out = search(&cfg);
     assert!(out.out_of_budget);
     assert_eq!(out.schedules_run, 0);
+}
+
+/// `search` runs each schedule's two legs at once, one world per thread;
+/// its outcome must be what running them one after the other gives.
+#[test]
+fn concurrent_legs_match_serial_legs() {
+    let cfg = SearchConfig {
+        schedules: 4,
+        seed: 0xC405_0003,
+        ..Default::default()
+    };
+    let out = search(&cfg);
+    let mut planner = SchedulePlanner::new(cfg.seed, cfg.planner);
+    let (mut total_checks, mut divergences, mut failing) = (0, Vec::new(), Vec::new());
+    for index in 0..cfg.schedules {
+        let schedule = planner.next_schedule();
+        let sequential = run_schedule(&schedule, 1, &cfg.run);
+        let sharded = run_schedule(&schedule, 2, &cfg.run);
+        total_checks += sequential.checks;
+        if sequential != sharded {
+            divergences.push(index);
+        } else if sequential.failed() {
+            failing.push(index);
+        }
+    }
+    assert!(total_checks > 0, "the registry must actually run");
+    assert_eq!(out.schedules_run, cfg.schedules);
+    assert_eq!(out.total_checks, total_checks);
+    assert_eq!(out.divergences, divergences);
+    let failed: Vec<usize> = out.failures.iter().map(|f| f.index).collect();
+    assert_eq!(failed, failing);
 }

@@ -262,7 +262,8 @@ impl Cluster {
         self.eng.run_for(dur)
     }
 
-    /// Run for `dur` of virtual time across `threads` worker shards.
+    /// Run for `dur` of virtual time split across `shards` shards, which
+    /// step one at a time on the calling thread.
     ///
     /// Bitwise identical to [`Cluster::run_for`]: nodes are grouped
     /// onto shards by communication affinity (a greedy partition of the
@@ -273,13 +274,16 @@ impl Cluster {
     /// derived from the same chatter edges, so a shard's watermark only
     /// waits on shards it actually exchanges events with. Falls back to
     /// the sequential engine when fewer than two shards are possible.
-    pub fn run_parallel(&mut self, dur: SimDuration, threads: usize) -> RunOutcome {
+    /// Sharding buys no speed on its own (see `fgmon_sim::parallel`); it
+    /// exists so the chaos search and the equivalence suites can check
+    /// the sharded protocol against the sequential engine.
+    pub fn run_parallel(&mut self, dur: SimDuration, shards: usize) -> RunOutcome {
         let lookahead = self
             .eng
             .actor::<Fabric>(self.fabric)
             .expect("fabric actor")
             .lookahead();
-        let shards = threads.min(self.nodes.len());
+        let shards = shards.min(self.nodes.len());
         if shards < 2 || lookahead == SimDuration::ZERO {
             return self.run_for(dur);
         }

@@ -5,8 +5,15 @@
 //! width), no shared state, deterministic per-point seeds. Results return
 //! in input order regardless of completion order.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 /// Run `f` over every item of `points` in parallel and return the results
 /// in input order. `f` must be deterministic given its input.
+///
+/// # Panics
+/// If `f` panics on any point, every other point still runs, and then
+/// the lowest-indexed panicking point's own panic is re-raised here.
 pub fn sweep_parallel<P, R, F>(points: Vec<P>, f: F) -> Vec<R>
 where
     P: Sync,
@@ -21,8 +28,8 @@ where
         .map(|n| n.get())
         .unwrap_or(4)
         .min(points.len().max(1));
-    let results: Vec<std::sync::Mutex<Option<R>>> =
-        points.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    type Slot<R> = std::sync::Mutex<Option<Result<R, Box<dyn Any + Send>>>>;
+    let results: Vec<Slot<R>> = points.iter().map(|_| std::sync::Mutex::new(None)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
 
     // lint: thread-spawn — see above: engine-per-thread, results joined
@@ -36,7 +43,9 @@ where
                 if i >= points.len() {
                     break;
                 }
-                let r = f(&points[i]);
+                // A panic stays with its point, so the caller sees the
+                // point's own message rather than the scope's generic one.
+                let r = catch_unwind(AssertUnwindSafe(|| f(&points[i])));
                 *results[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
@@ -45,9 +54,14 @@ where
     results
         .into_iter()
         .map(|m| {
-            m.into_inner()
+            match m
+                .into_inner()
                 .expect("result slot poisoned")
                 .expect("worker filled every slot")
+            {
+                Ok(r) => r,
+                Err(payload) => resume_unwind(payload),
+            }
         })
         .collect()
 }
@@ -73,5 +87,14 @@ mod tests {
     fn empty_sweep() {
         let out: Vec<u32> = sweep_parallel(Vec::<u32>::new(), |_| 0);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "point 3 exploded")]
+    fn point_panic_reaches_the_caller() {
+        let _ = sweep_parallel((0..8u32).collect(), |&p| {
+            assert!(p != 3 && p != 6, "point {p} exploded");
+            p
+        });
     }
 }

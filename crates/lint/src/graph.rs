@@ -51,10 +51,11 @@ pub fn reach_root(name: &str, owner: Option<&str>) -> bool {
 
 /// Roots of the *event path* for the allow-reentry check: the per-event
 /// dispatch machinery and service handlers. Narrower than
-/// [`reach_root`]: `Cluster::run_parallel` is excluded on purpose — the
-/// sharded executor's scoped threads are a sanctioned home, and the
-/// check asks whether sanctioned primitives leak back into per-event
-/// code, not whether the executor uses them.
+/// [`reach_root`]: `Cluster::run_parallel` is excluded on purpose — it
+/// splits and rejoins shards around the per-event path (sharing the race
+/// detector among fabric replicas, a sanctioned home), and the check asks
+/// whether sanctioned primitives leak back into per-event code, not
+/// whether set-up and tear-down use them.
 pub fn event_root(name: &str, owner: Option<&str>) -> bool {
     if name.starts_with("on_") {
         return true;

@@ -676,26 +676,22 @@ let v = std::env::var_os(\"FGMON_X\");
                 "{narrow} must fire"
             );
         }
-        // The executor and the sweep runner are the sanctioned homes.
-        let src = "let heads: Vec<AtomicU64> = Vec::new();";
-        assert!(scan_source("crates/sim/src/parallel.rs", src).is_empty());
+        // The sweep runner and the race detector are the sanctioned
+        // homes, and *only* they: the identical line anywhere else still
+        // fires.
+        let src = "let next = AtomicUsize::new(0); let slot = Mutex::new(None);";
         assert!(scan_source("crates/cluster/src/sweep.rs", src).is_empty());
-        assert!(!scan_source("crates/net/src/fabric.rs", src).is_empty());
-        // The watermark executor's primitives — per-shard AtomicU64
-        // watermarks and the mailbox's AtomicBool fast-path flag — are
-        // sanctioned in the executor, and *only* there: the identical
-        // line anywhere else still fires.
-        let watermark = "let wm = AtomicU64::new(0); let has_mail = AtomicBool::new(false);";
-        assert!(scan_source("crates/sim/src/parallel.rs", watermark).is_empty());
+        assert!(scan_source("crates/types/src/race.rs", src).is_empty());
         for stray in [
             "crates/cluster/src/builder.rs",
+            "crates/net/src/fabric.rs",
             "crates/sim/src/engine.rs",
             "crates/sim/src/queue.rs",
         ] {
-            let findings = scan_source(stray, watermark);
+            let findings = scan_source(stray, src);
             assert!(
                 !findings.is_empty() && findings.iter().all(|f| f.rule == "sync-primitive"),
-                "stray executor atomics in {stray} must fire sync-primitive, got {findings:?}"
+                "stray primitives in {stray} must fire sync-primitive, got {findings:?}"
             );
         }
         // A justified suppression is honored anywhere...
@@ -714,6 +710,24 @@ let slot = Mutex::new(None);
         // Token boundaries: `MutexGuard`-like lookalikes in *other* words
         // do not fire.
         assert!(rules_hit("fn mpscale(x: f64) -> f64 { x }").is_empty());
+    }
+
+    #[test]
+    fn sharded_executor_sync_primitives_are_findings() {
+        // The sharded executor steps its shards on one thread, so a lock
+        // or an atomic there is a finding like anywhere else in the
+        // simulator.
+        for src in [
+            "let slot = Mutex::new(MailSlot::default());",
+            "let wm = AtomicU64::new(0);",
+        ] {
+            let findings = scan_source("crates/sim/src/parallel.rs", src);
+            assert_eq!(
+                findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
+                vec!["sync-primitive"],
+                "{src}"
+            );
+        }
     }
 
     #[test]
@@ -742,10 +756,10 @@ use std::collections::HashMap;
 
     #[test]
     fn allow_path_reentered_from_event_path_is_reported() {
-        let executor = SourceFile {
-            label: "crates/sim/src/parallel.rs".into(),
+        let sweeps = SourceFile {
+            label: "crates/cluster/src/sweep.rs".into(),
             source: "\
-pub fn run_sharded() { let m = Mutex::new(0); }
+pub fn sweep_parallel() { let m = Mutex::new(0); }
 pub fn merge_locked(x: u64) -> u64 { let g = Mutex::new(x); x }
 "
             .into(),
@@ -754,12 +768,12 @@ pub fn merge_locked(x: u64) -> u64 { let g = Mutex::new(x); x }
             label: "crates/sim/src/engine.rs".into(),
             source: "impl Engine { pub fn step(&mut self) { merge_locked(1); } }".into(),
         };
-        let findings = analyze(&[executor, engine], &ScanOptions::default());
-        // run_sharded is allow-path'd and never called from the event
+        let findings = analyze(&[sweeps, engine], &ScanOptions::default());
+        // sweep_parallel is allow-path'd and never called from the event
         // path: clean. merge_locked is re-entered from Engine::step.
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "allow-reentry");
-        assert_eq!(findings[0].path, "crates/sim/src/parallel.rs");
+        assert_eq!(findings[0].path, "crates/cluster/src/sweep.rs");
         assert_eq!(findings[0].line, 2);
     }
 

@@ -83,17 +83,13 @@ pub const RULES: &[Rule] = &[
             "parking_lot",
             "crossbeam",
         ],
-        allow_paths: &[
-            "crates/sim/src/parallel.rs",
-            "crates/cluster/src/sweep.rs",
-            "crates/types/src/race.rs",
-        ],
+        allow_paths: &["crates/cluster/src/sweep.rs", "crates/types/src/race.rs"],
         suggestion: "determinism comes from the engine's total event order, \
                      not from locks; actors already run with exclusive \
                      access. Shared-memory coordination belongs only to the \
-                     sharded executor (`sim/parallel.rs`), the sweep runner, \
-                     and the race detector (`types/race.rs`), or behind a \
-                     justified `// lint: sync-primitive` comment",
+                     sweep runner (`cluster/sweep.rs`) and the race detector \
+                     (`types/race.rs`), or behind a justified \
+                     `// lint: sync-primitive` comment",
     },
     Rule {
         id: "interior-mutability",
@@ -101,10 +97,10 @@ pub const RULES: &[Rule] = &[
         needles: &["Cell", "RefCell", "UnsafeCell", "OnceCell", "LazyCell"],
         allow_paths: &[],
         suggestion: "state mutated through a shared handle hides write order \
-                     from the event trace and breaks shard hand-off (cells \
-                     are not Sync and cannot cross the sharded executor); \
-                     thread state through `&mut` on the actor, or justify \
-                     with a `// lint: interior-mutability` comment",
+                     from the event trace and breaks shard hand-off (a handle \
+                     shared by two shards carries writes past the keyed \
+                     mailboxes); thread state through `&mut` on the actor, \
+                     or justify with a `// lint: interior-mutability` comment",
     },
     Rule {
         id: "unsafe-block",

@@ -23,9 +23,11 @@ fn seed_tree(name: &str, source: &str) -> PathBuf {
     root
 }
 
-/// Build a fake workspace from (workspace-relative path, content) pairs.
+/// Build a fake workspace from (workspace-relative path, content) pairs,
+/// replacing whatever an earlier run seeded under the same name.
 fn seed_files(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
     for (rel, content) in files {
         let path = root.join(rel);
         std::fs::create_dir_all(path.parent().unwrap()).expect("create seeded tree");
@@ -187,12 +189,12 @@ fn each_new_rule_family_fires_with_exact_line() {
                 "// lint: wall-clock — the Instant this justified is long gone\npub fn fine() -> u32 {\n    1\n}\n",
             ),
             (
-                "crates/sim/src/parallel.rs",
-                "pub fn shard_merge(v: u64) -> u64 {\n    let _m = std::sync::Mutex::new(v);\n    v\n}\n",
+                "crates/cluster/src/sweep.rs",
+                "pub fn sweep_merge(v: u64) -> u64 {\n    let _m = std::sync::Mutex::new(v);\n    v\n}\n",
             ),
             (
                 "crates/sim/src/engine.rs",
-                "pub struct Engine;\nimpl Engine {\n    pub fn step(&mut self) {\n        shard_merge(1);\n    }\n}\n",
+                "pub struct Engine;\nimpl Engine {\n    pub fn step(&mut self) {\n        sweep_merge(1);\n    }\n}\n",
             ),
         ],
     );
@@ -203,9 +205,9 @@ fn each_new_rule_family_fires_with_exact_line() {
         ("interior-mutability", "crates/sim/src/cell.rs", 2),
         ("unsafe-block", "crates/sim/src/unsafe_peek.rs", 2),
         ("stale-suppression", "crates/sim/src/stale.rs", 1),
-        // `shard_merge` uses the sanctioned Mutex in an allow-path file,
+        // `sweep_merge` uses the sanctioned Mutex in an allow-path file,
         // but `Engine::step` re-enters it from the event path.
-        ("allow-reentry", "crates/sim/src/parallel.rs", 1),
+        ("allow-reentry", "crates/cluster/src/sweep.rs", 1),
     ];
     for (rule, path, line) in expect {
         assert!(
@@ -221,7 +223,7 @@ fn each_new_rule_family_fires_with_exact_line() {
         );
     }
     // No other rule families fire on this tree (the raw Mutex match in
-    // parallel.rs stays allow-path'd).
+    // sweep.rs stays allow-path'd).
     let mut seen: Vec<&str> = findings.iter().map(|f| f.rule).collect();
     seen.sort_unstable();
     seen.dedup();

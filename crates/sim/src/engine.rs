@@ -72,9 +72,8 @@ impl ActorId {
 /// [`Actor::handle`] with exclusive access, so no internal locking is ever
 /// needed. The `Any` supertrait lets experiment harnesses downcast actors
 /// back to their concrete types to extract results after a run. The `Send`
-/// supertrait lets the parallel executor move whole shards (actors and
-/// their pending events) onto worker threads — actors still never run
-/// concurrently with anything that can observe them.
+/// supertrait keeps whole engines `Send`, so a harness may run
+/// independent worlds on threads of its own.
 pub trait Actor<M>: Any + Send {
     /// Handle one event addressed to this actor at virtual time `now`.
     fn handle(&mut self, now: SimTime, msg: M, ctx: &mut Ctx<'_, M>);
@@ -515,21 +514,23 @@ impl<M: 'static> Engine<M> {
         self.queue.push(entry.time, entry.seq, entry.dst, entry.msg);
     }
 
-    /// Process every pending event strictly before `bound`, leaving `now`
-    /// at the last processed event. Termination flags (stop requests,
-    /// event budgets) are not consulted — bounded-lag windows must drain
+    /// Process every pending event at or before `last`, leaving `now` at
+    /// the last processed event. Termination flags (stop requests, event
+    /// budgets) are not consulted — bounded-lag windows must drain
     /// deterministically (documented in `parallel`).
-    pub(crate) fn run_window(&mut self, bound: SimTime) -> u64 {
-        let Some(last) = bound.0.checked_sub(1) else {
-            return 0;
-        };
-        let mut n = 0;
+    pub(crate) fn run_window(&mut self, last: SimTime) {
         // Fused peek-min + pop: one queue probe per event instead of two.
-        while let Some(node) = self.queue.pop_through(SimTime(last)) {
-            n += 1;
+        while let Some(node) = self.queue.pop_through(last) {
             self.dispatch(node);
         }
-        n
+    }
+
+    /// Process the earliest pending event alone, whatever its time, and
+    /// ignoring termination flags like `run_window`.
+    pub(crate) fn run_next(&mut self) {
+        if let Some(node) = self.queue.pop_through(SimTime::MAX) {
+            self.dispatch(node);
+        }
     }
 
     /// Restrict staged sends to local destinations (see `flush_staging`).

@@ -16,10 +16,11 @@
 //! * **Deterministic ordering.** Ties at equal timestamps are broken by
 //!   lane-structured sequence numbers (per-actor staging streams; see
 //!   [`engine`]'s module docs).
-//! * **Sequential semantics, optional parallelism.** Actors need no
+//! * **Sequential semantics, optional sharding.** Actors need no
 //!   synchronization: each engine runs one handler at a time, and the
-//!   bounded-lag sharded executor in [`parallel`] reproduces the
-//!   sequential run bitwise while spreading shards across worker threads.
+//!   bounded-lag sharded executor in [`parallel`] splits a world into
+//!   shards, steps them on the calling thread, and reproduces the
+//!   sequential run bitwise.
 //! * **Self-contained metrics.** A log-bucketed [`metrics::Histogram`],
 //!   [`metrics::TimeSeries`] and counters live in a shared
 //!   [`metrics::Recorder`], avoiding external metric dependencies.

@@ -1,10 +1,10 @@
 //! Conservative parallel discrete-event execution (bounded-lag PDES)
-//! with asynchronous safe-time watermarks.
+//! with safe-time watermarks, stepped on the calling thread.
 //!
-//! [`run_sharded`] partitions an [`Engine`]'s actors across worker
-//! shards — each owning its own timing-wheel queue — and lets every
-//! shard advance *independently* as far as its neighbors' published
-//! promises allow. There is no global barrier: shard `s` publishes a
+//! [`run_sharded`] partitions an [`Engine`]'s actors across shards —
+//! each owning its own timing-wheel queue — and steps the shards one at
+//! a time, round-robin, each as far as its neighbors' published promises
+//! allow. There is no global barrier: shard `s` publishes a
 //! monotonically increasing watermark `W_s` (a lower bound on the time
 //! of any event it will ever process again) and, per in-neighbor `p`, a
 //! floor `excl[s][p]` on its own future processing that leaves out the
@@ -21,10 +21,10 @@
 //!
 //! At the start of a step, shard `s` reads each destination's count of
 //! batches drained from `s`, then, for each in-neighbor `p`, `W_p` and
-//! `excl[p][s]` (all Acquire). Batches `s` deposited to `p` that the
-//! count does not cover are still in flight; `infl` is the earliest key
-//! time among them. After draining its own mailboxes, with local head
-//! `h`, `s` bounds every key `p` will send it from now on by
+//! `excl[p][s]`. Batches `s` deposited to `p` that the count does not
+//! cover are still in flight; `infl` is the earliest key time among
+//! them. After draining its own mailboxes, with local head `h`, `s`
+//! bounds every key `p` will send it from now on by
 //!
 //! ```text
 //! B_p = max(W_p + L, min(excl[p][s], infl, h + L, min_{q≠p} W_q + 2L) + L)
@@ -33,14 +33,33 @@
 //! (`q` ranging over `s`'s other in-neighbors), processes every event
 //! below `min_p B_p`, and then publishes, for each `p`,
 //! `excl[s][p] = min(h', min_{q≠p} B_q)` (`h'` its head after the
-//! window) *before* its count of batches drained from `p`, and finally
-//! `W_s = min(h', min_p B_p)` (all Release). On two shards with no
-//! third in-neighbor, an idle pair of shards thus jumps straight to the
-//! next event instead of passing watermarks forward by `L` per step.
+//! window), its count of batches drained from `p`, and finally
+//! `W_s = min(h', min_p B_p)`. On two shards with no third in-neighbor,
+//! an idle pair of shards thus jumps straight to the next event instead
+//! of passing watermarks forward by `L` per step.
+//!
+//! ## Leaping idle gaps: the consistent cut
+//!
+//! With three or more shards, each floor waits on a neighbor's, which
+//! waits on a third's, so on their own the promises would crawl forward
+//! by about `L` per step across an idle gap. Because one thread steps
+//! every shard, the executor can see the whole run at once instead.
+//! Once every shard has stepped since an event last ran anywhere, every
+//! batch deposited to a shard short of the horizon has been drained,
+//! and no shard can run its head. The earliest pending key `T` then
+//! precedes every event still to come, and no mail can land before
+//! `T + L`, so the executor raises every watermark and floor to `T`.
+//! The shard holding `T` runs it on its next step. If `T` lies past the
+//! horizon, the run is over.
+//!
+//! An event at `SimTime::MAX` leaves no lookahead: a send from it
+//! saturates back to `SimTime::MAX`. The executor runs such events one at
+//! a time, the earliest key first, as the sequential engine does, so an
+//! inclusive horizon of `SimTime::MAX` reaches them too.
 //!
 //! ## Determinism argument
 //!
-//! A parallel run is bitwise identical to a sequential run because the
+//! A sharded run is bitwise identical to a sequential run because the
 //! two assign identical keys to identical events, and key order is the
 //! only order either engine honors:
 //!
@@ -49,21 +68,19 @@
 //!    actor's deterministic handling stream. Since every actor processes
 //!    the same events in the same order whichever shard hosts it, every
 //!    staged event gets the same key in any execution.
-//! 2. **Visibility.** A shard publishes only after depositing its
-//!    window's mail, and reads its neighbors' values before draining. A
-//!    read of `W_p` or `excl[p][s]` synchronizes with `p`'s store, so
-//!    every batch `p` deposited before that store is drained in this
-//!    step; mail still to come is sent by events `p` handles after both
-//!    stores.
+//! 2. **One step at a time.** Only one shard steps at a time, so a step
+//!    reads what each neighbor published at the end of its last step,
+//!    and drains every batch that neighbor deposited before publishing.
+//!    Mail still to come is sent by events the neighbor handles later.
 //! 3. **No event is processed early.** Such an event lies at least `L`
 //!    before the key it sends. It is at or after `W_p`, which gives the
 //!    first term, and it has one of three causes:
-//!    * work `p` held at the `excl` store — its queue and every other
-//!      in-neighbor's undrained mail — at or after `excl[p][s]`;
-//!    * a batch from `s` that `p` had not drained at that store, at or
-//!      after `infl`. The count is stored after the floor and loaded
-//!      before it, so the floor read is at least as new as the count
-//!      read, and every batch the count leaves out feeds `infl`;
+//!    * work `p` held when it published `excl[p][s]` — its queue and
+//!      every other in-neighbor's undrained mail — at or after that floor;
+//!    * a batch from `s` that `p` had not drained when it published, at
+//!      or after `infl`: the count and the floor `s` reads come from the
+//!      same step of `p`, and every batch the count leaves out feeds
+//!      `infl`;
 //!    * mail `s` sends from now on, whose key is at or after `h + L` if
 //!      it comes from `s`'s queue, `W_q + 2L` if it answers a third
 //!      in-neighbor `q`, and `B_p + L` if it answers mail from `p` —
@@ -72,38 +89,39 @@
 //!    So a key below some shard's bound needs an earlier key below a
 //!    bound first, and the earliest such key cannot exist. (Replicated
 //!    actors — the fabric — are the reason node→fabric sends are exempt:
-//!    those are same-instant sends to a local replica.)
-//! 4. **Progress.** `B_p ≥ W_p + L`, so suppose every shard is stuck:
-//!    each `W_s` equals `min_p(W_p) + L`. The globally minimal
-//!    watermark would then have to exceed itself by `L > 0` — a
-//!    contradiction — so some shard can always either raise its
-//!    watermark or process its head event.
+//!    those are same-instant sends to a local replica.) The consistent
+//!    cut only raises promises to values every future event respects.
+//! 4. **Progress.** After a cut below `SimTime::MAX`, the shard holding
+//!    `T` reads at least one raised watermark (its last bound did not
+//!    pass `T`, so some `W_p + L ≤ T`) and runs `T`. So of any two
+//!    rounds in a row in which every shard steps, one runs an event or
+//!    ends the run; otherwise the executor panics with a stall.
 //!
 //! The caller supplies per-shard replicas of actors that logically exist
 //! on every shard (the fabric: pure routing + additive counters) and
 //! merges their state afterwards; see `ShardPlan::REPLICATED`.
 //!
-//! ## Execution modes
+//! ## Why the shards share one thread
 //!
-//! * [`run_sharded`] — picks the driver for the host: one worker thread
-//!   per shard when more than one core is available, otherwise the
-//!   cooperative driver (one core cannot overlap shards; preemptive
-//!   interleaving would only add context switches to the identical
-//!   protocol). If an actor panics on a worker thread, the other workers
-//!   stop and the original panic is re-raised on the calling thread.
-//! * [`run_sharded_cooperative`] — steps shards one at a time on the
-//!   calling thread in an arbitrary caller-chosen order; any order
-//!   yields the bitwise-identical result (the equivalence proptests
-//!   drive this with random schedules).
+//! Two shards could only overlap while their next events lie within one
+//! lookahead of each other. The shipped worlds' lookahead is the 4 µs
+//! wire latency, and the densest of them, `big_cluster(256)` on two
+//! shards, holds about 0.6 events per lookahead per shard, so on real
+//! cores the windows alternate and each handoff crosses cores for
+//! nothing (DESIGN.md §12.2). Parallelism pays across independent worlds
+//! instead: the chaos search runs each schedule's sequential and sharded
+//! legs at once, one world per thread.
 //!
-//! Both drivers run the same step, so both leap idle gaps the same way.
+//! * [`run_sharded`] steps the shards round-robin.
+//! * [`run_sharded_cooperative`] steps them in a caller-chosen order;
+//!   any order yields the bitwise-identical result (the equivalence
+//!   proptests drive it with random schedules).
+//!
 //! Windows ignore `Ctx::request_stop` and event budgets — bounded-lag
 //! windows must drain deterministically. Worlds driven through the
-//! parallel path use plain horizons (all shipped scenarios do).
+//! sharded path use plain horizons (all shipped scenarios do).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::engine::{Actor, ActorId, Engine};
 use crate::queue::Entry;
@@ -115,7 +133,7 @@ use crate::time::{SimDuration, SimTime};
 pub struct ShardPlan {
     /// `shard_of[actor.index()]`: owning shard, or [`ShardPlan::REPLICATED`].
     pub shard_of: Vec<u16>,
-    /// Number of shards (worker threads).
+    /// Number of shards.
     pub shards: usize,
     /// Directed shard→shard channels: `channels[s]` lists the shards
     /// that may send cross-shard events *to* shard `s` (its
@@ -251,40 +269,21 @@ pub struct ReplicaSet<M> {
 /// back through `spare`, so steady state recycles the same few `Vec`s
 /// forever instead of allocating per window (let alone per event).
 struct MailChannel<M> {
-    /// Cheap "anything deposited?" probe so idle polls skip the lock.
-    has_mail: AtomicBool,
-    slot: Mutex<MailSlot<M>>,
-}
-
-struct MailSlot<M> {
     /// Deposited batches awaiting the receiver.
     full: Vec<Vec<Entry<M>>>,
     /// Drained buffers awaiting reuse by the sender.
     spare: Vec<Vec<Entry<M>>>,
 }
 
-impl<M> MailChannel<M> {
-    fn fresh() -> Self {
-        MailChannel {
-            has_mail: AtomicBool::new(false),
-            slot: Mutex::new(MailSlot {
-                full: Vec::new(),
-                spare: Vec::new(),
-            }),
-        }
-    }
-}
-
-/// State shared by every shard of one parallel run.
+/// What every shard of one run publishes to the others.
 struct Shared<M> {
     /// `watermarks[s]`: shard `s`'s published safe-time floor. Monotone.
-    watermarks: Vec<AtomicU64>,
+    watermarks: Vec<u64>,
     /// `excl[s * shards + p]`: shard `s`'s floor on its own future
     /// processing, leaving out the mail from `p` it has not drained.
-    excl: Vec<AtomicU64>,
+    excl: Vec<u64>,
     /// `drained[s * shards + p]`: batches shard `s` has drained from `p`.
-    /// Always stored after the `excl` entry that accounts for them.
-    drained: Vec<AtomicU64>,
+    drained: Vec<u64>,
     /// `chans[dst][src]`: the directed mailbox channel src→dst.
     chans: Vec<Vec<MailChannel<M>>>,
     /// `in_nbrs[s]`: shards whose mail bounds `s`'s window.
@@ -292,24 +291,15 @@ struct Shared<M> {
     /// `out_ok[src * shards + dst]`: channel declared by the plan.
     out_ok: Vec<bool>,
     lookahead: u64,
-    /// Exclusive event-time bound (`horizon + 1`).
-    bound: u64,
-    /// The first shard whose worker panicked, or [`NO_ABORT`]. Workers
-    /// stop stepping once it is set.
-    abort: AtomicUsize,
+    /// The last instant the run processes (inclusive).
+    horizon: u64,
 }
 
-const NO_ABORT: usize = usize::MAX;
-
-/// Shard `s`'s view of one in-neighbor `p` (thread-private).
+/// Shard `s`'s view of one in-neighbor `p`.
 struct InLink {
     p: usize,
     /// Batches drained from `p` so far.
     drained: u64,
-    /// The drained count last published to `p`.
-    acked: u64,
-    /// The floor last published to `p`.
-    excl: u64,
     /// This step's read of `W_p`.
     wm: u64,
     /// This step's `min(excl[p][s], infl)`.
@@ -318,7 +308,7 @@ struct InLink {
     bound: u64,
 }
 
-/// Shard `s`'s side of the channel to one destination (thread-private).
+/// Shard `s`'s side of the channel to one destination.
 struct OutLink<M> {
     /// Staging buffer for the current window's flush.
     outbox: Vec<Entry<M>>,
@@ -329,22 +319,19 @@ struct OutLink<M> {
     unacked: VecDeque<u64>,
 }
 
-/// Per-shard worker bookkeeping (thread-private).
+/// Per-shard bookkeeping.
 struct ShardWorker<M> {
     s: usize,
     ins: Vec<InLink>,
     /// Indexed by destination shard.
     outs: Vec<OutLink<M>>,
-    /// Last published watermark (avoids redundant stores).
-    watermark: u64,
     /// The local head the last bounds were computed with.
     head: Option<u64>,
-    done: bool,
 }
 
 impl<M> ShardWorker<M> {
     fn new(s: usize, sh: &Shared<M>) -> Self {
-        let start = sh.watermarks[s].load(Ordering::Relaxed);
+        let start = sh.watermarks[s];
         ShardWorker {
             s,
             ins: sh.in_nbrs[s]
@@ -352,8 +339,6 @@ impl<M> ShardWorker<M> {
                 .map(|&p| InLink {
                     p,
                     drained: 0,
-                    acked: 0,
-                    excl: start,
                     wm: start,
                     floor: start,
                     bound: start,
@@ -366,9 +351,7 @@ impl<M> ShardWorker<M> {
                     unacked: VecDeque::new(),
                 })
                 .collect(),
-            watermark: start,
             head: None,
-            done: false,
         }
     }
 }
@@ -406,63 +389,62 @@ impl MinBut {
     }
 }
 
+/// What one step did.
+enum Progress {
+    /// Nothing new: no mail, no events, no promise raised.
+    Idle,
+    /// Mail drained or a promise raised, but no event ran.
+    Moved,
+    /// Events ran.
+    Ran,
+}
+
 /// One protocol step for shard `s`: read the neighbors' promises, drain
 /// inbound mail, bound the mail still to come, process the safe window,
-/// flush outbound batches, and republish (see the module docs). Returns
-/// whether anything changed: mail drained, events run, or a promise
-/// raised.
-fn step<M: Send + 'static>(
+/// flush outbound batches, and republish (see the module docs).
+fn step<M: 'static>(
     se: &mut Engine<M>,
     w: &mut ShardWorker<M>,
-    sh: &Shared<M>,
+    sh: &mut Shared<M>,
     shard_of: &[u16],
-) -> bool {
-    if w.done {
-        return false;
-    }
+) -> Progress {
     let (s, shards, l) = (w.s, sh.watermarks.len(), sh.lookahead);
-    // Retire the batches each destination has counted as drained. Every
-    // count is loaded before the floor it pairs with below.
+    if sh.watermarks[s] > sh.horizon {
+        return Progress::Idle;
+    }
+    // Retire the batches each destination has counted as drained.
     for (d, out) in w.outs.iter_mut().enumerate() {
         if !out.unacked.is_empty() {
-            let acked = sh.drained[d * shards + s].load(Ordering::Acquire);
-            let pending = (out.sent - acked) as usize;
+            let pending = (out.sent - sh.drained[d * shards + s]) as usize;
             out.unacked.drain(..out.unacked.len() - pending);
         }
     }
-    // Read promises *before* draining mail: the Acquire loads
-    // synchronize with the neighbor's Release publishes, so every batch
-    // deposited before the values we read is visible to the drain below.
     let mut changed = false;
     for link in w.ins.iter_mut() {
-        let wm = sh.watermarks[link.p].load(Ordering::Acquire);
-        let excl = sh.excl[link.p * shards + s].load(Ordering::Acquire);
+        let wm = sh.watermarks[link.p];
+        let excl = sh.excl[link.p * shards + s];
         let infl = w.outs[link.p].unacked.iter().copied().min();
         let floor = excl.min(infl.unwrap_or(u64::MAX));
         changed |= (wm, floor) != (link.wm, link.floor);
         (link.wm, link.floor) = (wm, floor);
     }
-    let mut advanced = false;
+    let mut moved = false;
     for link in w.ins.iter_mut() {
-        let ch = &sh.chans[s][link.p];
-        if !ch.has_mail.load(Ordering::Relaxed) || !ch.has_mail.swap(false, Ordering::Acquire) {
-            continue;
-        }
-        let mut slot = ch.slot.lock().expect("mail channel poisoned");
-        while let Some(mut batch) = slot.full.pop() {
+        let ch = &mut sh.chans[s][link.p];
+        while let Some(mut batch) = ch.full.pop() {
             for entry in batch.drain(..) {
                 se.inject_entry(entry);
             }
-            slot.spare.push(batch);
+            ch.spare.push(batch);
             link.drained += 1;
-            advanced = true;
+            moved = true;
         }
     }
     let head = se.peek_head().map_or(u64::MAX, |(t, _)| t.0);
     // The same reads, no mail and the same head would recompute the last
-    // step's bounds and publish nothing new: a spinning shard stops here.
-    if !advanced && !changed && w.head == Some(head) {
-        return false;
+    // step's bounds and publish nothing new.
+    if !moved && !changed && w.head == Some(head) {
+        return Progress::Idle;
     }
     w.head = Some(head);
     // Mail from `p` answers work `p` holds, batches in flight to it, mail
@@ -474,74 +456,120 @@ fn step<M: Send + 'static>(
         link.bound = link.wm.max(cause).saturating_add(l);
     }
     let bounds = MinBut::of(w.ins.iter().map(|link| link.bound));
-    let safe = bounds.least.min(sh.bound);
-    if head < safe {
-        se.run_window(SimTime(safe));
-        advanced = true;
-        // Flush cross-shard output as one batch per (src, dst, window).
-        for entry in se.take_foreign() {
-            let dst = shard_of[entry.dst.index()] as usize;
-            w.outs[dst].outbox.push(entry);
-        }
-        for (dst, out) in w.outs.iter_mut().enumerate() {
-            let Some(first) = out.outbox.iter().map(|e| e.time.0).min() else {
-                continue;
-            };
-            assert!(
-                sh.out_ok[s * shards + dst],
-                "cross-shard event outside the declared channel graph \
-                 (shard {s} -> shard {dst}); the plan's channel edges must \
-                 cover every communicating pair"
-            );
-            let ch = &sh.chans[dst][s];
-            let mut slot = ch.slot.lock().expect("mail channel poisoned");
-            let replacement = slot.spare.pop().unwrap_or_default();
-            let batch = std::mem::replace(&mut out.outbox, replacement);
-            slot.full.push(batch);
-            drop(slot);
-            ch.has_mail.store(true, Ordering::Release);
-            out.sent += 1;
-            out.unacked.push_back(first);
-        }
+    // Every bound is at least `L`, and `u64::MAX` (no in-neighbor, or a
+    // saturated bound) leaves `SimTime::MAX` to the consistent cut.
+    let last = (bounds.least - 1).min(sh.horizon);
+    let ran = head <= last;
+    if ran {
+        se.run_window(SimTime(last));
+        flush(se, w, sh, shard_of);
     }
     // Republish. Each floor leaves out only its own neighbor's undrained
-    // mail, and goes out before the drained count it accounts for.
+    // mail.
     let head_after = se.peek_head().map_or(u64::MAX, |(t, _)| t.0);
-    for (i, link) in w.ins.iter_mut().enumerate() {
+    for (i, link) in w.ins.iter().enumerate() {
         let at = s * shards + link.p;
         let excl = head_after.min(bounds.but(i));
-        if excl != link.excl {
-            link.excl = excl;
-            sh.excl[at].store(excl, Ordering::Release);
-            advanced = true;
-        }
-        if link.drained != link.acked {
-            link.acked = link.drained;
-            sh.drained[at].store(link.drained, Ordering::Release);
-        }
+        moved |= excl != sh.excl[at];
+        sh.excl[at] = excl;
+        sh.drained[at] = link.drained;
     }
-    // The watermark floors everything this shard can still process; the
-    // max() keeps the promise monotone across head fluctuations.
-    let wm = bounds.least.min(head_after).max(w.watermark);
-    if wm > w.watermark {
-        w.watermark = wm;
-        sh.watermarks[s].store(wm, Ordering::Release);
-        advanced = true;
+    // The watermark floors everything this shard can still process, and
+    // only ever rises, whatever the head does.
+    let wm = bounds.least.min(head_after);
+    if wm > sh.watermarks[s] {
+        sh.watermarks[s] = wm;
+        moved = true;
     }
-    if wm >= sh.bound {
-        w.done = true;
+    if ran {
+        Progress::Ran
+    } else if moved {
+        Progress::Moved
+    } else {
+        Progress::Idle
     }
-    advanced
 }
 
-/// Everything [`run_sharded`]'s phases share, independent of how the
-/// shard loop is driven.
+/// Hand the cross-shard output of `s`'s window to its destinations, one
+/// batch per channel.
+fn flush<M: 'static>(
+    se: &mut Engine<M>,
+    w: &mut ShardWorker<M>,
+    sh: &mut Shared<M>,
+    shard_of: &[u16],
+) {
+    let (s, shards) = (w.s, sh.watermarks.len());
+    for entry in se.take_foreign() {
+        let dst = shard_of[entry.dst.index()] as usize;
+        w.outs[dst].outbox.push(entry);
+    }
+    for (dst, out) in w.outs.iter_mut().enumerate() {
+        let Some(first) = out.outbox.iter().map(|e| e.time.0).min() else {
+            continue;
+        };
+        assert!(
+            sh.out_ok[s * shards + dst],
+            "cross-shard event outside the declared channel graph \
+             (shard {s} -> shard {dst}); the plan's channel edges must \
+             cover every communicating pair"
+        );
+        let ch = &mut sh.chans[dst][s];
+        let replacement = ch.spare.pop().unwrap_or_default();
+        ch.full
+            .push(std::mem::replace(&mut out.outbox, replacement));
+        out.sent += 1;
+        out.unacked.push_back(first);
+    }
+}
+
+/// What a consistent cut found.
+enum Cut {
+    /// Nothing is pending at or before the horizon.
+    Finished,
+    /// Every promise was raised to the earliest pending key.
+    Raised,
+    /// The earliest event, at `SimTime::MAX`, ran alone on this shard.
+    Ran(usize),
+}
+
+/// A run split into shards: their engines and bookkeeping, what they
+/// publish to each other, and what returns home at the rejoin.
 struct SplitRun<M> {
     shard_engines: Vec<Engine<M>>,
+    workers: Vec<ShardWorker<M>>,
     replicated_originals: Vec<(ActorId, Box<dyn Actor<M>>)>,
     base_recorder: crate::metrics::Recorder,
     shared: Shared<M>,
     replicas: Vec<ReplicaSet<M>>,
+}
+
+impl<M: 'static> SplitRun<M> {
+    /// The consistent cut (module docs). Valid only once every shard has
+    /// stepped since an event last ran.
+    fn cut(&mut self, shard_of: &[u16]) -> Cut {
+        let mut earliest: Option<((SimTime, u64), usize)> = None;
+        for (s, se) in self.shard_engines.iter_mut().enumerate() {
+            if let Some(key) = se.peek_head() {
+                if earliest.is_none_or(|(least, _)| key < least) {
+                    earliest = Some((key, s));
+                }
+            }
+        }
+        let sh = &mut self.shared;
+        let Some(((t, _), q)) = earliest.filter(|((t, _), _)| t.0 <= sh.horizon) else {
+            return Cut::Finished;
+        };
+        if t == SimTime::MAX {
+            let se = &mut self.shard_engines[q];
+            se.run_next();
+            flush(se, &mut self.workers[q], sh, shard_of);
+            return Cut::Ran(q);
+        }
+        for promise in sh.watermarks.iter_mut().chain(sh.excl.iter_mut()) {
+            *promise = (*promise).max(t.0);
+        }
+        Cut::Raised
+    }
 }
 
 fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPlan) {
@@ -559,7 +587,7 @@ fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPla
 /// Phases 0 and 1: drain the current instant sequentially (so every
 /// lazily-interned metric id exists before the recorders fork), then
 /// split the engine into per-shard engines and build the shared state.
-fn split_shards<M: Send + 'static>(
+fn split_shards<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
     lookahead: SimDuration,
@@ -567,11 +595,7 @@ fn split_shards<M: Send + 'static>(
     mut replicas: Vec<ReplicaSet<M>>,
 ) -> SplitRun<M> {
     let shards = plan.shards;
-    // Events can land exactly at the horizon; the exclusive bound is one
-    // past it, matching run_until's inclusive horizon.
-    let bound = SimTime(horizon.0.saturating_add(1));
-    let start = eng.now();
-    eng.run_window(SimTime(start.0 + 1).min(bound));
+    eng.run_window(eng.now().min(horizon));
 
     let base_recorder = eng.recorder().clone();
     let kind = eng.queue_kind();
@@ -647,22 +671,28 @@ fn split_shards<M: Send + 'static>(
     }
     let start = eng.now().0;
     let shared = Shared {
-        watermarks: (0..shards).map(|_| AtomicU64::new(start)).collect(),
-        excl: (0..shards * shards)
-            .map(|_| AtomicU64::new(start))
-            .collect(),
-        drained: (0..shards * shards).map(|_| AtomicU64::new(0)).collect(),
+        watermarks: vec![start; shards],
+        excl: vec![start; shards * shards],
+        drained: vec![0; shards * shards],
         chans: (0..shards)
-            .map(|_| (0..shards).map(|_| MailChannel::fresh()).collect())
+            .map(|_| {
+                (0..shards)
+                    .map(|_| MailChannel {
+                        full: Vec::new(),
+                        spare: Vec::new(),
+                    })
+                    .collect()
+            })
             .collect(),
         in_nbrs,
         out_ok,
         lookahead: lookahead.nanos(),
-        bound: bound.0,
-        abort: AtomicUsize::new(NO_ABORT),
+        horizon: horizon.0,
     };
+    let workers = (0..shards).map(|s| ShardWorker::new(s, &shared)).collect();
     SplitRun {
         shard_engines,
+        workers,
         replicated_originals,
         base_recorder,
         shared,
@@ -673,7 +703,7 @@ fn split_shards<M: Send + 'static>(
 /// Phase 3 — rejoin. Actors move home, pending events re-merge (keys
 /// intact), lanes take the elementwise max (each advanced by exactly
 /// one shard), metrics fold in as deltas against the fork point.
-fn rejoin<M: Send + 'static>(
+fn rejoin<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
     plan: &ShardPlan,
@@ -685,6 +715,7 @@ fn rejoin<M: Send + 'static>(
         base_recorder,
         shared,
         replicas,
+        ..
     } = run;
     let mut out = replicas;
     let mut events = 0u64;
@@ -713,21 +744,16 @@ fn rejoin<M: Send + 'static>(
             .merge_shard_deltas(&base_recorder, se.recorder());
         events += se.events_processed();
     }
-    // Mail can legally outlive a receiver: a shard exits once no event
-    // below the bound can reach it, so anything still in its channels is
-    // strictly beyond the horizon and re-merges as pending work.
-    for row in shared.chans {
-        for ch in row {
-            let slot = ch.slot.into_inner().expect("mail channel poisoned");
-            for batch in slot.full {
-                for entry in batch {
-                    assert!(
-                        entry.time > horizon,
-                        "mail at or below the horizon left undelivered"
-                    );
-                    eng.inject_entry(entry);
-                }
-            }
+    // Mail can legally outlive a receiver: a shard stops stepping once no
+    // event at or before the horizon can reach it, so anything still in
+    // its channels lies beyond the horizon and re-merges as pending work.
+    for ch in shared.chans.into_iter().flatten() {
+        for entry in ch.full.into_iter().flatten() {
+            assert!(
+                entry.time > horizon,
+                "mail at or below the horizon left undelivered"
+            );
+            eng.inject_entry(entry);
         }
     }
     for (id, actor) in replicated_originals {
@@ -744,12 +770,9 @@ fn rejoin<M: Send + 'static>(
     out
 }
 
-/// Run `eng` in parallel until `horizon` (inclusive), bitwise identically
-/// to `eng.run_until(horizon)`. See the module docs for the protocol.
-///
-/// Picks the execution mode for the host: worker threads when more than
-/// one core is available, otherwise the cooperative driver (identical
-/// protocol, zero scheduler overhead).
+/// Run `eng` sharded until `horizon` (inclusive), bitwise identically
+/// to `eng.run_until(horizon)`, stepping the shards round-robin on the
+/// calling thread. See the module docs for the protocol.
 ///
 /// `replicas` carries the per-shard instances of every actor the plan
 /// marks [`ShardPlan::REPLICATED`]; the same sets (with whatever state
@@ -758,122 +781,31 @@ fn rejoin<M: Send + 'static>(
 /// # Panics
 /// Panics if `lookahead` is zero, `plan.shards < 2`, an event addressed
 /// to a replicated actor is pending at the boundary, a cross-shard event
-/// crosses a channel the plan does not declare, or a shard interns new
-/// metric keys mid-window (see
+/// crosses a channel the plan does not declare, the protocol stalls, or
+/// a shard interns new metric keys mid-window (see
 /// [`Recorder::merge_shard_deltas`](crate::metrics::Recorder::merge_shard_deltas)).
-/// A panic on a worker thread stops every worker and is re-raised here
-/// with its original payload.
-pub fn run_sharded<M: Send + 'static>(
+/// A panicking actor's own panic propagates unchanged.
+pub fn run_sharded<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
     lookahead: SimDuration,
     plan: &ShardPlan,
     replicas: Vec<ReplicaSet<M>>,
 ) -> Vec<ReplicaSet<M>> {
-    // lint: thread-spawn — core-count probe choosing between the threaded
-    // and cooperative drivers of the same bitwise-identical protocol.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores > 1 {
-        run_sharded_threaded(eng, horizon, lookahead, plan, replicas)
-    } else {
-        let mut next = 0usize;
-        run_sharded_cooperative(eng, horizon, lookahead, plan, replicas, move |_| {
-            next = next.wrapping_add(1);
-            next - 1
-        })
-    }
+    let mut next = 0usize;
+    run_sharded_cooperative(eng, horizon, lookahead, plan, replicas, move |_| {
+        next = next.wrapping_add(1);
+        next - 1
+    })
 }
 
-/// Records the first worker to unwind, so its peers stop instead of
-/// spinning forever on a watermark that will never move again.
-struct AbortOnUnwind<'a> {
-    abort: &'a AtomicUsize,
-    s: usize,
-}
-
-impl Drop for AbortOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ =
-                self.abort
-                    .compare_exchange(NO_ABORT, self.s, Ordering::AcqRel, Ordering::Relaxed);
-        }
-    }
-}
-
-/// [`run_sharded`] on one OS thread per shard, regardless of core count.
-fn run_sharded_threaded<M: Send + 'static>(
-    eng: &mut Engine<M>,
-    horizon: SimTime,
-    lookahead: SimDuration,
-    plan: &ShardPlan,
-    replicas: Vec<ReplicaSet<M>>,
-) -> Vec<ReplicaSet<M>> {
-    validate(eng, lookahead, plan);
-    let mut run = split_shards(eng, horizon, lookahead, plan, replicas);
-    let shared = &run.shared;
-    // lint: thread-spawn — the parallel executor itself: shards are
-    // disjoint actor sets, cross-shard traffic flows only through the
-    // keyed mailbox channels, and the watermark protocol above makes the
-    // result bitwise identical to the sequential engine.
-    let panicked = std::thread::scope(|scope| {
-        let workers: Vec<_> = run
-            .shard_engines
-            .iter_mut()
-            .enumerate()
-            .map(|(s, se)| {
-                let shard_of = &plan.shard_of;
-                // lint: thread-spawn — see the scope justification above.
-                scope.spawn(move || {
-                    let _abort = AbortOnUnwind {
-                        abort: &shared.abort,
-                        s,
-                    };
-                    let mut w = ShardWorker::new(s, shared);
-                    let mut idle = 0u32;
-                    while !w.done && shared.abort.load(Ordering::Relaxed) == NO_ABORT {
-                        if step(se, &mut w, shared, shard_of) {
-                            idle = 0;
-                        } else {
-                            idle += 1;
-                            // Spin briefly, then yield so oversubscribed
-                            // hosts (more shards than cores) still make
-                            // progress.
-                            if idle < 64 {
-                                std::hint::spin_loop();
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        // Join explicitly so the first panic's own payload survives; the
-        // scope would replace it with a generic message.
-        let joined: Vec<_> = workers.into_iter().map(|worker| worker.join()).collect();
-        let first = shared.abort.load(Ordering::Acquire);
-        joined
-            .into_iter()
-            .enumerate()
-            .filter_map(|(s, joined)| joined.err().map(|payload| (s != first, payload)))
-            .min_by_key(|&(later, _)| later)
-    });
-    if let Some((_, payload)) = panicked {
-        std::panic::resume_unwind(payload);
-    }
-    rejoin(eng, horizon, plan, run)
-}
-
-/// [`run_sharded`] driven on the calling thread: `pick` chooses which
-/// shard to step next (its return value is taken modulo the shard
-/// count). Any pick sequence produces the bitwise-identical result; a
-/// full round-robin sweep is forced whenever the chosen sequence stalls,
-/// and a sweep that advances nothing panics (it would mean the channel
-/// graph under-approximates real traffic).
-pub fn run_sharded_cooperative<M: Send + 'static>(
+/// [`run_sharded`] with the shard order chosen by `pick` (its return
+/// value is taken modulo the shard count). Any pick sequence produces
+/// the bitwise-identical result. A sequence that starves a shard is
+/// overridden until every shard has stepped, and a round of steps that
+/// runs no event right after a consistent cut panics as a stall (it
+/// would mean the channel graph under-approximates real traffic).
+pub fn run_sharded_cooperative<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
     lookahead: SimDuration,
@@ -884,46 +816,50 @@ pub fn run_sharded_cooperative<M: Send + 'static>(
     validate(eng, lookahead, plan);
     let mut run = split_shards(eng, horizon, lookahead, plan, replicas);
     let shards = plan.shards;
-    let mut workers: Vec<ShardWorker<M>> = (0..shards)
-        .map(|s| ShardWorker::new(s, &run.shared))
-        .collect();
-    let mut live = shards;
+    // `quiet[s]`: shard `s` has stepped since an event last ran anywhere.
+    let mut quiet = vec![false; shards];
+    let mut after_cut = false;
     let mut stalled = 0usize;
-    while live > 0 {
-        let s = pick(shards) % shards;
-        let was_done = workers[s].done;
-        let advanced = step(
-            &mut run.shard_engines[s],
-            &mut workers[s],
-            &run.shared,
-            &plan.shard_of,
-        );
-        if !was_done && workers[s].done {
-            live -= 1;
+    loop {
+        let s = if stalled > 4 * shards + 16 {
+            // The pick sequence may be starving a shard: step the shards
+            // that have not stepped since the last event.
+            quiet.iter().position(|&q| !q).unwrap_or(0)
+        } else {
+            pick(shards) % shards
+        };
+        let mut ran = None;
+        let (se, w) = (&mut run.shard_engines[s], &mut run.workers[s]);
+        match step(se, w, &mut run.shared, &plan.shard_of) {
+            Progress::Ran => ran = Some(s),
+            Progress::Moved => stalled = 0,
+            Progress::Idle => stalled += 1,
         }
-        if advanced {
-            stalled = 0;
-            continue;
-        }
-        stalled += 1;
-        if stalled > 4 * shards + 16 {
-            // The pick sequence may simply be starving a shard; sweep
-            // every live shard once before declaring the protocol stuck.
-            let mut any = false;
-            for (s, w) in workers.iter_mut().enumerate() {
-                let was_done = w.done;
-                if step(&mut run.shard_engines[s], w, &run.shared, &plan.shard_of) {
-                    any = true;
-                }
-                if !was_done && w.done {
-                    live -= 1;
+        if ran.is_none() {
+            quiet[s] = true;
+            if quiet.iter().all(|&q| q) {
+                assert!(
+                    !after_cut,
+                    "watermark executor stalled: no shard can advance \
+                     (incomplete channel graph?)"
+                );
+                match run.cut(&plan.shard_of) {
+                    Cut::Finished => break,
+                    Cut::Ran(q) => ran = Some(q),
+                    Cut::Raised => {
+                        quiet.fill(false);
+                        after_cut = true;
+                        stalled = 0;
+                    }
                 }
             }
-            assert!(
-                any || live == 0,
-                "watermark executor stalled: no shard can advance \
-                 (incomplete channel graph?)"
-            );
+        }
+        if let Some(q) = ran {
+            // The shard that ran drained its mail first, and nothing has
+            // been deposited for it since.
+            quiet.fill(false);
+            quiet[q] = true;
+            after_cut = false;
             stalled = 0;
         }
     }
@@ -1025,20 +961,18 @@ mod tests {
         (eng, hub)
     }
 
-    /// Two nodes that each wake every 10 ms (2000 lookaheads) and ping
-    /// the other through the hub. The ping lands one lookahead after the
-    /// wake and the answer a second one later: exactly on the exclusive
-    /// bound `head + 2L` of the waker's window.
-    fn build_sparse() -> (Engine<TestMsg>, ActorId) {
-        let (mut eng, hub) = ring(2);
+    /// `nodes` nodes that each wake every 10 ms (2000 lookaheads), at
+    /// evenly staggered offsets, and ping their successor through the
+    /// hub, which pings its own successor in turn. Each ping lands one
+    /// lookahead after the wake and the next a second one later: exactly
+    /// on the exclusive bound `head + 2L` of the waker's window.
+    fn build_sparse(nodes: u32) -> (Engine<TestMsg>, ActorId) {
+        let (mut eng, hub) = ring(nodes);
         for k in 0..100u64 {
-            let wake = 10_000_000 * k + 1;
-            eng.schedule(SimTime(wake), ActorId(1), TestMsg::Tick { hops: 2 });
-            eng.schedule(
-                SimTime(wake + 5_000_000),
-                ActorId(2),
-                TestMsg::Tick { hops: 2 },
-            );
+            for i in 0..nodes {
+                let wake = 10_000_000 * k + 1 + 10_000_000 * i as u64 / nodes as u64;
+                eng.schedule(SimTime(wake), ActorId(1 + i), TestMsg::Tick { hops: 2 });
+            }
         }
         (eng, hub)
     }
@@ -1091,33 +1025,15 @@ mod tests {
         }]
     }
 
-    enum Mode {
-        Auto,
-        Threaded,
-        RoundRobin,
-    }
-
     fn run_parallel(
         nodes: u32,
         shards: usize,
         horizon: SimTime,
-        mode: Mode,
         derive: bool,
     ) -> (u64, SimTime, Vec<(String, u64, u64)>, u64) {
         let (mut eng, hub) = build(nodes);
         let plan = ring_plan(nodes, shards, hub, derive);
-        let replicas = hub_replicas(shards, hub);
-        let back = match mode {
-            Mode::Auto => run_sharded(&mut eng, horizon, WIRE, &plan, replicas),
-            Mode::Threaded => run_sharded_threaded(&mut eng, horizon, WIRE, &plan, replicas),
-            Mode::RoundRobin => {
-                let mut n = 0usize;
-                run_sharded_cooperative(&mut eng, horizon, WIRE, &plan, replicas, move |_| {
-                    n = n.wrapping_add(1);
-                    n - 1
-                })
-            }
-        };
+        let back = run_sharded(&mut eng, horizon, WIRE, &plan, hub_replicas(shards, hub));
         // Replica counters plus whatever the original handled in the
         // sequential prefix reassemble the hub's sequential total.
         let forwarded: u64 = back[0]
@@ -1144,31 +1060,13 @@ mod tests {
         let (seen, now, hists) = fingerprint(&seq_eng, 6);
         for shards in [2usize, 3, 4] {
             for derive in [false, true] {
-                let (p_seen, p_now, p_hists, _fw) =
-                    run_parallel(6, shards, horizon, Mode::Auto, derive);
+                let (p_seen, p_now, p_hists, _fw) = run_parallel(6, shards, horizon, derive);
                 assert_eq!(p_seen, seen, "{shards} shards diverged");
                 assert_eq!(p_now, now);
                 assert_eq!(p_hists, hists, "{shards} shards: histograms diverged");
             }
         }
         assert!(seq_events > 10_000, "world must actually run");
-    }
-
-    #[test]
-    fn threaded_and_cooperative_agree() {
-        // Both drivers of the protocol — real threads and the
-        // single-thread round-robin — must match the sequential run,
-        // whatever the host's core count.
-        let horizon = SimTime(20_000_000);
-        let (mut seq_eng, _) = build(5);
-        seq_eng.run_until(horizon);
-        let (seen, now, hists) = fingerprint(&seq_eng, 5);
-        for mode in [Mode::Threaded, Mode::RoundRobin] {
-            let (p_seen, p_now, p_hists, _fw) = run_parallel(5, 3, horizon, mode, true);
-            assert_eq!(p_seen, seen);
-            assert_eq!(p_now, now);
-            assert_eq!(p_hists, hists);
-        }
     }
 
     #[test]
@@ -1217,23 +1115,7 @@ mod tests {
         // The first cross-shard flush must die loudly rather than let the
         // receiver's clock race the mail.
         let (mut eng, hub, plan) = undeclared_world();
-        let _ = run_sharded_cooperative(
-            &mut eng,
-            SimTime(10_000_000),
-            WIRE,
-            &plan,
-            hub_replicas(2, hub),
-            |_| 0,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the declared channel graph")]
-    fn undeclared_channel_panics_threaded() {
-        // Both workers panic here; the caller still sees the original
-        // message, not the thread scope's generic one.
-        let (mut eng, hub, plan) = undeclared_world();
-        let _ = run_sharded_threaded(
+        let _ = run_sharded(
             &mut eng,
             SimTime(10_000_000),
             WIRE,
@@ -1253,16 +1135,15 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "bomb went off")]
-    fn worker_panic_stops_every_worker() {
-        // Node 1 lives on shard 1 and panics at its first tick. Shard 0
-        // must stop waiting for a watermark that will never move again,
-        // and the bomb's own message must reach the caller.
+    fn actor_panic_reaches_the_caller() {
+        // Node 1 lives on shard 1 and panics at its first tick; its own
+        // message must reach the caller.
         let (mut eng, hub) = build(4);
         let victim = ActorId(2);
         assert!(eng.take_actor(victim).is_some());
         eng.install(victim, Box::new(Bomb));
         let plan = ring_plan(4, 2, hub, true);
-        let _ = run_sharded_threaded(
+        let _ = run_sharded(
             &mut eng,
             SimTime(10_000_000),
             WIRE,
@@ -1273,30 +1154,70 @@ mod tests {
 
     #[test]
     fn sparse_traffic_leaps_idle_gaps() {
+        // Crawling the 10 ms gaps 5 µs at a time would take ~200k steps
+        // per shard. Two shards leap on their floors, three or more on
+        // the consistent cut.
         let horizon = SimTime(1_000_000_000);
-        let (mut seq_eng, _) = build_sparse();
-        seq_eng.run_until(horizon);
-        let expected = fingerprint(&seq_eng, 2);
-        let events = seq_eng.events_processed();
-        assert_eq!(expected.0, 600, "every wake pings and is answered");
+        for shards in [2usize, 3, 4] {
+            let nodes = shards as u32;
+            let (mut seq_eng, _) = build_sparse(nodes);
+            seq_eng.run_until(horizon);
+            let expected = fingerprint(&seq_eng, nodes);
+            let events = seq_eng.events_processed();
+            assert_eq!(expected.0, 300 * nodes as u64, "every wake pings twice");
 
-        // Crawling the 10 ms gaps 5 µs at a time would take ~400k steps.
-        let (mut eng, hub) = build_sparse();
-        let plan = ring_plan(2, 2, hub, true);
-        let mut picks = 0u64;
-        run_sharded_cooperative(&mut eng, horizon, WIRE, &plan, hub_replicas(2, hub), |_| {
-            picks += 1;
-            picks as usize
-        });
-        assert_eq!(fingerprint(&eng, 2), expected);
-        assert!(
-            picks <= 2 * events + 16,
-            "{picks} cooperative steps for {events} events"
-        );
+            let (mut eng, hub) = build_sparse(nodes);
+            let plan = ring_plan(nodes, shards, hub, true);
+            let mut picks = 0u64;
+            run_sharded_cooperative(
+                &mut eng,
+                horizon,
+                WIRE,
+                &plan,
+                hub_replicas(shards, hub),
+                |_| {
+                    picks += 1;
+                    picks as usize
+                },
+            );
+            assert_eq!(fingerprint(&eng, nodes), expected, "{shards} shards");
+            assert!(
+                picks <= shards as u64 * events + 16,
+                "{shards} shards: {picks} cooperative steps for {events} events"
+            );
+        }
+    }
 
-        let (mut eng, hub) = build_sparse();
-        run_sharded_threaded(&mut eng, horizon, WIRE, &plan, hub_replicas(2, hub));
-        assert_eq!(fingerprint(&eng, 2), expected);
+    #[test]
+    fn horizon_at_max_reaches_the_last_instant() {
+        // A tick at the last representable instant pings around the ring
+        // with no lookahead left: every send saturates to `SimTime::MAX`.
+        let schedule = |eng: &mut Engine<TestMsg>| {
+            eng.schedule(SimTime(1), ActorId(1), TestMsg::Tick { hops: 0 });
+            eng.schedule(SimTime::MAX, ActorId(2), TestMsg::Tick { hops: 3 });
+        };
+        let (mut seq_eng, _) = ring(2);
+        schedule(&mut seq_eng);
+        seq_eng.run_until(SimTime::MAX);
+        let expected = (seq_eng.events_processed(), seq_eng.queue_len());
+        assert_eq!(expected, (8, 0));
+        for cooperative in [false, true] {
+            let (mut eng, hub) = ring(2);
+            schedule(&mut eng);
+            let plan = ring_plan(2, 2, hub, true);
+            let replicas = hub_replicas(2, hub);
+            if cooperative {
+                let mut n = 0usize;
+                run_sharded_cooperative(&mut eng, SimTime::MAX, WIRE, &plan, replicas, |_| {
+                    n += 3;
+                    n / 2
+                });
+            } else {
+                run_sharded(&mut eng, SimTime::MAX, WIRE, &plan, replicas);
+            }
+            assert_eq!((eng.events_processed(), eng.queue_len()), expected);
+            assert_eq!(fingerprint(&eng, 2), fingerprint(&seq_eng, 2));
+        }
     }
 
     #[test]
@@ -1305,7 +1226,7 @@ mod tests {
         let (mut seq_eng, hub) = build(4);
         seq_eng.run_until(horizon);
         let seq_fw = seq_eng.actor::<TestHub>(hub).unwrap().forwarded;
-        let (_, _, _, fw) = run_parallel(4, 2, horizon, Mode::Auto, true);
+        let (_, _, _, fw) = run_parallel(4, 2, horizon, true);
         assert_eq!(fw, seq_fw, "summed replica counters must match");
     }
 

@@ -129,7 +129,7 @@ fn fingerprint(eng: &Engine<TestMsg>, ids: &[ActorId], forwarded: u64) -> Fp {
     (seen, forwarded, eng.now(), eng.events_processed(), hists)
 }
 
-/// `interleave`: `None` runs the host-appropriate executor; `Some(seed)`
+/// `interleave`: `None` runs the round-robin `run_sharded`; `Some(seed)`
 /// drives the cooperative executor with a splitmix-style random shard
 /// schedule — simulating an arbitrary watermark-advance interleaving on
 /// one thread, with the ring channel graph declared.
