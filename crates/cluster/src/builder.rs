@@ -97,9 +97,9 @@ impl ClusterBuilder {
 
     /// Declare a node pair that exchanges one-sided RDMA verbs without a
     /// registered connection (e.g. lock clients CAS'ing a host's atomic
-    /// region). The parallel executor derives its shard channel graph
-    /// from connections, multicast membership, and these declarations;
-    /// an undeclared pair whose traffic crosses shards aborts the run.
+    /// region). The declaration only weights `Cluster::run_parallel`'s
+    /// affinity partition, which then tends to keep the pair on one
+    /// shard; an undeclared pair still runs correctly on any shards.
     pub fn declare_rdma_route(&mut self, a: NodeId, b: NodeId) {
         self.fabric.declare_route(a, b);
     }
@@ -224,9 +224,9 @@ pub struct Cluster {
     nodes: Vec<ActorId>,
     race: Option<SharedRaceDetector>,
     /// Shard plan memoized per shard count: the topology (and therefore
-    /// the affinity partition and channel graph) is fixed after
-    /// `finish`, and rebuilding it per `run_parallel` segment would put
-    /// avoidable allocations on the steady-state path.
+    /// the affinity partition) is fixed after `finish`, and rebuilding it
+    /// per `run_parallel` segment would put avoidable allocations on the
+    /// steady-state path.
     plan_cache: Option<(usize, ShardPlan)>,
 }
 
@@ -263,17 +263,16 @@ impl Cluster {
     }
 
     /// Run for `dur` of virtual time split across `shards` shards, which
-    /// step one at a time on the calling thread.
+    /// run one lookahead window at a time on the calling thread.
     ///
     /// Bitwise identical to [`Cluster::run_for`]: nodes are grouped
     /// onto shards by communication affinity (a greedy partition of the
     /// fabric's chatter graph, so ring/rack neighbors land together and
     /// most traffic stays shard-local), the fabric is replicated into
-    /// every shard, and the bounded-lag window width comes from the
-    /// fabric's minimum cross-shard latency. The shard channel graph is
-    /// derived from the same chatter edges, so a shard's watermark only
-    /// waits on shards it actually exchanges events with. Falls back to
-    /// the sequential engine when fewer than two shards are possible.
+    /// every shard, and the window width is the fabric's minimum
+    /// cross-shard latency. The chatter graph only shapes the partition:
+    /// any partition gives the same run. Falls back to the sequential
+    /// engine when fewer than two shards are possible.
     /// Sharding buys no speed on its own (see `fgmon_sim::parallel`); it
     /// exists so the chaos search and the equivalence suites can check
     /// the sharded protocol against the sequential engine.
@@ -289,14 +288,13 @@ impl Cluster {
         }
         let horizon = self.eng.now() + dur;
         if self.plan_cache.as_ref().is_none_or(|(s, _)| *s != shards) {
-            let chatter = self
+            let node_edges: Vec<(usize, usize, u64)> = self
                 .eng
                 .actor::<Fabric>(self.fabric)
                 .expect("fabric actor")
-                .chatter_edges();
-            let node_edges: Vec<(usize, usize, u64)> = chatter
-                .iter()
-                .map(|&(a, b, w)| (a.index(), b.index(), w))
+                .chatter_edges()
+                .into_iter()
+                .map(|(a, b, w)| (a.index(), b.index(), w))
                 .collect();
             let groups = ShardPlan::affinity_groups(self.nodes.len(), shards, &node_edges);
             let mut shard_of = vec![0u16; self.eng.actor_count()];
@@ -304,13 +302,7 @@ impl Cluster {
             for (i, actor) in self.nodes.iter().enumerate() {
                 shard_of[actor.index()] = groups[i];
             }
-            let mut plan = ShardPlan::new(shard_of, shards);
-            let actor_edges: Vec<(usize, usize)> = chatter
-                .iter()
-                .map(|&(a, b, _)| (self.nodes[a.index()].index(), self.nodes[b.index()].index()))
-                .collect();
-            plan.derive_channels(&actor_edges);
-            self.plan_cache = Some((shards, plan));
+            self.plan_cache = Some((shards, ShardPlan::new(shard_of, shards)));
         }
         let plan = &self.plan_cache.as_ref().expect("plan cached above").1;
         let fabric_replicas = self

@@ -118,8 +118,9 @@ pub struct Fabric {
     mcast: BTreeMap<McastGroup, Vec<NodeId>>,
     /// Node pairs that exchange one-sided RDMA verbs without a
     /// registered connection (the lock service's CAS traffic): declared
-    /// at build time so the shard-split channel graph covers them. Part
-    /// of the immutable routing state shard replicas share.
+    /// at build time so the affinity partition weighs them like
+    /// connections. Part of the immutable routing state shard replicas
+    /// share.
     declared_routes: Vec<(NodeId, NodeId)>,
     /// Fault schedule; `fault_active` is true iff the plan has rules, so
     /// fault-free runs evaluate zero fates and stay bit-identical to
@@ -561,10 +562,10 @@ impl Fabric {
     }
 
     /// Declare that `a` and `b` exchange frames outside any registered
-    /// connection (one-sided RDMA verbs address nodes directly). Builders
-    /// must declare every such pair: the parallel executor derives its
-    /// shard channel graph from [`Fabric::chatter_edges`], and traffic
-    /// crossing an undeclared channel aborts the run.
+    /// connection (one-sided RDMA verbs address nodes directly). The
+    /// declaration only adds the pair to [`Fabric::chatter_edges`], which
+    /// weights the sharded executor's affinity partition; routing and
+    /// correctness never depend on it.
     pub fn declare_route(&mut self, a: NodeId, b: NodeId) {
         if a != b && !self.declared_routes.contains(&(a, b)) {
             self.declared_routes.push((a, b));
@@ -574,9 +575,8 @@ impl Fabric {
     /// The static node-chatter graph: weighted undirected edges between
     /// every node pair that can exchange frames, derived from the
     /// routing state (connection table, multicast membership, declared
-    /// RDMA routes). This is the shard-split route metadata the parallel
-    /// executor partitions on — affinity grouping uses the weights,
-    /// channel derivation the pairs. Deterministic: edges come out in
+    /// RDMA routes). This is the route metadata the parallel executor's
+    /// affinity partition weighs. Deterministic: edges come out in
     /// ascending `(a, b)` order.
     pub fn chatter_edges(&self) -> Vec<(NodeId, NodeId, u64)> {
         let mut weights: BTreeMap<(u16, u16), u64> = BTreeMap::new();

@@ -1,202 +1,95 @@
-//! Conservative parallel discrete-event execution (bounded-lag PDES)
-//! with safe-time watermarks, stepped on the calling thread.
+//! Conservative parallel discrete-event execution in global lookahead
+//! windows, run on the calling thread.
 //!
 //! [`run_sharded`] partitions an [`Engine`]'s actors across shards —
-//! each owning its own timing-wheel queue — and steps the shards one at
-//! a time, round-robin, each as far as its neighbors' published promises
-//! allow. There is no global barrier: shard `s` publishes a
-//! monotonically increasing watermark `W_s` (a lower bound on the time
-//! of any event it will ever process again) and, per in-neighbor `p`, a
-//! floor `excl[s][p]` on its own future processing that leaves out the
-//! mail from `p` it has not drained yet. It processes its local events
-//! strictly below the smallest bound on future mail from any
-//! in-neighbor, where the *lookahead* `L` is a static lower bound on
-//! every cross-shard latency. Cross-shard events travel through
-//! per-`(src, dst)` mailbox channels with their engine `(time, seq)`
-//! keys already assigned and are flushed once per window as a batch
-//! (buffers recycle between the two endpoints, so steady state
-//! allocates nothing).
+//! each owning its own timing-wheel queue — and runs them one window at
+//! a time (the synchronous conservative scheme known as YAWNS). The
+//! *lookahead* `L` is a lower bound on every cross-shard latency. Each
+//! window:
 //!
-//! ## The bound on future mail
+//! 1. `T` is the earliest pending key across all shards. If `T` lies
+//!    past the horizon, the run is over.
+//! 2. Every shard processes its events through
+//!    `last = min(T + L − 1, SimTime::MAX − 1, horizon)`.
+//! 3. Every cross-shard send of the window is delivered to its
+//!    destination shard, its engine `(time, seq)` key already assigned.
 //!
-//! At the start of a step, shard `s` reads each destination's count of
-//! batches drained from `s`, then, for each in-neighbor `p`, `W_p` and
-//! `excl[p][s]`. Batches `s` deposited to `p` that the count does not
-//! cover are still in flight; `infl` is the earliest key time among
-//! them. After draining its own mailboxes, with local head `h`, `s`
-//! bounds every key `p` will send it from now on by
+//! Why a window is safe:
 //!
-//! ```text
-//! B_p = max(W_p + L, min(excl[p][s], infl, h + L, min_{q≠p} W_q + 2L) + L)
-//! ```
+//! * Every event in the window is at or after `T`, so any cross-shard
+//!   send it makes lands at or after `T + L`, which is past `last`.
+//! * So no shard can receive mail inside a window it has started.
+//! * Lane keys are shard-invariant (below), so the run is bitwise
+//!   identical to the sequential one.
 //!
-//! (`q` ranging over `s`'s other in-neighbors), processes every event
-//! below `min_p B_p`, and then publishes, for each `p`,
-//! `excl[s][p] = min(h', min_{q≠p} B_q)` (`h'` its head after the
-//! window), its count of batches drained from `p`, and finally
-//! `W_s = min(h', min_p B_p)`. On two shards with no third in-neighbor,
-//! an idle pair of shards thus jumps straight to the next event instead
-//! of passing watermarks forward by `L` per step.
-//!
-//! ## Leaping idle gaps: the consistent cut
-//!
-//! With three or more shards, each floor waits on a neighbor's, which
-//! waits on a third's, so on their own the promises would crawl forward
-//! by about `L` per step across an idle gap. Because one thread steps
-//! every shard, the executor can see the whole run at once instead.
-//! Once every shard has stepped since an event last ran anywhere, every
-//! batch deposited to a shard short of the horizon has been drained,
-//! and no shard can run its head. The earliest pending key `T` then
-//! precedes every event still to come, and no mail can land before
-//! `T + L`, so the executor raises every watermark and floor to `T`.
-//! The shard holding `T` runs it on its next step. If `T` lies past the
-//! horizon, the run is over.
+//! The lookahead is the caller's claim, and delivery checks it: mail at
+//! or before `last` panics in every build profile instead of running a
+//! shard's clock backwards. Each window runs the earliest pending event,
+//! so the loop cannot stall, and an idle gap costs one window however
+//! long it is.
 //!
 //! An event at `SimTime::MAX` leaves no lookahead: a send from it
-//! saturates back to `SimTime::MAX`. The executor runs such events one at
-//! a time, the earliest key first, as the sequential engine does, so an
-//! inclusive horizon of `SimTime::MAX` reaches them too.
+//! saturates back to `SimTime::MAX`, and `last` stops one instant short
+//! of it. Such events run one at a time, the earliest key first, as the
+//! sequential engine does, so an inclusive horizon of `SimTime::MAX`
+//! reaches them too.
 //!
-//! ## Determinism argument
+//! ## Keys are shard-invariant
 //!
-//! A sharded run is bitwise identical to a sequential run because the
-//! two assign identical keys to identical events, and key order is the
-//! only order either engine honors:
-//!
-//! 1. **Keys are shard-invariant.** Sequence keys are `lane << 40 |
-//!    counter` (see `engine`), and each lane is advanced by exactly one
-//!    actor's deterministic handling stream. Since every actor processes
-//!    the same events in the same order whichever shard hosts it, every
-//!    staged event gets the same key in any execution.
-//! 2. **One step at a time.** Only one shard steps at a time, so a step
-//!    reads what each neighbor published at the end of its last step,
-//!    and drains every batch that neighbor deposited before publishing.
-//!    Mail still to come is sent by events the neighbor handles later.
-//! 3. **No event is processed early.** Such an event lies at least `L`
-//!    before the key it sends. It is at or after `W_p`, which gives the
-//!    first term, and it has one of three causes:
-//!    * work `p` held when it published `excl[p][s]` — its queue and
-//!      every other in-neighbor's undrained mail — at or after that floor;
-//!    * a batch from `s` that `p` had not drained when it published, at
-//!      or after `infl`: the count and the floor `s` reads come from the
-//!      same step of `p`, and every batch the count leaves out feeds
-//!      `infl`;
-//!    * mail `s` sends from now on, whose key is at or after `h + L` if
-//!      it comes from `s`'s queue, `W_q + 2L` if it answers a third
-//!      in-neighbor `q`, and `B_p + L` if it answers mail from `p` —
-//!      whose own answer then lands past `B_p`.
-//!
-//!    So a key below some shard's bound needs an earlier key below a
-//!    bound first, and the earliest such key cannot exist. (Replicated
-//!    actors — the fabric — are the reason node→fabric sends are exempt:
-//!    those are same-instant sends to a local replica.) The consistent
-//!    cut only raises promises to values every future event respects.
-//! 4. **Progress.** After a cut below `SimTime::MAX`, the shard holding
-//!    `T` reads at least one raised watermark (its last bound did not
-//!    pass `T`, so some `W_p + L ≤ T`) and runs `T`. So of any two
-//!    rounds in a row in which every shard steps, one runs an event or
-//!    ends the run; otherwise the executor panics with a stall.
+//! Sequence keys are `lane << 40 | counter` (see `engine`), and each lane
+//! is advanced by exactly one actor's deterministic handling stream.
+//! Since every actor processes the same events in the same order
+//! whichever shard hosts it, every staged event gets the same key in any
+//! execution, and key order is the only order either engine honors.
 //!
 //! The caller supplies per-shard replicas of actors that logically exist
 //! on every shard (the fabric: pure routing + additive counters) and
-//! merges their state afterwards; see `ShardPlan::REPLICATED`.
+//! merges their state afterwards; see `ShardPlan::REPLICATED`. Replicated
+//! actors are why node→fabric sends need no lookahead: they are
+//! same-instant sends to a local replica.
 //!
 //! ## Why the shards share one thread
 //!
-//! Two shards could only overlap while their next events lie within one
-//! lookahead of each other. The shipped worlds' lookahead is the 4 µs
-//! wire latency, and the densest of them, `big_cluster(256)` on two
-//! shards, holds about 0.6 events per lookahead per shard, so on real
-//! cores the windows alternate and each handoff crosses cores for
-//! nothing (DESIGN.md §12.2). Parallelism pays across independent worlds
-//! instead: the chaos search runs each schedule's sequential and sharded
-//! legs at once, one world per thread.
-//!
-//! * [`run_sharded`] steps the shards round-robin.
-//! * [`run_sharded_cooperative`] steps them in a caller-chosen order;
-//!   any order yields the bitwise-identical result (the equivalence
-//!   proptests drive it with random schedules).
+//! A window holds the events within one lookahead of the earliest. The
+//! shipped worlds' lookahead is the 4 µs wire latency, and the densest of
+//! them, `big_cluster(256)` on two shards, holds about 0.6 events per
+//! lookahead per shard, so worker threads would hand each window across
+//! cores for almost nothing (DESIGN.md §12.2). Parallelism pays across
+//! independent worlds instead: the chaos search runs each schedule's
+//! sequential and sharded legs at once, one world per thread.
 //!
 //! Windows ignore `Ctx::request_stop` and event budgets — bounded-lag
 //! windows must drain deterministically. Worlds driven through the
 //! sharded path use plain horizons (all shipped scenarios do).
 
-use std::collections::VecDeque;
-
 use crate::engine::{Actor, ActorId, Engine};
 use crate::queue::Entry;
 use crate::time::{SimDuration, SimTime};
 
-/// Which shard owns each actor slot, plus the static channel graph the
-/// watermark protocol blocks on.
+/// Which shard owns each actor slot.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// `shard_of[actor.index()]`: owning shard, or [`ShardPlan::REPLICATED`].
     pub shard_of: Vec<u16>,
     /// Number of shards.
     pub shards: usize,
-    /// Directed shard→shard channels: `channels[s]` lists the shards
-    /// that may send cross-shard events *to* shard `s` (its
-    /// in-neighbors), sorted ascending. `None` means fully connected —
-    /// always safe, at the cost of blocking on every shard's watermark.
-    /// A declared graph is enforced at flush time: mail crossing an
-    /// undeclared channel panics instead of silently racing the
-    /// receiver's clock.
-    pub channels: Option<Vec<Vec<u16>>>,
 }
 
 impl ShardPlan {
     /// Marks an actor that exists once per shard instead of being owned.
     pub const REPLICATED: u16 = u16::MAX;
 
-    /// A plan with a fully-connected channel graph.
+    /// A plan placing actor slot `i` on shard `shard_of[i]`.
     pub fn new(shard_of: Vec<u16>, shards: usize) -> Self {
-        ShardPlan {
-            shard_of,
-            shards,
-            channels: None,
-        }
-    }
-
-    /// Derive the shard channel graph from actor-level communication
-    /// edges (pairs of actor indices that may exchange events, in either
-    /// direction). Edges touching replicated or same-shard actors are
-    /// local and create no channel. The edge list must cover every pair
-    /// that can actually exchange events; mail outside the derived graph
-    /// panics the run.
-    pub fn derive_channels(&mut self, edges: &[(usize, usize)]) {
-        let s = self.shards;
-        let mut adj = vec![false; s * s];
-        for &(a, b) in edges {
-            let (Some(&sa), Some(&sb)) = (self.shard_of.get(a), self.shard_of.get(b)) else {
-                continue;
-            };
-            if sa == Self::REPLICATED || sb == Self::REPLICATED || sa == sb {
-                continue;
-            }
-            // Connections carry traffic both ways (requests one way,
-            // completions the other), so channels are symmetric.
-            adj[sa as usize * s + sb as usize] = true;
-            adj[sb as usize * s + sa as usize] = true;
-        }
-        self.channels = Some(
-            (0..s)
-                .map(|dst| {
-                    (0..s)
-                        .filter(|&src| src != dst && adj[dst * s + src])
-                        .map(|src| src as u16)
-                        .collect()
-                })
-                .collect(),
-        );
+        ShardPlan { shard_of, shards }
     }
 
     /// Greedy communication-affinity partition: split `n` items into
     /// `shards` balanced groups, keeping heavily-chattering items (ring
-    /// or rack neighbors) together so most traffic never crosses a
-    /// mailbox. `edges` are undirected `(a, b, weight)` chatter edges
-    /// over item indices. Deterministic: ties break toward the heaviest
-    /// total chatter, then the lowest index.
+    /// or rack neighbors) together so most traffic stays on one shard.
+    /// `edges` are undirected `(a, b, weight)` chatter edges over item
+    /// indices. Deterministic: ties break toward the heaviest total
+    /// chatter, then the lowest index.
     ///
     /// Each shard is seeded with the most-connected unassigned item and
     /// grown by strongest attraction to the members chosen so far, up to
@@ -264,312 +157,13 @@ pub struct ReplicaSet<M> {
     pub replicas: Vec<Box<dyn Actor<M>>>,
 }
 
-/// One directed `(src, dst)` mailbox channel. Senders deposit whole
-/// per-window batches; receivers drain them and hand the emptied buffers
-/// back through `spare`, so steady state recycles the same few `Vec`s
-/// forever instead of allocating per window (let alone per event).
-struct MailChannel<M> {
-    /// Deposited batches awaiting the receiver.
-    full: Vec<Vec<Entry<M>>>,
-    /// Drained buffers awaiting reuse by the sender.
-    spare: Vec<Vec<Entry<M>>>,
-}
-
-/// What every shard of one run publishes to the others.
-struct Shared<M> {
-    /// `watermarks[s]`: shard `s`'s published safe-time floor. Monotone.
-    watermarks: Vec<u64>,
-    /// `excl[s * shards + p]`: shard `s`'s floor on its own future
-    /// processing, leaving out the mail from `p` it has not drained.
-    excl: Vec<u64>,
-    /// `drained[s * shards + p]`: batches shard `s` has drained from `p`.
-    drained: Vec<u64>,
-    /// `chans[dst][src]`: the directed mailbox channel src→dst.
-    chans: Vec<Vec<MailChannel<M>>>,
-    /// `in_nbrs[s]`: shards whose mail bounds `s`'s window.
-    in_nbrs: Vec<Vec<usize>>,
-    /// `out_ok[src * shards + dst]`: channel declared by the plan.
-    out_ok: Vec<bool>,
-    lookahead: u64,
-    /// The last instant the run processes (inclusive).
-    horizon: u64,
-}
-
-/// Shard `s`'s view of one in-neighbor `p`.
-struct InLink {
-    p: usize,
-    /// Batches drained from `p` so far.
-    drained: u64,
-    /// This step's read of `W_p`.
-    wm: u64,
-    /// This step's `min(excl[p][s], infl)`.
-    floor: u64,
-    /// This step's bound on the keys of mail from `p` still to come.
-    bound: u64,
-}
-
-/// Shard `s`'s side of the channel to one destination.
-struct OutLink<M> {
-    /// Staging buffer for the current window's flush.
-    outbox: Vec<Entry<M>>,
-    /// Batches deposited so far.
-    sent: u64,
-    /// Earliest key of each deposited batch the destination has not yet
-    /// counted as drained, oldest first.
-    unacked: VecDeque<u64>,
-}
-
-/// Per-shard bookkeeping.
-struct ShardWorker<M> {
-    s: usize,
-    ins: Vec<InLink>,
-    /// Indexed by destination shard.
-    outs: Vec<OutLink<M>>,
-    /// The local head the last bounds were computed with.
-    head: Option<u64>,
-}
-
-impl<M> ShardWorker<M> {
-    fn new(s: usize, sh: &Shared<M>) -> Self {
-        let start = sh.watermarks[s];
-        ShardWorker {
-            s,
-            ins: sh.in_nbrs[s]
-                .iter()
-                .map(|&p| InLink {
-                    p,
-                    drained: 0,
-                    wm: start,
-                    floor: start,
-                    bound: start,
-                })
-                .collect(),
-            outs: (0..sh.watermarks.len())
-                .map(|_| OutLink {
-                    outbox: Vec::new(),
-                    sent: 0,
-                    unacked: VecDeque::new(),
-                })
-                .collect(),
-            head: None,
-        }
-    }
-}
-
-/// `min over j ≠ i of vals[j]` for every `i`, from one pass over `vals`.
-struct MinBut {
-    least: u64,
-    at: usize,
-    next: u64,
-}
-
-impl MinBut {
-    fn of(vals: impl Iterator<Item = u64>) -> Self {
-        let mut m = MinBut {
-            least: u64::MAX,
-            at: usize::MAX,
-            next: u64::MAX,
-        };
-        for (i, v) in vals.enumerate() {
-            if v < m.least {
-                (m.next, m.least, m.at) = (m.least, v, i);
-            } else if v < m.next {
-                m.next = v;
-            }
-        }
-        m
-    }
-
-    fn but(&self, i: usize) -> u64 {
-        if i == self.at {
-            self.next
-        } else {
-            self.least
-        }
-    }
-}
-
-/// What one step did.
-enum Progress {
-    /// Nothing new: no mail, no events, no promise raised.
-    Idle,
-    /// Mail drained or a promise raised, but no event ran.
-    Moved,
-    /// Events ran.
-    Ran,
-}
-
-/// One protocol step for shard `s`: read the neighbors' promises, drain
-/// inbound mail, bound the mail still to come, process the safe window,
-/// flush outbound batches, and republish (see the module docs).
-fn step<M: 'static>(
-    se: &mut Engine<M>,
-    w: &mut ShardWorker<M>,
-    sh: &mut Shared<M>,
-    shard_of: &[u16],
-) -> Progress {
-    let (s, shards, l) = (w.s, sh.watermarks.len(), sh.lookahead);
-    if sh.watermarks[s] > sh.horizon {
-        return Progress::Idle;
-    }
-    // Retire the batches each destination has counted as drained.
-    for (d, out) in w.outs.iter_mut().enumerate() {
-        if !out.unacked.is_empty() {
-            let pending = (out.sent - sh.drained[d * shards + s]) as usize;
-            out.unacked.drain(..out.unacked.len() - pending);
-        }
-    }
-    let mut changed = false;
-    for link in w.ins.iter_mut() {
-        let wm = sh.watermarks[link.p];
-        let excl = sh.excl[link.p * shards + s];
-        let infl = w.outs[link.p].unacked.iter().copied().min();
-        let floor = excl.min(infl.unwrap_or(u64::MAX));
-        changed |= (wm, floor) != (link.wm, link.floor);
-        (link.wm, link.floor) = (wm, floor);
-    }
-    let mut moved = false;
-    for link in w.ins.iter_mut() {
-        let ch = &mut sh.chans[s][link.p];
-        while let Some(mut batch) = ch.full.pop() {
-            for entry in batch.drain(..) {
-                se.inject_entry(entry);
-            }
-            ch.spare.push(batch);
-            link.drained += 1;
-            moved = true;
-        }
-    }
-    let head = se.peek_head().map_or(u64::MAX, |(t, _)| t.0);
-    // The same reads, no mail and the same head would recompute the last
-    // step's bounds and publish nothing new.
-    if !moved && !changed && w.head == Some(head) {
-        return Progress::Idle;
-    }
-    w.head = Some(head);
-    // Mail from `p` answers work `p` holds, batches in flight to it, mail
-    // this shard sends from its queue (`head + L`), or mail a third
-    // in-neighbor `q` sends here first (`W_q + 2L`).
-    let third = MinBut::of(w.ins.iter().map(|link| link.wm.saturating_add(2 * l)));
-    for (i, link) in w.ins.iter_mut().enumerate() {
-        let cause = link.floor.min(head.saturating_add(l)).min(third.but(i));
-        link.bound = link.wm.max(cause).saturating_add(l);
-    }
-    let bounds = MinBut::of(w.ins.iter().map(|link| link.bound));
-    // Every bound is at least `L`, and `u64::MAX` (no in-neighbor, or a
-    // saturated bound) leaves `SimTime::MAX` to the consistent cut.
-    let last = (bounds.least - 1).min(sh.horizon);
-    let ran = head <= last;
-    if ran {
-        se.run_window(SimTime(last));
-        flush(se, w, sh, shard_of);
-    }
-    // Republish. Each floor leaves out only its own neighbor's undrained
-    // mail.
-    let head_after = se.peek_head().map_or(u64::MAX, |(t, _)| t.0);
-    for (i, link) in w.ins.iter().enumerate() {
-        let at = s * shards + link.p;
-        let excl = head_after.min(bounds.but(i));
-        moved |= excl != sh.excl[at];
-        sh.excl[at] = excl;
-        sh.drained[at] = link.drained;
-    }
-    // The watermark floors everything this shard can still process, and
-    // only ever rises, whatever the head does.
-    let wm = bounds.least.min(head_after);
-    if wm > sh.watermarks[s] {
-        sh.watermarks[s] = wm;
-        moved = true;
-    }
-    if ran {
-        Progress::Ran
-    } else if moved {
-        Progress::Moved
-    } else {
-        Progress::Idle
-    }
-}
-
-/// Hand the cross-shard output of `s`'s window to its destinations, one
-/// batch per channel.
-fn flush<M: 'static>(
-    se: &mut Engine<M>,
-    w: &mut ShardWorker<M>,
-    sh: &mut Shared<M>,
-    shard_of: &[u16],
-) {
-    let (s, shards) = (w.s, sh.watermarks.len());
-    for entry in se.take_foreign() {
-        let dst = shard_of[entry.dst.index()] as usize;
-        w.outs[dst].outbox.push(entry);
-    }
-    for (dst, out) in w.outs.iter_mut().enumerate() {
-        let Some(first) = out.outbox.iter().map(|e| e.time.0).min() else {
-            continue;
-        };
-        assert!(
-            sh.out_ok[s * shards + dst],
-            "cross-shard event outside the declared channel graph \
-             (shard {s} -> shard {dst}); the plan's channel edges must \
-             cover every communicating pair"
-        );
-        let ch = &mut sh.chans[dst][s];
-        let replacement = ch.spare.pop().unwrap_or_default();
-        ch.full
-            .push(std::mem::replace(&mut out.outbox, replacement));
-        out.sent += 1;
-        out.unacked.push_back(first);
-    }
-}
-
-/// What a consistent cut found.
-enum Cut {
-    /// Nothing is pending at or before the horizon.
-    Finished,
-    /// Every promise was raised to the earliest pending key.
-    Raised,
-    /// The earliest event, at `SimTime::MAX`, ran alone on this shard.
-    Ran(usize),
-}
-
-/// A run split into shards: their engines and bookkeeping, what they
-/// publish to each other, and what returns home at the rejoin.
+/// A run split into shards: their engines, and what returns home at the
+/// rejoin.
 struct SplitRun<M> {
     shard_engines: Vec<Engine<M>>,
-    workers: Vec<ShardWorker<M>>,
     replicated_originals: Vec<(ActorId, Box<dyn Actor<M>>)>,
     base_recorder: crate::metrics::Recorder,
-    shared: Shared<M>,
     replicas: Vec<ReplicaSet<M>>,
-}
-
-impl<M: 'static> SplitRun<M> {
-    /// The consistent cut (module docs). Valid only once every shard has
-    /// stepped since an event last ran.
-    fn cut(&mut self, shard_of: &[u16]) -> Cut {
-        let mut earliest: Option<((SimTime, u64), usize)> = None;
-        for (s, se) in self.shard_engines.iter_mut().enumerate() {
-            if let Some(key) = se.peek_head() {
-                if earliest.is_none_or(|(least, _)| key < least) {
-                    earliest = Some((key, s));
-                }
-            }
-        }
-        let sh = &mut self.shared;
-        let Some(((t, _), q)) = earliest.filter(|((t, _), _)| t.0 <= sh.horizon) else {
-            return Cut::Finished;
-        };
-        if t == SimTime::MAX {
-            let se = &mut self.shard_engines[q];
-            se.run_next();
-            flush(se, &mut self.workers[q], sh, shard_of);
-            return Cut::Ran(q);
-        }
-        for promise in sh.watermarks.iter_mut().chain(sh.excl.iter_mut()) {
-            *promise = (*promise).max(t.0);
-        }
-        Cut::Raised
-    }
 }
 
 fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPlan) {
@@ -579,18 +173,14 @@ fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPla
         "zero lookahead cannot overlap shards; run sequentially instead"
     );
     assert_eq!(plan.shard_of.len(), eng.actor_count());
-    if let Some(channels) = &plan.channels {
-        assert_eq!(channels.len(), plan.shards, "one channel row per shard");
-    }
 }
 
 /// Phases 0 and 1: drain the current instant sequentially (so every
 /// lazily-interned metric id exists before the recorders fork), then
-/// split the engine into per-shard engines and build the shared state.
+/// split the engine into per-shard engines.
 fn split_shards<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
-    lookahead: SimDuration,
     plan: &ShardPlan,
     mut replicas: Vec<ReplicaSet<M>>,
 ) -> SplitRun<M> {
@@ -650,52 +240,10 @@ fn split_shards<M: 'static>(
         );
         shard_engines[owner as usize].inject_entry(entry);
     }
-
-    // Shared protocol state. Watermarks and floors start at the fork
-    // instant: a valid floor, since phase 0 drained everything at or
-    // below it.
-    let in_nbrs: Vec<Vec<usize>> = match &plan.channels {
-        Some(channels) => channels
-            .iter()
-            .map(|row| row.iter().map(|&p| p as usize).collect())
-            .collect(),
-        None => (0..shards)
-            .map(|s| (0..shards).filter(|&p| p != s).collect())
-            .collect(),
-    };
-    let mut out_ok = vec![false; shards * shards];
-    for (dst, row) in in_nbrs.iter().enumerate() {
-        for &src in row {
-            out_ok[src * shards + dst] = true;
-        }
-    }
-    let start = eng.now().0;
-    let shared = Shared {
-        watermarks: vec![start; shards],
-        excl: vec![start; shards * shards],
-        drained: vec![0; shards * shards],
-        chans: (0..shards)
-            .map(|_| {
-                (0..shards)
-                    .map(|_| MailChannel {
-                        full: Vec::new(),
-                        spare: Vec::new(),
-                    })
-                    .collect()
-            })
-            .collect(),
-        in_nbrs,
-        out_ok,
-        lookahead: lookahead.nanos(),
-        horizon: horizon.0,
-    };
-    let workers = (0..shards).map(|s| ShardWorker::new(s, &shared)).collect();
     SplitRun {
         shard_engines,
-        workers,
         replicated_originals,
         base_recorder,
-        shared,
         replicas,
     }
 }
@@ -713,9 +261,7 @@ fn rejoin<M: 'static>(
         shard_engines,
         replicated_originals,
         base_recorder,
-        shared,
         replicas,
-        ..
     } = run;
     let mut out = replicas;
     let mut events = 0u64;
@@ -744,18 +290,6 @@ fn rejoin<M: 'static>(
             .merge_shard_deltas(&base_recorder, se.recorder());
         events += se.events_processed();
     }
-    // Mail can legally outlive a receiver: a shard stops stepping once no
-    // event at or before the horizon can reach it, so anything still in
-    // its channels lies beyond the horizon and re-merges as pending work.
-    for ch in shared.chans.into_iter().flatten() {
-        for entry in ch.full.into_iter().flatten() {
-            assert!(
-                entry.time > horizon,
-                "mail at or below the horizon left undelivered"
-            );
-            eng.inject_entry(entry);
-        }
-    }
     for (id, actor) in replicated_originals {
         eng.install(id, actor);
     }
@@ -771,18 +305,18 @@ fn rejoin<M: 'static>(
 }
 
 /// Run `eng` sharded until `horizon` (inclusive), bitwise identically
-/// to `eng.run_until(horizon)`, stepping the shards round-robin on the
-/// calling thread. See the module docs for the protocol.
+/// to `eng.run_until(horizon)`, one lookahead window at a time on the
+/// calling thread. See the module docs for the window rule.
 ///
 /// `replicas` carries the per-shard instances of every actor the plan
 /// marks [`ShardPlan::REPLICATED`]; the same sets (with whatever state
-/// the window left in them) are returned for the caller to merge.
+/// the run left in them) are returned for the caller to merge.
 ///
 /// # Panics
 /// Panics if `lookahead` is zero, `plan.shards < 2`, an event addressed
 /// to a replicated actor is pending at the boundary, a cross-shard event
-/// crosses a channel the plan does not declare, the protocol stalls, or
-/// a shard interns new metric keys mid-window (see
+/// lands inside the window that sent it (some cross-shard latency is
+/// below `lookahead`), or a shard interns new metric keys mid-run (see
 /// [`Recorder::merge_shard_deltas`](crate::metrics::Recorder::merge_shard_deltas)).
 /// A panicking actor's own panic propagates unchanged.
 pub fn run_sharded<M: 'static>(
@@ -792,78 +326,62 @@ pub fn run_sharded<M: 'static>(
     plan: &ShardPlan,
     replicas: Vec<ReplicaSet<M>>,
 ) -> Vec<ReplicaSet<M>> {
-    let mut next = 0usize;
-    run_sharded_cooperative(eng, horizon, lookahead, plan, replicas, move |_| {
-        next = next.wrapping_add(1);
-        next - 1
-    })
+    run_windows(eng, horizon, lookahead, plan, replicas).0
 }
 
-/// [`run_sharded`] with the shard order chosen by `pick` (its return
-/// value is taken modulo the shard count). Any pick sequence produces
-/// the bitwise-identical result. A sequence that starves a shard is
-/// overridden until every shard has stepped, and a round of steps that
-/// runs no event right after a consistent cut panics as a stall (it
-/// would mean the channel graph under-approximates real traffic).
-pub fn run_sharded_cooperative<M: 'static>(
+/// [`run_sharded`], also returning how many windows it ran.
+fn run_windows<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
     lookahead: SimDuration,
     plan: &ShardPlan,
     replicas: Vec<ReplicaSet<M>>,
-    mut pick: impl FnMut(usize) -> usize,
-) -> Vec<ReplicaSet<M>> {
+) -> (Vec<ReplicaSet<M>>, u64) {
     validate(eng, lookahead, plan);
-    let mut run = split_shards(eng, horizon, lookahead, plan, replicas);
-    let shards = plan.shards;
-    // `quiet[s]`: shard `s` has stepped since an event last ran anywhere.
-    let mut quiet = vec![false; shards];
-    let mut after_cut = false;
-    let mut stalled = 0usize;
+    let mut run = split_shards(eng, horizon, plan, replicas);
+    let engines = &mut run.shard_engines;
+    // The window's cross-shard sends, recycled between windows.
+    let mut mail: Vec<Entry<M>> = Vec::new();
+    let mut windows = 0u64;
     loop {
-        let s = if stalled > 4 * shards + 16 {
-            // The pick sequence may be starving a shard: step the shards
-            // that have not stepped since the last event.
-            quiet.iter().position(|&q| !q).unwrap_or(0)
-        } else {
-            pick(shards) % shards
-        };
-        let mut ran = None;
-        let (se, w) = (&mut run.shard_engines[s], &mut run.workers[s]);
-        match step(se, w, &mut run.shared, &plan.shard_of) {
-            Progress::Ran => ran = Some(s),
-            Progress::Moved => stalled = 0,
-            Progress::Idle => stalled += 1,
-        }
-        if ran.is_none() {
-            quiet[s] = true;
-            if quiet.iter().all(|&q| q) {
-                assert!(
-                    !after_cut,
-                    "watermark executor stalled: no shard can advance \
-                     (incomplete channel graph?)"
-                );
-                match run.cut(&plan.shard_of) {
-                    Cut::Finished => break,
-                    Cut::Ran(q) => ran = Some(q),
-                    Cut::Raised => {
-                        quiet.fill(false);
-                        after_cut = true;
-                        stalled = 0;
-                    }
+        let mut earliest: Option<((SimTime, u64), usize)> = None;
+        for (s, se) in engines.iter_mut().enumerate() {
+            if let Some(key) = se.peek_head() {
+                if earliest.is_none_or(|(least, _)| key < least) {
+                    earliest = Some((key, s));
                 }
             }
         }
-        if let Some(q) = ran {
-            // The shard that ran drained its mail first, and nothing has
-            // been deposited for it since.
-            quiet.fill(false);
-            quiet[q] = true;
-            after_cut = false;
-            stalled = 0;
+        let Some(((t, _), first)) = earliest.filter(|((t, _), _)| *t <= horizon) else {
+            break;
+        };
+        let reach = t.0.saturating_add(lookahead.nanos() - 1).min(u64::MAX - 1);
+        let last = SimTime(reach).min(horizon);
+        if t > last {
+            // `t` is `SimTime::MAX`: no lookahead left.
+            engines[first].run_next();
+        } else {
+            for se in engines.iter_mut() {
+                se.run_window(last);
+            }
+        }
+        windows += 1;
+        for se in engines.iter_mut() {
+            mail.extend(se.take_foreign());
+        }
+        for entry in mail.drain(..) {
+            assert!(
+                entry.time > last,
+                "cross-shard event at {} ns lands inside the window that ends \
+                 at {} ns: a cross-shard latency is below the lookahead of {} ns",
+                entry.time.0,
+                last.0,
+                lookahead.nanos()
+            );
+            engines[plan.shard_of[entry.dst.index()] as usize].inject_entry(entry);
         }
     }
-    rejoin(eng, horizon, plan, run)
+    (rejoin(eng, horizon, plan, run), windows)
 }
 
 #[cfg(test)]
@@ -922,9 +440,9 @@ mod tests {
 
     const WIRE: SimDuration = SimDuration::from_micros(5);
 
-    /// A ring of `nodes` nodes around one replicated hub, nothing
-    /// scheduled yet.
-    fn ring(nodes: u32) -> (Engine<TestMsg>, ActorId) {
+    /// A ring of `nodes` nodes around one replicated hub that forwards in
+    /// `wire`, nothing scheduled yet.
+    fn ring(nodes: u32, wire: SimDuration) -> (Engine<TestMsg>, ActorId) {
         let mut eng: Engine<TestMsg> = Engine::new();
         let hub = eng.reserve_actor();
         let ids: Vec<ActorId> = (0..nodes).map(|_| eng.reserve_actor()).collect();
@@ -940,19 +458,13 @@ mod tests {
                 }),
             );
         }
-        eng.install(
-            hub,
-            Box::new(TestHub {
-                wire: WIRE,
-                forwarded: 0,
-            }),
-        );
+        eng.install(hub, Box::new(TestHub { wire, forwarded: 0 }));
         eng.mark_replicated(hub);
         (eng, hub)
     }
 
     fn build(nodes: u32) -> (Engine<TestMsg>, ActorId) {
-        let (mut eng, hub) = ring(nodes);
+        let (mut eng, hub) = ring(nodes, WIRE);
         for i in 0..nodes {
             // Staggered starts, long relay chains crossing every node.
             let id = ActorId(1 + i);
@@ -964,10 +476,10 @@ mod tests {
     /// `nodes` nodes that each wake every 10 ms (2000 lookaheads), at
     /// evenly staggered offsets, and ping their successor through the
     /// hub, which pings its own successor in turn. Each ping lands one
-    /// lookahead after the wake and the next a second one later: exactly
-    /// on the exclusive bound `head + 2L` of the waker's window.
+    /// lookahead after the wake and the next a second one later: each
+    /// exactly one instant past the window that sent it.
     fn build_sparse(nodes: u32) -> (Engine<TestMsg>, ActorId) {
-        let (mut eng, hub) = ring(nodes);
+        let (mut eng, hub) = ring(nodes, WIRE);
         for k in 0..100u64 {
             for i in 0..nodes {
                 let wake = 10_000_000 * k + 1 + 10_000_000 * i as u64 / nodes as u64;
@@ -992,35 +504,22 @@ mod tests {
         (seen, eng.now(), hists)
     }
 
-    /// The toy world's ring plan: node `i` pings node `i + 1`, so the
-    /// actor chatter edges are the ring pairs (the hub is replicated and
-    /// contributes no channel).
-    fn ring_plan(nodes: u32, shards: usize, hub: ActorId, derive: bool) -> ShardPlan {
+    /// The toy world's ring plan: node `i` on shard `i % shards`, so every
+    /// ping crosses shards (the hub is replicated).
+    fn ring_plan(nodes: u32, shards: usize, hub: ActorId) -> ShardPlan {
         let mut shard_of = vec![0u16; 1 + nodes as usize];
         shard_of[hub.index()] = ShardPlan::REPLICATED;
         for i in 0..nodes as usize {
             shard_of[1 + i] = (i % shards) as u16;
         }
-        let mut plan = ShardPlan::new(shard_of, shards);
-        if derive {
-            let edges: Vec<(usize, usize)> = (0..nodes as usize)
-                .map(|i| (1 + i, 1 + (i + 1) % nodes as usize))
-                .collect();
-            plan.derive_channels(&edges);
-        }
-        plan
+        ShardPlan::new(shard_of, shards)
     }
 
-    fn hub_replicas(shards: usize, hub: ActorId) -> Vec<ReplicaSet<TestMsg>> {
+    fn hub_replicas(shards: usize, hub: ActorId, wire: SimDuration) -> Vec<ReplicaSet<TestMsg>> {
         vec![ReplicaSet {
             id: hub,
             replicas: (0..shards)
-                .map(|_| {
-                    Box::new(TestHub {
-                        wire: WIRE,
-                        forwarded: 0,
-                    }) as Box<dyn Actor<TestMsg>>
-                })
+                .map(|_| Box::new(TestHub { wire, forwarded: 0 }) as Box<dyn Actor<TestMsg>>)
                 .collect(),
         }]
     }
@@ -1029,11 +528,16 @@ mod tests {
         nodes: u32,
         shards: usize,
         horizon: SimTime,
-        derive: bool,
     ) -> (u64, SimTime, Vec<(String, u64, u64)>, u64) {
         let (mut eng, hub) = build(nodes);
-        let plan = ring_plan(nodes, shards, hub, derive);
-        let back = run_sharded(&mut eng, horizon, WIRE, &plan, hub_replicas(shards, hub));
+        let plan = ring_plan(nodes, shards, hub);
+        let back = run_sharded(
+            &mut eng,
+            horizon,
+            WIRE,
+            &plan,
+            hub_replicas(shards, hub, WIRE),
+        );
         // Replica counters plus whatever the original handled in the
         // sequential prefix reassemble the hub's sequential total.
         let forwarded: u64 = back[0]
@@ -1059,68 +563,33 @@ mod tests {
         let seq_events = seq_eng.events_processed();
         let (seen, now, hists) = fingerprint(&seq_eng, 6);
         for shards in [2usize, 3, 4] {
-            for derive in [false, true] {
-                let (p_seen, p_now, p_hists, _fw) = run_parallel(6, shards, horizon, derive);
-                assert_eq!(p_seen, seen, "{shards} shards diverged");
-                assert_eq!(p_now, now);
-                assert_eq!(p_hists, hists, "{shards} shards: histograms diverged");
-            }
+            let (p_seen, p_now, p_hists, _fw) = run_parallel(6, shards, horizon);
+            assert_eq!(p_seen, seen, "{shards} shards diverged");
+            assert_eq!(p_now, now);
+            assert_eq!(p_hists, hists, "{shards} shards: histograms diverged");
         }
         assert!(seq_events > 10_000, "world must actually run");
     }
 
     #[test]
-    fn skewed_cooperative_schedules_agree() {
-        // Heavily biased pick sequences (one shard stepped 7× more than
-        // the rest) still converge to the sequential fingerprint; the
-        // anti-starvation sweep covers shards the sequence neglects.
-        let horizon = SimTime(15_000_000);
-        let (mut seq_eng, _) = build(4);
-        seq_eng.run_until(horizon);
-        let (seen, now, hists) = fingerprint(&seq_eng, 4);
-        let (mut eng, hub) = build(4);
-        let plan = ring_plan(4, 2, hub, true);
-        let mut n = 0usize;
-        run_sharded_cooperative(
-            &mut eng,
-            horizon,
-            WIRE,
-            &plan,
-            hub_replicas(2, hub),
-            move |_| {
-                n += 1;
-                if n.is_multiple_of(8) {
-                    1
-                } else {
-                    0
-                }
-            },
-        );
-        let (p_seen, p_now, p_hists) = fingerprint(&eng, 4);
-        assert_eq!((p_seen, p_now, p_hists), (seen, now, hists));
-    }
-
-    /// A world whose ring really does cross shards, under a declared
-    /// channel graph with no channels at all.
-    fn undeclared_world() -> (Engine<TestMsg>, ActorId, ShardPlan) {
-        let (eng, hub) = build(4);
-        let mut plan = ring_plan(4, 2, hub, false);
-        plan.channels = Some(vec![Vec::new(), Vec::new()]);
-        (eng, hub, plan)
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the declared channel graph")]
-    fn undeclared_channel_panics() {
-        // The first cross-shard flush must die loudly rather than let the
-        // receiver's clock race the mail.
-        let (mut eng, hub, plan) = undeclared_world();
+    #[should_panic(expected = "below the lookahead")]
+    fn mail_below_the_lookahead_panics() {
+        // The hub forwards in 1 µs but the run claims 5 µs. Node 0 starts
+        // two ping chains 3 µs apart, so the answer to the first lands
+        // before the second starts: running both in one window would run
+        // node 0's clock backwards. The first window's mail must die
+        // loudly instead, in release builds too.
+        let fast = SimDuration::from_micros(1);
+        let (mut eng, hub) = ring(2, fast);
+        eng.schedule(SimTime(1), ActorId(1), TestMsg::Tick { hops: 400 });
+        eng.schedule(SimTime(3_001), ActorId(1), TestMsg::Tick { hops: 400 });
+        let plan = ring_plan(2, 2, hub);
         let _ = run_sharded(
             &mut eng,
             SimTime(10_000_000),
             WIRE,
             &plan,
-            hub_replicas(2, hub),
+            hub_replicas(2, hub, fast),
         );
     }
 
@@ -1142,21 +611,21 @@ mod tests {
         let victim = ActorId(2);
         assert!(eng.take_actor(victim).is_some());
         eng.install(victim, Box::new(Bomb));
-        let plan = ring_plan(4, 2, hub, true);
+        let plan = ring_plan(4, 2, hub);
         let _ = run_sharded(
             &mut eng,
             SimTime(10_000_000),
             WIRE,
             &plan,
-            hub_replicas(2, hub),
+            hub_replicas(2, hub, WIRE),
         );
     }
 
     #[test]
     fn sparse_traffic_leaps_idle_gaps() {
-        // Crawling the 10 ms gaps 5 µs at a time would take ~200k steps
-        // per shard. Two shards leap on their floors, three or more on
-        // the consistent cut.
+        // Crawling the 10 ms gaps 5 µs at a time would take ~2,000
+        // windows per gap. Each window starts at the earliest pending
+        // event, so a gap costs one.
         let horizon = SimTime(1_000_000_000);
         for shards in [2usize, 3, 4] {
             let nodes = shards as u32;
@@ -1167,23 +636,13 @@ mod tests {
             assert_eq!(expected.0, 300 * nodes as u64, "every wake pings twice");
 
             let (mut eng, hub) = build_sparse(nodes);
-            let plan = ring_plan(nodes, shards, hub, true);
-            let mut picks = 0u64;
-            run_sharded_cooperative(
-                &mut eng,
-                horizon,
-                WIRE,
-                &plan,
-                hub_replicas(shards, hub),
-                |_| {
-                    picks += 1;
-                    picks as usize
-                },
-            );
+            let plan = ring_plan(nodes, shards, hub);
+            let replicas = hub_replicas(shards, hub, WIRE);
+            let (_, windows) = run_windows(&mut eng, horizon, WIRE, &plan, replicas);
             assert_eq!(fingerprint(&eng, nodes), expected, "{shards} shards");
             assert!(
-                picks <= shards as u64 * events + 16,
-                "{shards} shards: {picks} cooperative steps for {events} events"
+                windows <= events,
+                "{shards} shards: {windows} windows for {events} events"
             );
         }
     }
@@ -1196,28 +655,23 @@ mod tests {
             eng.schedule(SimTime(1), ActorId(1), TestMsg::Tick { hops: 0 });
             eng.schedule(SimTime::MAX, ActorId(2), TestMsg::Tick { hops: 3 });
         };
-        let (mut seq_eng, _) = ring(2);
+        let (mut seq_eng, _) = ring(2, WIRE);
         schedule(&mut seq_eng);
         seq_eng.run_until(SimTime::MAX);
         let expected = (seq_eng.events_processed(), seq_eng.queue_len());
         assert_eq!(expected, (8, 0));
-        for cooperative in [false, true] {
-            let (mut eng, hub) = ring(2);
-            schedule(&mut eng);
-            let plan = ring_plan(2, 2, hub, true);
-            let replicas = hub_replicas(2, hub);
-            if cooperative {
-                let mut n = 0usize;
-                run_sharded_cooperative(&mut eng, SimTime::MAX, WIRE, &plan, replicas, |_| {
-                    n += 3;
-                    n / 2
-                });
-            } else {
-                run_sharded(&mut eng, SimTime::MAX, WIRE, &plan, replicas);
-            }
-            assert_eq!((eng.events_processed(), eng.queue_len()), expected);
-            assert_eq!(fingerprint(&eng, 2), fingerprint(&seq_eng, 2));
-        }
+        let (mut eng, hub) = ring(2, WIRE);
+        schedule(&mut eng);
+        let plan = ring_plan(2, 2, hub);
+        run_sharded(
+            &mut eng,
+            SimTime::MAX,
+            WIRE,
+            &plan,
+            hub_replicas(2, hub, WIRE),
+        );
+        assert_eq!((eng.events_processed(), eng.queue_len()), expected);
+        assert_eq!(fingerprint(&eng, 2), fingerprint(&seq_eng, 2));
     }
 
     #[test]
@@ -1226,7 +680,7 @@ mod tests {
         let (mut seq_eng, hub) = build(4);
         seq_eng.run_until(horizon);
         let seq_fw = seq_eng.actor::<TestHub>(hub).unwrap().forwarded;
-        let (_, _, _, fw) = run_parallel(4, 2, horizon, true);
+        let (_, _, _, fw) = run_parallel(4, 2, horizon);
         assert_eq!(fw, seq_fw, "summed replica counters must match");
     }
 
@@ -1241,8 +695,8 @@ mod tests {
         let (seen_a, _, hists_a) = fingerprint(&a, 4);
 
         let (mut b, hub) = build(4);
-        let plan = ring_plan(4, 2, hub, true);
-        let _back = run_sharded(&mut b, horizon, WIRE, &plan, hub_replicas(2, hub));
+        let plan = ring_plan(4, 2, hub);
+        let _back = run_sharded(&mut b, horizon, WIRE, &plan, hub_replicas(2, hub, WIRE));
         // The original hub is back in its slot; continue sequentially.
         b.run_until(SimTime(9_000_000));
         let (seen_b, _, hists_b) = fingerprint(&b, 4);

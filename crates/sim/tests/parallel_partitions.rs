@@ -1,14 +1,14 @@
 //! Property: *any* assignment of actors to shards — balanced,
 //! lopsided, or leaving some shards empty — produces the exact
 //! sequential fingerprint. Same-timestamp cross-shard events must merge
-//! in `(time, seq)` order no matter which mailbox they travelled
-//! through, so the partition is unobservable. A think time makes the
-//! hub hold some relays for up to ~50 lookaheads, so idle gaps wider
-//! than the lookahead occur between the bursts.
+//! in `(time, seq)` order no matter which shard sent them, so the
+//! partition is unobservable. A think time makes the hub hold some
+//! relays for up to ~50 lookaheads, so idle gaps wider than the
+//! lookahead occur between the bursts.
 
 use fgmon_sim::{
-    run_sharded, run_sharded_cooperative, Actor, ActorId, Ctx, Engine, ReplicaSet, RunOutcome,
-    ShardPlan, SimDuration, SimTime,
+    run_sharded, Actor, ActorId, Ctx, Engine, ReplicaSet, RunOutcome, ShardPlan, SimDuration,
+    SimTime,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -129,17 +129,7 @@ fn fingerprint(eng: &Engine<TestMsg>, ids: &[ActorId], forwarded: u64) -> Fp {
     (seen, forwarded, eng.now(), eng.events_processed(), hists)
 }
 
-/// `interleave`: `None` runs the round-robin `run_sharded`; `Some(seed)`
-/// drives the cooperative executor with a splitmix-style random shard
-/// schedule — simulating an arbitrary watermark-advance interleaving on
-/// one thread, with the ring channel graph declared.
-fn run_with_partition(
-    nodes: usize,
-    hops: u32,
-    think: u64,
-    partition: &[u16],
-    interleave: Option<u64>,
-) -> Fp {
+fn run_with_partition(nodes: usize, hops: u32, think: u64, partition: &[u16]) -> Fp {
     let (mut eng, hub, ids) = build(nodes, hops, think);
     let shards = (*partition.iter().max().unwrap() + 1).max(2) as usize;
     let mut shard_of = vec![0u16; eng.actor_count()];
@@ -147,35 +137,12 @@ fn run_with_partition(
     for (i, &id) in ids.iter().enumerate() {
         shard_of[id.index()] = partition[i];
     }
-    let mut plan = ShardPlan::new(shard_of, shards);
+    let plan = ShardPlan::new(shard_of, shards);
     let replicas = vec![ReplicaSet {
         id: hub,
         replicas: (0..shards).map(|_| self::hub(think)).collect(),
     }];
-    let returned = match interleave {
-        None => run_sharded(&mut eng, HORIZON, WIRE, &plan, replicas),
-        Some(seed) => {
-            // The toy world's only cross-shard traffic is the hub relay
-            // along the ring: declare exactly those channels so random
-            // schedules also exercise neighbor-only blocking.
-            let edges: Vec<(usize, usize)> = ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id.index(), ids[(i + 1) % ids.len()].index()))
-                .collect();
-            plan.derive_channels(&edges);
-            let mut state = seed;
-            run_sharded_cooperative(&mut eng, HORIZON, WIRE, &plan, replicas, move |n| {
-                // splitmix64 step: a deterministic, seed-dependent stream
-                // of shard picks (arbitrary interleaving, same result).
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as usize % n
-            })
-        }
-    };
+    let returned = run_sharded(&mut eng, HORIZON, WIRE, &plan, replicas);
     let mut forwarded = eng.actor::<TestHub>(hub).unwrap().forwarded;
     for set in &returned {
         for r in &set.replicas {
@@ -211,28 +178,7 @@ proptest! {
         let partition: Vec<u16> = (0..nodes).map(|i| partition_seed[i]).collect();
         let sequential = run_sequential(nodes, hops, think);
         prop_assert!(sequential.0 > 0, "toy world must actually run");
-        let parallel = run_with_partition(nodes, hops, think, &partition, None);
-        prop_assert_eq!(sequential, parallel);
-    }
-
-    /// Random watermark-advance interleavings — shards stepped in an
-    /// arbitrary seed-driven order by the single-threaded cooperative
-    /// driver, with the ring channel graph declared — reproduce the
-    /// sequential fingerprint for any partition. This is the scheduling
-    /// nondeterminism a thread race could produce, made enumerable.
-    #[test]
-    fn any_interleaving_matches_sequential(
-        nodes in 2usize..8,
-        hops in 20u32..120,
-        think in 0u64..=MAX_THINK,
-        partition_seed in vec(0u16..4, 8..9),
-        schedule_seed in any::<u64>(),
-    ) {
-        let partition: Vec<u16> = (0..nodes).map(|i| partition_seed[i]).collect();
-        let sequential = run_sequential(nodes, hops, think);
-        prop_assert!(sequential.0 > 0, "toy world must actually run");
-        let parallel =
-            run_with_partition(nodes, hops, think, &partition, Some(schedule_seed));
+        let parallel = run_with_partition(nodes, hops, think, &partition);
         prop_assert_eq!(sequential, parallel);
     }
 }

@@ -1,10 +1,10 @@
-//! Integration: the sharded parallel executor — asynchronous watermark
-//! advancement over communication-affinity partitions — is *bitwise
+//! Integration: the sharded parallel executor — global lookahead
+//! windows over communication-affinity partitions — is *bitwise
 //! identical* to the sequential engine. Every observable output —
 //! fabric frame counters, the strict race report (each torn-read
 //! diagnostic, timestamp, and epoch), monitoring histograms,
 //! channel-health counters, and the event count — must match exactly
-//! for any thread count, on both a fault-injected world and the
+//! for any shard count, on both a fault-injected world and the
 //! failover world.
 
 use fgmon_balancer::Dispatcher;
@@ -16,7 +16,7 @@ use fgmon_types::{ChannelHealthStats, FaultPlan, RaceMode, RaceReport, RetryPoli
 const SEEDS: [u64; 3] = [11, 29, 4242];
 // Includes a prime shard count (uneven affinity groups) and more shards
 // than some worlds have busy nodes (degenerate near-empty shards).
-const THREADS: [usize; 4] = [2, 3, 4, 8];
+const SHARDS: [usize; 4] = [2, 3, 4, 8];
 
 type HistRow = (String, u64, u64, u64);
 
@@ -31,18 +31,18 @@ fn histograms(cluster: &Cluster) -> Vec<HistRow> {
         .collect()
 }
 
-fn run(cluster: &mut Cluster, dur: SimDuration, threads: usize) {
-    if threads <= 1 {
+fn run(cluster: &mut Cluster, dur: SimDuration, shards: usize) {
+    if shards <= 1 {
         cluster.run_for(dur);
     } else {
-        cluster.run_parallel(dur, threads);
+        cluster.run_parallel(dur, shards);
     }
 }
 
 #[test]
 fn fault_world_is_bitwise_identical_across_thread_counts() {
     type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
-    let fingerprint = |seed: u64, threads: usize| -> Fp {
+    let fingerprint = |seed: u64, shards: usize| -> Fp {
         let plan = FaultPlan::new(seed ^ 0xD15C)
             .congested(SimTime::ZERO, SimTime::MAX, 16.0)
             .lossy_all(0.02);
@@ -53,7 +53,7 @@ fn fault_world_is_bitwise_identical_across_thread_counts() {
             seed,
         );
         w.cluster.set_race_mode(RaceMode::Strict);
-        run(&mut w.cluster, SimDuration::from_secs(3), threads);
+        run(&mut w.cluster, SimDuration::from_secs(3), shards);
         (
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
@@ -71,11 +71,11 @@ fn fault_world_is_bitwise_identical_across_thread_counts() {
             sequential.1.reads_tracked > 0,
             "the RDMA poller must be race-tracked (seed {seed})"
         );
-        for threads in THREADS {
-            let parallel = fingerprint(seed, threads);
+        for shards in SHARDS {
+            let parallel = fingerprint(seed, shards);
             assert_eq!(
                 sequential, parallel,
-                "parallel run diverged (seed {seed}, threads {threads})"
+                "parallel run diverged (seed {seed}, shards {shards})"
             );
         }
     }
@@ -91,9 +91,9 @@ fn failover_world_preserves_channel_health_bitwise() {
         ChannelHealthStats,
         Vec<HistRow>,
     );
-    let fingerprint = |seed: u64, threads: usize| -> Fp {
+    let fingerprint = |seed: u64, shards: usize| -> Fp {
         let mut w = flaky_rdma_failover(Scheme::RdmaSync, seed).world;
-        run(&mut w.cluster, SimDuration::from_secs(6), threads);
+        run(&mut w.cluster, SimDuration::from_secs(6), shards);
         let disp: &Dispatcher = w.cluster.service(w.frontend, w.dispatcher_slot);
         let per: Vec<ChannelHealthStats> = (0..disp.monitor.backend_count())
             .map(|i| *disp.monitor.health_of(i))
@@ -117,11 +117,11 @@ fn failover_world_preserves_channel_health_bitwise() {
             sequential.4.any_activity(),
             "the failover machinery must actually trip (seed {seed})"
         );
-        for threads in THREADS {
-            let parallel = fingerprint(seed, threads);
+        for shards in SHARDS {
+            let parallel = fingerprint(seed, shards);
             assert_eq!(
                 sequential, parallel,
-                "failover run diverged (seed {seed}, threads {threads})"
+                "failover run diverged (seed {seed}, shards {shards})"
             );
         }
     }
@@ -130,9 +130,9 @@ fn failover_world_preserves_channel_health_bitwise() {
 #[test]
 fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
     type Fp = (FabricStats, u64, Vec<HistRow>);
-    let fingerprint = |threads: usize| -> Fp {
+    let fingerprint = |shards: usize| -> Fp {
         let mut w = big_cluster(16, 7);
-        run(&mut w.cluster, SimDuration::from_millis(600), threads);
+        run(&mut w.cluster, SimDuration::from_millis(600), shards);
         (
             w.cluster.fabric_stats(),
             w.cluster.eng.events_processed(),
@@ -148,11 +148,11 @@ fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
         sequential.0.rdma_batched_reads >= 2 * sequential.0.rdma_batch_posts,
         "each batch must carry multiple reads"
     );
-    for threads in [2, 3, 4, 8] {
-        let parallel = fingerprint(threads);
+    for shards in [2, 3, 4, 8] {
+        let parallel = fingerprint(shards);
         assert_eq!(
             sequential, parallel,
-            "big-cluster run diverged (threads {threads})"
+            "big-cluster run diverged (shards {shards})"
         );
     }
 }
@@ -171,11 +171,11 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
         SimDuration(249_500_000),
         SimDuration(500_000_000),
     ];
-    let fingerprint = |qos: QosPolicy, seed: u64, threads: usize| -> Fp {
+    let fingerprint = |qos: QosPolicy, seed: u64, shards: usize| -> Fp {
         let mut w = fgmon_cluster::noisy_neighbor(qos, true, seed);
         w.cluster.set_race_mode(RaceMode::Strict);
         for segment in SEGMENTS {
-            run(&mut w.cluster, segment, threads);
+            run(&mut w.cluster, segment, shards);
         }
         (
             w.cluster.fabric_stats(),
@@ -199,11 +199,11 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
                     "the hostile tenant must thrash the shared NIC ({qos:?}, seed {seed})"
                 );
             }
-            for threads in THREADS {
-                let parallel = fingerprint(qos, seed, threads);
+            for shards in SHARDS {
+                let parallel = fingerprint(qos, seed, shards);
                 assert_eq!(
                     sequential, parallel,
-                    "noisy-neighbor run diverged ({qos:?}, seed {seed}, threads {threads})"
+                    "noisy-neighbor run diverged ({qos:?}, seed {seed}, shards {shards})"
                 );
             }
         }
@@ -213,10 +213,10 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn gray_failure_world_is_bitwise_identical_across_thread_counts() {
     type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
-    let fingerprint = |seed: u64, threads: usize| -> Fp {
+    let fingerprint = |seed: u64, shards: usize| -> Fp {
         let mut w = fgmon_cluster::gray_failure_world(seed);
         w.cluster.set_race_mode(RaceMode::Strict);
-        run(&mut w.cluster, SimDuration::from_secs(5), threads);
+        run(&mut w.cluster, SimDuration::from_secs(5), shards);
         (
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
@@ -238,11 +238,11 @@ fn gray_failure_world_is_bitwise_identical_across_thread_counts() {
             sequential.0.fault_delayed > 0,
             "the slow NIC must inflate latency (seed {seed})"
         );
-        for threads in THREADS {
-            let parallel = fingerprint(seed, threads);
+        for shards in SHARDS {
+            let parallel = fingerprint(seed, shards);
             assert_eq!(
                 sequential, parallel,
-                "gray-failure run diverged (seed {seed}, threads {threads})"
+                "gray-failure run diverged (seed {seed}, shards {shards})"
             );
         }
     }
@@ -259,11 +259,11 @@ fn rdma_lock_world_is_bitwise_identical_across_thread_counts() {
         Vec<(u64, u64, u64, u64)>,
         Vec<HistRow>,
     );
-    let fingerprint = |seed: u64, threads: usize| -> Fp {
+    let fingerprint = |seed: u64, shards: usize| -> Fp {
         let crash = Some((SimTime(1_000_000_000), SimTime(1_600_000_000)));
         let mut w = fgmon_cluster::rdma_lock_world(4, 1, crash, seed);
         w.cluster.set_race_mode(RaceMode::Strict);
-        run(&mut w.cluster, SimDuration::from_secs(3), threads);
+        run(&mut w.cluster, SimDuration::from_secs(3), shards);
         let counters: Vec<(u64, u64, u64, u64)> = w
             .clients
             .iter()
@@ -287,11 +287,11 @@ fn rdma_lock_world_is_bitwise_identical_across_thread_counts() {
             sequential.3.iter().map(|c| c.0).sum::<u64>() > 0,
             "lock clients must make progress (seed {seed})"
         );
-        for threads in THREADS {
-            let parallel = fingerprint(seed, threads);
+        for shards in SHARDS {
+            let parallel = fingerprint(seed, shards);
             assert_eq!(
                 sequential, parallel,
-                "lock-world run diverged (seed {seed}, threads {threads})"
+                "lock-world run diverged (seed {seed}, shards {shards})"
             );
         }
     }

@@ -53,8 +53,9 @@ const GROWTH_SLACK: u64 = 32;
 /// Extra allocations per shard a `run_parallel` segment may make over its
 /// sequential twin. The segment's fork and rejoin clone one recorder,
 /// one fabric replica and the queue scaffolding per shard, whatever the
-/// virtual length; mailbox flush buffers are recycled, so a per-window
-/// or per-event allocation would show up as thousands.
+/// virtual length; the buffer that carries each window's cross-shard
+/// mail is recycled, so a per-window or per-event allocation would show
+/// up as thousands.
 const FORK_SLACK_PER_SHARD: u64 = 160;
 
 /// Allocations and doorbell batches of one counted half.
@@ -64,11 +65,11 @@ struct Counted {
 }
 
 /// Run `cluster` for a warm `half`, then count a second `half`, through
-/// `Cluster::run_parallel` when `threads` > 1.
-fn count_steady(cluster: &mut Cluster, half: SimDuration, threads: usize) -> Counted {
+/// `Cluster::run_parallel` when `shards` > 1.
+fn count_steady(cluster: &mut Cluster, half: SimDuration, shards: usize) -> Counted {
     let run = |c: &mut Cluster| {
-        if threads > 1 {
-            c.run_parallel(half, threads)
+        if shards > 1 {
+            c.run_parallel(half, shards)
         } else {
             c.run_for(half)
         }
@@ -122,11 +123,11 @@ fn warm_worlds_allocate_per_batch_not_per_event() {
 
     let half = SimDuration::from_millis(500);
     let seq = sequential("big_cluster-64", &mut big_cluster(64, 42).cluster, half);
-    let threads = 2;
-    let par = count_steady(&mut big_cluster(64, 42).cluster, half, threads);
-    let ceiling = seq + FORK_SLACK_PER_SHARD * threads as u64;
+    let shards = 2;
+    let par = count_steady(&mut big_cluster(64, 42).cluster, half, shards);
+    let ceiling = seq + FORK_SLACK_PER_SHARD * shards as u64;
     println!(
-        "big_cluster-64, {threads} threads: {} allocations, ceiling {ceiling}",
+        "big_cluster-64, {shards} shards: {} allocations, ceiling {ceiling}",
         par.allocs
     );
     assert!(par.allocs <= ceiling, "{} > {ceiling}", par.allocs);
