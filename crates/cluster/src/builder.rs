@@ -1,13 +1,10 @@
 //! Cluster assembly: build an engine populated with nodes, a fabric, and
 //! services, mirroring the paper's 8-back-end + front-end testbed.
 
-use std::any::Any;
-
 use fgmon_net::Fabric;
 use fgmon_os::{NodeActor, OsCore, Service};
 use fgmon_sim::{
-    run_sharded, Actor, ActorId, DetRng, Engine, ReplicaSet, RunOutcome, ShardPlan, SimDuration,
-    SimTime,
+    run_sharded, ActorId, DetRng, Engine, RunOutcome, ShardPlan, SimDuration, SimTime,
 };
 use fgmon_types::{
     ConnId, FaultEffect, FaultPlan, McastGroup, Msg, NetConfig, NodeId, NodeMsg, OsConfig,
@@ -179,8 +176,9 @@ impl ClusterBuilder {
                     .set_post_limiter(bucket);
             }
         }
-        // The fabric is the one actor every node talks to; parallel runs
-        // replicate it into each shard instead of assigning it to one.
+        // The fabric is the one actor every node talks to; a sharded run
+        // assigns it to no shard and runs each of its events on the
+        // shard that sent it.
         self.eng.mark_replicated(self.fabric_slot);
         self.eng.install(self.fabric_slot, Box::new(fabric));
         for &actor in &self.nodes {
@@ -268,11 +266,11 @@ impl Cluster {
     /// Bitwise identical to [`Cluster::run_for`]: nodes are grouped
     /// onto shards by communication affinity (a greedy partition of the
     /// fabric's chatter graph, so ring/rack neighbors land together and
-    /// most traffic stays shard-local), the fabric is replicated into
-    /// every shard, and the window width is the fabric's minimum
-    /// cross-shard latency. The chatter graph only shapes the partition:
-    /// any partition gives the same run. Falls back to the sequential
-    /// engine when fewer than two shards are possible.
+    /// most traffic stays shard-local), the one fabric runs each frame
+    /// on the shard that posted it, and the window width is the fabric's
+    /// minimum cross-shard latency. The chatter graph only shapes the
+    /// partition: any partition gives the same run. Falls back to the
+    /// sequential engine when fewer than two shards are possible.
     /// Sharding buys no speed on its own (see `fgmon_sim::parallel`); it
     /// exists so the chaos search and the equivalence suites can check
     /// the sharded protocol against the sequential engine.
@@ -297,50 +295,15 @@ impl Cluster {
                 .map(|(a, b, w)| (a.index(), b.index(), w))
                 .collect();
             let groups = ShardPlan::affinity_groups(self.nodes.len(), shards, &node_edges);
+            // The fabric's entry is ignored: it belongs to no shard.
             let mut shard_of = vec![0u16; self.eng.actor_count()];
-            shard_of[self.fabric.index()] = ShardPlan::REPLICATED;
             for (i, actor) in self.nodes.iter().enumerate() {
                 shard_of[actor.index()] = groups[i];
             }
             self.plan_cache = Some((shards, ShardPlan::new(shard_of, shards)));
         }
         let plan = &self.plan_cache.as_ref().expect("plan cached above").1;
-        let fabric_replicas = self
-            .eng
-            .actor::<Fabric>(self.fabric)
-            .expect("fabric actor")
-            .split_for_shards(shards);
-        let replicas = vec![ReplicaSet {
-            id: self.fabric,
-            replicas: fabric_replicas
-                .into_iter()
-                .map(|f| Box::new(f) as Box<dyn Actor<Msg>>)
-                .collect(),
-        }];
-        let returned = run_sharded(&mut self.eng, horizon, lookahead, plan, replicas);
-        // Fold the replicas back into the main fabric: `fabric_stats`
-        // reports the whole run, and the next segment resumes from the
-        // contention state the replicas evolved.
-        let fabrics: Vec<&Fabric> = returned
-            .iter()
-            .flat_map(|set| &set.replicas)
-            .map(|r| {
-                (r.as_ref() as &dyn Any)
-                    .downcast_ref::<Fabric>()
-                    .expect("fabric replica")
-            })
-            .collect();
-        let nodes = &self.nodes;
-        let owner = |n: NodeId| plan.shard_of[nodes[n.index()].index()] as usize;
-        self.eng
-            .actor_mut::<Fabric>(self.fabric)
-            .expect("fabric actor")
-            .rejoin_shards(&fabrics, owner);
-        if self.eng.queue_len() > 0 {
-            RunOutcome::HorizonReached
-        } else {
-            RunOutcome::QueueDrained
-        }
+        run_sharded(&mut self.eng, horizon, lookahead, plan)
     }
 
     /// Engine actor id of a node.

@@ -389,9 +389,8 @@ impl MonitorClient {
 
     /// Intern every metric handle this client will ever record into.
     /// Runs from [`MonitorClient::start`], after the embedder has decided
-    /// `record_series`: parallel windows forbid interning new keys
-    /// mid-run, and eager interning also keeps the steady-state reply
-    /// path free of key formatting.
+    /// `record_series`, so the steady-state reply path is free of key
+    /// formatting.
     pub fn intern_metrics(&mut self, r: &mut Recorder) {
         let label = self.scheme.label();
         self.lat_id

@@ -52,9 +52,8 @@ pub fn reach_root(name: &str, owner: Option<&str>) -> bool {
 /// Roots of the *event path* for the allow-reentry check: the per-event
 /// dispatch machinery and service handlers. Narrower than
 /// [`reach_root`]: `Cluster::run_parallel` is excluded on purpose — it
-/// splits and rejoins shards around the per-event path (sharing the race
-/// detector among fabric replicas, a sanctioned home), and the check asks
-/// whether sanctioned primitives leak back into per-event code, not
+/// splits and rejoins shards around the per-event path, and the check
+/// asks whether sanctioned primitives leak back into per-event code, not
 /// whether set-up and tear-down use them.
 pub fn event_root(name: &str, owner: Option<&str>) -> bool {
     if name.starts_with("on_") {

@@ -80,7 +80,7 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
-    /// Fold another stats block into this one (shard-replica merge).
+    /// Fold another stats block into this one (summing runs).
     pub fn absorb(&mut self, o: &FabricStats) {
         self.socket_frames += o.socket_frames;
         self.socket_bytes += o.socket_bytes;
@@ -119,8 +119,7 @@ pub struct Fabric {
     /// Node pairs that exchange one-sided RDMA verbs without a
     /// registered connection (the lock service's CAS traffic): declared
     /// at build time so the affinity partition weighs them like
-    /// connections. Part of the immutable routing state shard replicas
-    /// share.
+    /// connections. Immutable routing state.
     declared_routes: Vec<(NodeId, NodeId)>,
     /// Fault schedule; `fault_active` is true iff the plan has rules, so
     /// fault-free runs evaluate zero fates and stay bit-identical to
@@ -132,15 +131,14 @@ pub struct Fabric {
     payload_faults: bool,
     /// Per-event fate counter: reset when an event arrives, bumped per
     /// fate evaluation. Makes every fate a pure function of
-    /// `(plan seed, event time, event seq, check index)` — the same on
-    /// whichever shard's replica handles the event.
+    /// `(plan seed, event time, event seq, check index)` — the same
+    /// whichever shard handles the event, in whatever order.
     fault_check_index: u32,
     /// Shadow-state torn-read detector, shared with every node's OS core;
     /// `None` when race checking is off (zero overhead).
     race: Option<SharedRaceDetector>,
     /// `tenants[node.index()]` = that node's tenant; absent entries are
-    /// the infrastructure tenant. Immutable routing state (shared by
-    /// shard replicas).
+    /// the infrastructure tenant. Immutable routing state.
     tenants: Vec<TenantId>,
     /// NIC-contention model + QoS policy; `None` keeps the fabric
     /// tenancy-blind and bit-identical to pre-tenancy builds. Rate-limit
@@ -151,7 +149,8 @@ pub struct Fabric {
     /// the aligned window the target is currently in. Completion legs
     /// are only ever handled on the target's shard (the target sent
     /// them same-instant), so each slot is touched from exactly one
-    /// shard — the same routing invariant the race detector leans on.
+    /// shard, in the sequential order — the same routing invariant the
+    /// race detector leans on.
     pressure: Vec<(u64, u32)>,
     pub stats: FabricStats,
 }
@@ -193,57 +192,6 @@ impl Fabric {
             tenancy: None,
             pressure: Vec::new(),
             stats: FabricStats::default(),
-        }
-    }
-
-    /// Build per-shard replicas for the parallel executor. Replicas share
-    /// the immutable routing state (connection table, multicast
-    /// membership, node table, fault plan, race-detector handle) and
-    /// start with fresh counters; fault fates are a pure function of the
-    /// plan seed and each event's engine key, so every replica decides
-    /// identical fates for identical events. [`Fabric::rejoin_shards`]
-    /// folds the replicas back after the segment.
-    pub fn split_for_shards(&self, shards: usize) -> Vec<Fabric> {
-        (0..shards)
-            .map(|_| Fabric {
-                cfg: self.cfg,
-                node_actors: self.node_actors.clone(),
-                conns: self.conns.clone(),
-                mcast: self.mcast.clone(),
-                declared_routes: self.declared_routes.clone(),
-                plan: self.plan.clone(),
-                fault_active: self.fault_active,
-                payload_faults: self.payload_faults,
-                fault_check_index: 0,
-                race: self.race.clone(),
-                tenants: self.tenants.clone(),
-                tenancy: self.tenancy,
-                // Per-target contention state is replicated as-is: each
-                // slot is only ever touched from the shard that owns the
-                // target (completions run there), so that shard's
-                // replica evolves exactly the slot the sequential
-                // fabric would.
-                pressure: self.pressure.clone(),
-                stats: FabricStats::default(),
-            })
-            .collect()
-    }
-
-    /// Fold shard replicas back in after a parallel segment: sum their
-    /// counters into this fabric's, and take each target's QP-cache
-    /// pressure slot from `replicas[owner(target)]`, the replica of the
-    /// shard that owns the target and so the only one whose completion
-    /// legs touched it. The next segment then starts from the state a
-    /// sequential run would have reached.
-    pub fn rejoin_shards(&mut self, replicas: &[&Fabric], owner: impl Fn(NodeId) -> usize) {
-        for r in replicas {
-            self.stats.absorb(&r.stats);
-        }
-        let len = replicas.iter().map(|r| r.pressure.len()).max().unwrap_or(0);
-        self.pressure.resize(len, (0, 0));
-        for (i, slot) in self.pressure.iter_mut().enumerate() {
-            let home = replicas[owner(NodeId(i as u16))];
-            *slot = home.pressure.get(i).copied().unwrap_or((0, 0));
         }
     }
 
@@ -1197,8 +1145,9 @@ mod tests {
     #[test]
     fn fate_draws_are_pure_functions_of_the_event_key() {
         // The fate hash must not depend on evaluation order or fabric
-        // history — that is what lets shard replicas agree with a
-        // sequential fabric. Each argument must also actually matter.
+        // history — that is what lets a sharded run, which hands the
+        // fabric each window's events shard by shard, agree with a
+        // sequential one. Each argument must also actually matter.
         let u = fate_u(42, SimTime(1000), 7, 0);
         assert_eq!(u, fate_u(42, SimTime(1000), 7, 0));
         assert!((0.0..1.0).contains(&u));
@@ -1209,10 +1158,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_replicas_decide_identical_fates() {
+    fn fates_ignore_handling_order() {
         let mut a = Fabric::new(NetConfig::default(), vec![]);
         a.set_fault_plan(FaultPlan::new(9).lossy_all(0.5));
-        let mut replicas = a.split_for_shards(2);
+        let mut b = Fabric::new(NetConfig::default(), vec![]);
+        b.set_fault_plan(FaultPlan::new(9).lossy_all(0.5));
         let keys: Vec<(u64, u64)> = (0..32).map(|i| (i * 10, i)).collect();
         let fate = |f: &mut Fabric, k: &(u64, u64)| {
             f.fault_check_index = 0; // what handle() does per event
@@ -1226,22 +1176,17 @@ mod tests {
             )
             .is_some()
         };
-        // Replica 0 sees the even events, replica 1 the odd ones (a
-        // shard split); fates must match the sequential fabric's.
-        for (i, k) in keys.iter().enumerate() {
-            let seq_fate = fate(&mut a, k);
-            let shard_fate = fate(&mut replicas[i % 2], k);
-            assert_eq!(seq_fate, shard_fate, "event {i} fate diverged");
+        // `a` sees the events in key order; `b` sees the even ones, then
+        // the odd ones, as a sharded run hands them over shard by shard.
+        // Fates and counters must match.
+        let in_order: Vec<bool> = keys.iter().map(|k| fate(&mut a, k)).collect();
+        let mut by_shard = vec![false; keys.len()];
+        for i in (0..keys.len()).step_by(2).chain((1..keys.len()).step_by(2)) {
+            by_shard[i] = fate(&mut b, &keys[i]);
         }
-        assert_eq!(
-            replicas[0].stats.fault_checks + replicas[1].stats.fault_checks,
-            a.stats.fault_checks
-        );
-        // Replicas share routing state but start with clean counters.
-        assert_eq!(
-            replicas[0].stats.fault_dropped + replicas[1].stats.fault_dropped,
-            a.stats.fault_dropped
-        );
+        assert_eq!(in_order, by_shard);
+        assert_eq!(a.stats, b.stats);
+        assert!(a.stats.fault_dropped > 0, "p=0.5 should drop some");
     }
 
     #[test]
@@ -1343,53 +1288,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_replicas_carry_the_tenancy_model() {
+    fn admission_drops_exactly_the_refused_posts() {
         let mut f = Fabric::new(NetConfig::default(), vec![]);
         f.set_node_tenant(NodeId(1), TenantId(1));
         f.set_tenancy(TenancyConfig::with_qos(QosPolicy::RateLimit {
             ops_per_window: 2,
             window: SimDuration::from_millis(1),
         }));
-        let mut replicas = f.split_for_shards(2);
-        // Every replica counts each posted frame against its tenant and
-        // drops exactly the frames the source NIC marked refused.
-        for r in &mut replicas {
-            let went_on = (0..5).filter(|&i| r.admit_post(NodeId(1), i >= 2)).count();
-            assert_eq!(went_on, 2);
-        }
-        assert!(replicas[0].admit_post(NodeId(0), false));
-        // Absorbing replica stats sums the per-tenant ledger.
-        let mut total = FabricStats::default();
-        for r in &replicas {
-            total.absorb(&r.stats);
-        }
-        assert_eq!(total.tenants[1].posted, 10);
-        assert_eq!(total.tenants[1].rate_limited, 6);
-        assert_eq!(total.tenants[0].posted, 1);
-        assert_eq!(total.tenants[0].rate_limited, 0);
-    }
-
-    #[test]
-    fn rejoin_takes_each_pressure_slot_from_its_owner_shard() {
-        let mut f = Fabric::new(NetConfig::default(), vec![]);
-        f.set_tenancy(TenancyConfig::default());
-        let now = SimTime(10);
-        let mut replicas = f.split_for_shards(2);
-        // Node 0 is owned by shard 0 and node 1 by shard 1; each shard
-        // serves completions for the targets it owns.
-        for seq in 0..3 {
-            replicas[0].apply_contention(now, seq, NodeId(0), NodeId(1));
-        }
-        replicas[1].apply_contention(now, 9, NodeId(1), NodeId(0));
-        let owner = |n: NodeId| n.index();
-        f.rejoin_shards(&[&replicas[0], &replicas[1]], owner);
-        assert_eq!(f.pressure, vec![(0, 3), (0, 1)]);
-        assert_eq!(f.stats.tenants[0].completions, 4);
-        // A second segment resumes mid-window from the rejoined slots.
-        let mut next = f.split_for_shards(2);
-        next[0].apply_contention(now, 10, NodeId(0), NodeId(1));
-        f.rejoin_shards(&[&next[0], &next[1]], owner);
-        assert_eq!(f.pressure, vec![(0, 4), (0, 1)]);
+        // Each posted frame counts against its tenant, and exactly the
+        // frames the source NIC marked refused are dropped.
+        let went_on = (0..5).filter(|&i| f.admit_post(NodeId(1), i >= 2)).count();
+        assert_eq!(went_on, 2);
+        assert!(f.admit_post(NodeId(0), false));
+        assert_eq!(f.stats.tenants[1].posted, 5);
+        assert_eq!(f.stats.tenants[1].rate_limited, 3);
+        assert_eq!(f.stats.tenants[0].posted, 1);
+        assert_eq!(f.stats.tenants[0].rate_limited, 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 use std::any::Any;
 
 use crate::metrics::Recorder;
-use crate::queue::{Entry, EventQueue, Link, QueueKind, Slab};
+use crate::queue::{EventQueue, Link, Order, QueueKind, Slab};
 use crate::time::{SimDuration, SimTime};
 
 /// Bit position splitting a sequence number into `lane | counter`.
@@ -162,9 +162,10 @@ pub enum RunOutcome {
 /// The discrete-event simulation engine.
 pub struct Engine<M> {
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    /// Actors that exist once per shard in a parallel run (the fabric):
-    /// their staged sends take the incoming event's lane + 1 instead of a
-    /// lane of their own, keeping keys shard-invariant.
+    /// Actors every shard of a sharded run shares (the fabric): their
+    /// events run on the shard that sent them, and their staged sends
+    /// take the incoming event's lane + 1 instead of a lane of their own,
+    /// keeping keys shard-invariant.
     replicated: Vec<bool>,
     queue: EventQueue<M>,
     /// Slab nodes the running handler staged, in submission order.
@@ -176,10 +177,32 @@ pub struct Engine<M> {
     event_budget: u64,
     recorder: Recorder,
     stop_requested: bool,
-    /// Parallel-run support: when set, staged events whose destination is
-    /// not marked local divert to `foreign` instead of the queue.
-    local_mask: Option<Vec<bool>>,
-    foreign: Vec<Entry<M>>,
+    /// The shard orders of a sharded run in progress.
+    shards: Option<Shards>,
+}
+
+/// A sharded run in progress (see [`crate::parallel`]): one order per
+/// shard over the engine's one slab. The queue's own order stays empty
+/// from the split to the rejoin.
+struct Shards {
+    /// `owner[actor.index()]`: the shard that runs the actor's events
+    /// (ignored for replicated actors).
+    owner: Vec<u16>,
+    /// `orders[s]`: shard `s`'s pending events.
+    orders: Vec<Order>,
+    /// Each shard's clock: the time of its last event.
+    clocks: Vec<SimTime>,
+    running: usize,
+    /// The running window's last instant.
+    last: SimTime,
+    lookahead: SimDuration,
+}
+
+impl Shards {
+    /// Events filed in the shards' orders.
+    fn filed(&self) -> usize {
+        self.orders.iter().map(Order::len).sum()
+    }
 }
 
 impl<M: 'static> Default for Engine<M> {
@@ -201,8 +224,7 @@ impl<M: 'static> Engine<M> {
             event_budget: u64::MAX,
             recorder: Recorder::new(),
             stop_requested: false,
-            local_mask: None,
-            foreign: Vec::new(),
+            shards: None,
         }
     }
 
@@ -295,8 +317,9 @@ impl<M: 'static> Engine<M> {
         &mut self.recorder
     }
 
-    /// Mark an actor as replicated (one instance per shard in a parallel
-    /// run). Its staged sends inherit the incoming event's lane + 1.
+    /// Mark an actor that every shard of a sharded run shares (the
+    /// fabric): its events run on the shard that sent them, and its
+    /// staged sends inherit the incoming event's lane + 1.
     pub fn mark_replicated(&mut self, id: ActorId) {
         if self.replicated.len() <= id.index() {
             self.replicated.resize(id.index() + 1, false);
@@ -427,8 +450,8 @@ impl<M: 'static> Engine<M> {
         };
         let lane = if self.replicated.get(idx).copied().unwrap_or(false) {
             // A replicated actor stages into the lane derived from the
-            // event it is handling — the same lane whichever shard's
-            // replica handles it.
+            // event it is handling — the same lane whichever shard
+            // handles it.
             debug_assert!(
                 lane_of(seq) % 2 == 1,
                 "replicated actors may only receive actor-staged events"
@@ -453,29 +476,38 @@ impl<M: 'static> Engine<M> {
 
     /// Key the staged nodes in `lane`, in submission order, and file them.
     /// The index list is cleared in place, so its capacity is reused
-    /// across dispatches. Under a local mask (parallel run), sends to
-    /// non-local actors leave the slab for the foreign buffer with their
-    /// keys intact.
+    /// across dispatches. In a sharded run, a send to another shard's
+    /// actor is filed straight into that shard's order, once it is
+    /// checked to land past the running window.
     fn flush_staging(&mut self, lane: u64) {
         if !self.staged.is_empty() {
             let base_seq = self.alloc_lane(lane, self.staged.len() as u64);
-            // The mask test is hoisted out of the loop: sequential runs
-            // (no mask) stay on a branch-free filing path.
-            match &self.local_mask {
+            // The shard test is hoisted out of the loop: sequential runs
+            // stay on a branch-free filing path.
+            match &mut self.shards {
                 None => {
                     for (i, &node) in self.staged.iter().enumerate() {
                         self.queue.file(node, base_seq + i as u64);
                     }
                 }
-                Some(mask) => {
+                Some(sh) => {
                     for (i, &node) in self.staged.iter().enumerate() {
-                        let seq = base_seq + i as u64;
-                        if mask[self.queue.slab.link(node).dst.index()] {
-                            self.queue.file(node, seq);
-                        } else {
-                            let entry = self.queue.take_entry(node);
-                            self.foreign.push(Entry { seq, ..entry });
+                        let Link { time, dst, .. } = self.queue.slab.link(node);
+                        let mut owner = sh.owner[dst.index()] as usize;
+                        if self.replicated.get(dst.index()) == Some(&true) {
+                            owner = sh.running;
                         }
+                        assert!(
+                            owner == sh.running || time > sh.last,
+                            "cross-shard event at {} ns lands inside the window that \
+                             ends at {} ns: a cross-shard latency is below the \
+                             lookahead of {} ns",
+                            time.0,
+                            sh.last.0,
+                            sh.lookahead.nanos()
+                        );
+                        self.queue
+                            .file_in(&mut sh.orders[owner], node, base_seq + i as u64);
                     }
                 }
             }
@@ -483,41 +515,21 @@ impl<M: 'static> Engine<M> {
         }
         debug_assert_eq!(
             self.queue.slab.in_use(),
-            self.queue.len(),
-            "a slab node is neither queued, staged nor free"
+            self.queue.len() + self.shards.as_ref().map_or(0, Shards::filed),
+            "a slab node is neither queued (in any order), staged nor free"
         );
     }
 
-    // ---- parallel-executor support (crate-internal) -------------------
-
-    /// Remove an actor from its slot (parallel shard splitting; the slot
-    /// can be refilled with [`Engine::install`]).
+    /// Remove an actor from its slot; [`Engine::install`] refills it
+    /// (harnesses wrap actors this way).
     pub fn take_actor(&mut self, id: ActorId) -> Option<Box<dyn Actor<M>>> {
         self.actors.get_mut(id.index()).and_then(Option::take)
     }
 
-    /// `(time, seq)` of the earliest pending event.
-    pub(crate) fn peek_head(&mut self) -> Option<(SimTime, u64)> {
-        self.queue.peek_key()
-    }
-
-    /// Pop the earliest pending event, key and all.
-    pub(crate) fn pop_entry(&mut self) -> Option<Entry<M>> {
-        let node = self.queue.pop_through(SimTime::MAX)?;
-        Some(self.queue.take_entry(node))
-    }
-
-    /// Insert an event with a pre-assigned key (cross-shard delivery and
-    /// shard splitting/rejoining; keys were allocated by `alloc_lane` on
-    /// whichever engine staged the event).
-    pub(crate) fn inject_entry(&mut self, entry: Entry<M>) {
-        self.queue.push(entry.time, entry.seq, entry.dst, entry.msg);
-    }
-
     /// Process every pending event at or before `last`, leaving `now` at
-    /// the last processed event. Termination flags (stop requests, event
-    /// budgets) are not consulted — bounded-lag windows must drain
-    /// deterministically (documented in `parallel`).
+    /// the last processed event, and ignoring stop requests and event
+    /// budgets: the sharded executor drains the current instant with it
+    /// before a split (documented in `parallel`).
     pub(crate) fn run_window(&mut self, last: SimTime) {
         // Fused peek-min + pop: one queue probe per event instead of two.
         while let Some(node) = self.queue.pop_through(last) {
@@ -525,55 +537,80 @@ impl<M: 'static> Engine<M> {
         }
     }
 
-    /// Process the earliest pending event alone, whatever its time, and
-    /// ignoring termination flags like `run_window`.
-    pub(crate) fn run_next(&mut self) {
-        if let Some(node) = self.queue.pop_through(SimTime::MAX) {
+    // ---- sharded runs (see `crate::parallel`) -------------------------
+
+    /// Start a sharded run: every pending key re-files into the order of
+    /// the shard that owns its destination, `owner[actor.index()]`, over
+    /// the one slab. No message moves.
+    pub(crate) fn split_shards(&mut self, owner: &[u16], shards: usize, lookahead: SimDuration) {
+        let mut orders: Vec<Order> = (0..shards).map(|_| self.queue.new_order()).collect();
+        while let Some(node) = self.queue.pop_through(SimTime::MAX) {
+            let Link { seq, dst, .. } = self.queue.slab.link(node);
+            assert!(
+                !self.is_replicated(dst),
+                "event pending for a replicated actor at a window boundary \
+                 (replicated actors must only receive same-instant sends)"
+            );
+            self.queue
+                .file_in(&mut orders[owner[dst.index()] as usize], node, seq);
+        }
+        self.shards = Some(Shards {
+            owner: owner.to_vec(),
+            orders,
+            clocks: vec![self.now; shards],
+            running: 0,
+            last: self.now,
+            lookahead,
+        });
+    }
+
+    /// `(time, seq)` of shard `s`'s earliest pending event, while no
+    /// shard runs.
+    pub(crate) fn shard_head(&mut self, s: usize) -> Option<(SimTime, u64)> {
+        let sh = self.shards.as_mut().expect("no sharded run");
+        self.queue.peek_key_in(&mut sh.orders[s])
+    }
+
+    /// Run shard `s` in a window that ends at `last`, on the shard's own
+    /// clock: its events through `last`, or with `next_only` its earliest
+    /// event alone, whatever its time (an event at `SimTime::MAX` lies
+    /// past every window). Like `run_window`, it ignores stop requests
+    /// and event budgets.
+    pub(crate) fn run_shard(&mut self, s: usize, last: SimTime, next_only: bool) {
+        let sh = self.shards.as_mut().expect("no sharded run");
+        (sh.running, sh.last) = (s, last);
+        self.now = sh.clocks[s];
+        self.recorder.set_shard(Some(s as u16));
+        let mut through = if next_only { SimTime::MAX } else { last };
+        while let Some(node) = self.pop_shard(s, through) {
             self.dispatch(node);
+            through = last;
         }
+        self.shards.as_mut().expect("no sharded run").clocks[s] = self.now;
     }
 
-    /// Restrict staged sends to local destinations (see `flush_staging`).
-    pub(crate) fn set_local_mask(&mut self, mask: Option<Vec<bool>>) {
-        self.local_mask = mask;
+    fn pop_shard(&mut self, s: usize, through: SimTime) -> Option<u32> {
+        let sh = self.shards.as_mut()?;
+        self.queue.pop_through_in(&mut sh.orders[s], through)
     }
 
-    /// Drain events staged for other shards since the last call.
-    pub(crate) fn take_foreign(&mut self) -> std::vec::Drain<'_, Entry<M>> {
-        self.foreign.drain(..)
-    }
-
-    pub(crate) fn set_now(&mut self, now: SimTime) {
-        debug_assert!(now >= self.now);
-        self.now = now;
-    }
-
-    pub(crate) fn add_events_processed(&mut self, n: u64) {
-        self.events_processed += n;
-    }
-
-    /// Snapshot of the per-lane counters (shard splitting).
-    pub(crate) fn lane_counters(&self) -> &[u64] {
-        &self.lanes
-    }
-
-    pub(crate) fn set_lane_counters(&mut self, lanes: Vec<u64>) {
-        self.lanes = lanes;
-    }
-
-    /// Fold a shard's counters back in. Every lane is advanced by exactly
-    /// one shard, so the elementwise max reassembles the sequential state.
-    pub(crate) fn merge_lane_counters(&mut self, other: &[u64]) {
-        if self.lanes.len() < other.len() {
-            self.lanes.resize(other.len(), 0);
+    /// End the sharded run: every shard's keys re-file into the one
+    /// order, a stop requested inside the run is dropped (windows ignore
+    /// it), and, as `run_until` does, the clock rests at the horizon if
+    /// work remains beyond it, else at the last processed event.
+    pub(crate) fn rejoin_shards(&mut self, horizon: SimTime) {
+        let sh = self.shards.take().expect("no sharded run");
+        for order in sh.orders {
+            self.queue.merge_order(order);
         }
-        for (mine, theirs) in self.lanes.iter_mut().zip(other) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
-    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.recorder.set_shard(None);
+        self.stop_requested = false;
+        let last_event = sh.clocks.into_iter().max().unwrap_or(self.now);
+        self.now = if self.queue.len() > 0 {
+            horizon
+        } else {
+            last_event
+        };
     }
 
     /// Pending events in the queue (diagnostics and split assertions).
@@ -788,7 +825,7 @@ mod tests {
                 RunOutcome::HorizonReached,
                 "{kind:?}"
             );
-            assert_eq!(eng.peek_head(), Some((SimTime::MAX, 1 << LANE_SHIFT)));
+            assert_eq!(eng.queue.peek_key(), Some((SimTime::MAX, 1 << LANE_SHIFT)));
             // The inclusive horizon processes it.
             assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
             let col: &Collector = eng.actor(a).unwrap();
@@ -810,16 +847,17 @@ mod tests {
         }
     }
 
-    /// Relays itself `hops_left` times, 1 ns apart, and pings `to` on every
-    /// hop.
+    /// Relays itself `hops_left` times, 1 ns apart, and pings `to`
+    /// `delay` after every hop.
     struct Spray {
         to: ActorId,
+        delay: SimDuration,
     }
 
     impl Actor<TestMsg> for Spray {
         fn handle(&mut self, _: SimTime, msg: TestMsg, ctx: &mut Ctx<'_, TestMsg>) {
             if let TestMsg::Relay { hops_left } = msg {
-                ctx.send_now(self.to, TestMsg::Ping(hops_left));
+                ctx.send_in(self.delay, self.to, TestMsg::Ping(hops_left));
                 if hops_left > 0 {
                     let next = TestMsg::Relay {
                         hops_left: hops_left - 1,
@@ -835,7 +873,11 @@ mod tests {
         let mut eng: Engine<TestMsg> = Engine::new();
         let a = eng.reserve_actor();
         let ghost = eng.reserve_actor();
-        eng.install(a, Box::new(Spray { to: ghost }));
+        let spray = Spray {
+            to: ghost,
+            delay: SimDuration::ZERO,
+        };
+        eng.install(a, Box::new(spray));
         eng.schedule(SimTime::ZERO, a, TestMsg::Relay { hops_left: 9_999 });
         assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
         assert_eq!(eng.events_processed(), 20_000);
@@ -844,17 +886,23 @@ mod tests {
 
     #[test]
     fn foreign_sends_give_their_nodes_back() {
+        // A sharded run files each send to another shard's actor straight
+        // into that shard's order over the one slab, and dispatch frees
+        // its node as in a sequential run.
         let mut eng: Engine<TestMsg> = Engine::new();
         let a = eng.reserve_actor();
         let remote = eng.reserve_actor();
-        eng.install(a, Box::new(Spray { to: remote }));
-        eng.set_local_mask(Some(vec![true, false]));
+        let spray = Spray {
+            to: remote,
+            delay: SimDuration(1),
+        };
+        eng.install(a, Box::new(spray));
+        eng.install(remote, Box::new(Collector::default()));
         eng.schedule(SimTime::ZERO, a, TestMsg::Relay { hops_left: 9_999 });
-        let mut diverted = 0;
-        while eng.step() {
-            diverted += eng.take_foreign().count();
-        }
-        assert_eq!(diverted, 10_000);
+        let plan = crate::parallel::ShardPlan::new(vec![0, 1], 2);
+        crate::parallel::run_sharded(&mut eng, SimTime::MAX, SimDuration(1), &plan);
+        assert_eq!(eng.events_processed(), 20_000);
+        assert_eq!(eng.actor::<Collector>(remote).unwrap().seen.len(), 10_000);
         assert!(eng.slab_nodes() <= 3, "slab grew to {}", eng.slab_nodes());
     }
 

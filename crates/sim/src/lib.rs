@@ -18,9 +18,10 @@
 //!   [`engine`]'s module docs).
 //! * **Sequential semantics, optional sharding.** Actors need no
 //!   synchronization: each engine runs one handler at a time, and the
-//!   sharded executor in [`parallel`] splits a world into shards, runs
-//!   them one lookahead window at a time on the calling thread, and
-//!   reproduces the sequential run bitwise.
+//!   sharded executor in [`parallel`] gives each shard of a world its own
+//!   event order inside the one engine, runs the shards one lookahead
+//!   window at a time on the calling thread, and reproduces the
+//!   sequential run bitwise.
 //! * **Self-contained metrics.** A log-bucketed [`metrics::Histogram`],
 //!   [`metrics::TimeSeries`] and counters live in a shared
 //!   [`metrics::Recorder`], avoiding external metric dependencies.
@@ -36,7 +37,7 @@ pub use engine::{Actor, ActorId, Ctx, Engine, RunOutcome};
 pub use metrics::{
     Counter, CounterId, Histogram, HistogramId, Recorder, SeriesId, Summary, TimeSeries,
 };
-pub use parallel::{run_sharded, ReplicaSet, ShardPlan};
+pub use parallel::{run_sharded, ShardPlan};
 pub use queue::QueueKind;
 pub use rng::{DetRng, ZipfSampler};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

@@ -292,7 +292,8 @@ pub struct SeriesId(u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(u32);
 
-/// String-keyed metric registry shared by every actor in an engine run.
+/// String-keyed metric registry shared by every actor in an engine run,
+/// and by every shard of a sharded run (see [`crate::parallel`]).
 ///
 /// Keys are hierarchical by convention, e.g. `"mon/latency/RdmaSync"` or
 /// `"rubis/resp/Browse"`. Metrics live in dense slabs addressed by interned
@@ -306,6 +307,10 @@ pub struct Recorder {
     series_index: BTreeMap<String, u32>,
     counters: Vec<Counter>,
     counter_index: BTreeMap<String, u32>,
+    /// The running shard, while a sharded run is active.
+    shard: Option<u16>,
+    /// Per series, the shard that wrote it in the active sharded run.
+    series_writer: Vec<Option<u16>>,
 }
 
 impl Recorder {
@@ -354,8 +359,14 @@ impl Recorder {
     }
 
     /// Allocation-free access via an interned handle.
+    ///
+    /// # Panics
+    /// Panics inside a sharded run if two shards write the series.
     #[inline]
     pub fn series_at(&mut self, id: SeriesId) -> &mut TimeSeries {
+        if let Some(shard) = self.shard {
+            self.claim_series(id.0 as usize, shard);
+        }
         &mut self.series[id.0 as usize]
     }
 
@@ -410,65 +421,33 @@ impl Recorder {
         self.counter_index.keys().map(String::as_str)
     }
 
-    /// Fold one parallel shard's recording activity back into this
-    /// recorder. `shard` started the window as a clone of `base` (itself a
-    /// snapshot of this recorder at the split), so everything `shard` did
-    /// is the delta against `base`: histogram bins and counters subtract
-    /// out, and series grew by a suffix (each series has a single writing
-    /// actor, which lives on exactly one shard).
+    /// Sharded-run support: charge series writes to `shard` from now on,
+    /// or, with `None`, end the run and forget every series' writer.
+    pub(crate) fn set_shard(&mut self, shard: Option<u16>) {
+        if shard.is_none() {
+            self.series_writer.clear();
+        }
+        self.shard = shard;
+    }
+
+    /// Note that `shard` writes series `i` in the running sharded run.
     ///
     /// # Panics
-    /// Panics if the shard interned new metric keys during the window.
-    /// Ids interned on a shard recorder would dangle after the merge, so
-    /// every metric must be interned before the parallel run — services
-    /// intern at `on_start`/first tick, which `parallel::run_sharded`
-    /// executes sequentially.
-    pub fn merge_shard_deltas(&mut self, base: &Recorder, shard: &Recorder) {
-        assert!(
-            shard.histograms.len() == base.histograms.len()
-                && shard.series.len() == base.series.len()
-                && shard.counters.len() == base.counters.len(),
-            "metric keys interned during a parallel window (intern at \
-             on_start instead, before shards split)"
-        );
-        for ((mine, b), s) in self
-            .histograms
-            .iter_mut()
-            .zip(&base.histograms)
-            .zip(&shard.histograms)
-        {
-            if s.count == b.count {
-                continue;
-            }
-            for (m, (sb, bb)) in mine
-                .buckets
-                .iter_mut()
-                .zip(s.buckets.iter().zip(&b.buckets))
-            {
-                *m += *sb - *bb;
-            }
-            mine.count += s.count - b.count;
-            mine.sum += s.sum - b.sum;
-            mine.min = mine.min.min(s.min);
-            mine.max = mine.max.max(s.max);
+    /// Panics if another shard wrote it earlier in the run: a series is
+    /// one actor's ordered record, and shards run their windows one after
+    /// the other, so two writers would interleave it out of time order.
+    fn claim_series(&mut self, i: usize, shard: u16) {
+        if self.series_writer.len() <= i {
+            self.series_writer.resize(i + 1, None);
         }
-        for ((mine, b), s) in self
-            .counters
-            .iter_mut()
-            .zip(&base.counters)
-            .zip(&shard.counters)
-        {
-            mine.0 += s.0 - b.0;
-        }
-        for ((mine, b), s) in self.series.iter_mut().zip(&base.series).zip(&shard.series) {
-            if s.points.len() == b.points.len() {
-                continue;
-            }
-            assert!(
-                mine.points.len() == b.points.len(),
-                "series written from two shards (series must be single-writer)"
+        let writer = *self.series_writer[i].get_or_insert(shard);
+        if writer != shard {
+            let key = self.series_index.iter().find(|&(_, &j)| j as usize == i);
+            let key = key.map_or("?", |(k, _)| k.as_str());
+            panic!(
+                "series {key} written from two shards ({writer} and {shard}); \
+                 series must be single-writer"
             );
-            mine.points.extend_from_slice(&s.points[b.points.len()..]);
         }
     }
 }

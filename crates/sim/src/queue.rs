@@ -18,9 +18,11 @@
 //!   nodes into buckets through their `next` links. Inserts and pops are
 //!   O(1) amortized and allocation-free in steady state.
 //!
-//! Neither order moves a message: switching kinds re-files keys. The pop
-//! is fused with the horizon test (`EventQueue::pop_through`), so one
-//! probe of the head decides whether it is due and takes it.
+//! Neither order moves a message: switching kinds re-files keys, and so
+//! does a sharded run, which files each shard's keys in an `Order` of its
+//! own over the same slab. The pop is fused with the horizon test
+//! (`EventQueue::pop_through`), so one probe of the head decides whether
+//! it is due and takes it.
 //!
 //! # Wheel layout
 //!
@@ -64,15 +66,6 @@ pub enum QueueKind {
     Heap,
     /// Hierarchical timing wheel (the default).
     Wheel,
-}
-
-/// One event moved whole, key and message: cross-shard mail and shard
-/// split and rejoin. Inside one engine an event stays in its slab node.
-pub(crate) struct Entry<M> {
-    pub time: SimTime,
-    pub seq: u64,
-    pub dst: ActorId,
-    pub msg: M,
 }
 
 const NIL: u32 = u32::MAX;
@@ -186,14 +179,19 @@ pub(crate) struct EventQueue<M> {
     order: Order,
 }
 
-/// The size gap between variants is intentional: exactly one `Order`
-/// exists per engine and the wheel is the default, so boxing it would buy
-/// nothing but a pointer chase on every push/pop.
-// lint: allow-attr — one instance per engine; boxing the wheel would put an
-// indirection on the hottest path in the workspace to save bytes that don't
-// multiply.
+/// One order over a slab: the queue's own, or a shard's during a sharded
+/// run (see [`crate::parallel`]). Each filed node sits in exactly one
+/// order.
+///
+/// The size gap between variants is intentional: one `Order` exists per
+/// engine (plus one per shard during a sharded run) and the wheel is the
+/// default, so boxing it would buy nothing but a pointer chase on every
+/// push/pop.
+// lint: allow-attr — one instance per engine or shard; boxing the wheel
+// would put an indirection on the hottest path in the workspace to save
+// bytes that don't multiply.
 #[allow(clippy::large_enum_variant)]
-enum Order {
+pub(crate) enum Order {
     Heap(BinaryHeap<Reverse<Key>>),
     Wheel(TimingWheel),
 }
@@ -213,12 +211,10 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Filed events (staged nodes are not counted).
+    /// Events filed in the queue's own order (staged nodes are not
+    /// counted).
     pub fn len(&self) -> usize {
-        match &self.order {
-            Order::Heap(h) => h.len(),
-            Order::Wheel(w) => w.len,
-        }
+        self.order.len()
     }
 
     /// Pre-size internal storage for roughly `events` concurrently
@@ -239,6 +235,14 @@ impl<M> EventQueue<M> {
         self.order.file(&mut self.slab.nodes, idx);
     }
 
+    /// Stamp `seq` on a staged node and file it in `order` instead of the
+    /// queue's own.
+    #[inline]
+    pub fn file_in(&mut self, order: &mut Order, idx: u32, seq: u64) {
+        self.slab.nodes[idx as usize].link.seq = seq;
+        order.file(&mut self.slab.nodes, idx);
+    }
+
     /// Store and file an event whose key is already known.
     pub fn push(&mut self, time: SimTime, seq: u64, dst: ActorId, msg: M) {
         let idx = self.slab.alloc(time, dst, msg);
@@ -247,10 +251,14 @@ impl<M> EventQueue<M> {
 
     /// `(time, seq)` of the next event [`EventQueue::pop_through`] would
     /// return.
+    #[cfg(test)]
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        let head = self.order.peek(&mut self.slab.nodes)?;
-        let link = self.slab.link(head);
-        Some((link.time, link.seq))
+        self.order.peek_key(&mut self.slab.nodes)
+    }
+
+    /// `(time, seq)` of the earliest event filed in `order`.
+    pub fn peek_key_in(&mut self, order: &mut Order) -> Option<(SimTime, u64)> {
+        order.peek_key(&mut self.slab.nodes)
     }
 
     /// Unfile the earliest event if its time is at or before `last`, and
@@ -261,27 +269,31 @@ impl<M> EventQueue<M> {
         self.order.pop_through(&mut self.slab.nodes, last.0)
     }
 
-    /// Move node `idx`'s event out whole and free the node.
-    pub fn take_entry(&mut self, idx: u32) -> Entry<M> {
-        let Link { time, seq, dst, .. } = self.slab.link(idx);
-        Entry {
-            time,
-            seq,
-            dst,
-            msg: self.slab.take(idx),
+    /// Switch the order, re-filing every key. No message moves.
+    pub fn set_kind(&mut self, kind: QueueKind) {
+        if self.kind() != kind {
+            let old = std::mem::replace(&mut self.order, Order::new(kind));
+            self.merge_order(old);
         }
     }
 
-    /// Switch the order, re-filing every key. No message moves.
-    pub fn set_kind(&mut self, kind: QueueKind) {
-        if self.kind() == kind {
-            return;
+    /// An empty order of the queue's kind.
+    pub fn new_order(&self) -> Order {
+        Order::new(self.kind())
+    }
+
+    /// [`EventQueue::pop_through`] on `order` instead of the queue's own.
+    #[inline]
+    pub fn pop_through_in(&mut self, order: &mut Order, last: SimTime) -> Option<u32> {
+        order.pop_through(&mut self.slab.nodes, last.0)
+    }
+
+    /// Re-file every key of `order` into the queue's own. No message
+    /// moves.
+    pub fn merge_order(&mut self, mut order: Order) {
+        while let Some(idx) = order.pop_through(&mut self.slab.nodes, u64::MAX) {
+            self.order.file(&mut self.slab.nodes, idx);
         }
-        let mut next = Order::new(kind);
-        while let Some(idx) = self.order.pop_through(&mut self.slab.nodes, u64::MAX) {
-            next.file(&mut self.slab.nodes, idx);
-        }
-        self.order = next;
     }
 }
 
@@ -290,6 +302,14 @@ impl Order {
         match kind {
             QueueKind::Heap => Order::Heap(BinaryHeap::new()),
             QueueKind::Wheel => Order::Wheel(TimingWheel::new()),
+        }
+    }
+
+    /// Filed events.
+    pub fn len(&self) -> usize {
+        match self {
+            Order::Heap(h) => h.len(),
+            Order::Wheel(w) => w.len,
         }
     }
 
@@ -309,6 +329,11 @@ impl Order {
             Order::Heap(h) => h.peek().map(|&Reverse((_, _, idx))| idx),
             Order::Wheel(w) => w.peek(nodes),
         }
+    }
+
+    fn peek_key<M>(&mut self, nodes: &mut [Node<M>]) -> Option<(SimTime, u64)> {
+        let link = nodes[self.peek(nodes)? as usize].link;
+        Some((link.time, link.seq))
     }
 
     #[inline]
@@ -591,12 +616,17 @@ mod tests {
     use super::*;
     use crate::rng::DetRng;
 
+    /// Take popped node `idx`'s message and return its `(time, seq)` key.
+    fn take(q: &mut EventQueue<u32>, idx: u32) -> (u64, u64) {
+        let Link { time, seq, .. } = q.slab.link(idx);
+        assert_eq!(q.slab.take(idx), seq as u32, "message left its node");
+        (time.nanos(), seq)
+    }
+
     fn drain_keys(q: &mut EventQueue<u32>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(idx) = q.pop_through(SimTime::MAX) {
-            let e = q.take_entry(idx);
-            assert_eq!(e.msg, e.seq as u32, "message left its node");
-            out.push((e.time.nanos(), e.seq));
+            out.push(take(q, idx));
         }
         out
     }
@@ -652,9 +682,8 @@ mod tests {
         let (mut now, mut n) = (0u64, 0u64);
         for _ in 0..rounds {
             for _ in 0..rng.range_u64(0, 3) {
-                let h = heap.pop_through(SimTime::MAX).map(|i| heap.take_entry(i));
-                let w = wheel.pop_through(SimTime::MAX).map(|i| wheel.take_entry(i));
-                let (h, w) = (h.map(|e| (e.time.0, e.seq)), w.map(|e| (e.time.0, e.seq)));
+                let h = heap.pop_through(SimTime::MAX).map(|i| take(&mut heap, i));
+                let w = wheel.pop_through(SimTime::MAX).map(|i| take(&mut wheel, i));
                 assert_eq!(h, w);
                 if let Some((t, _)) = h {
                     now = t;
@@ -706,8 +735,8 @@ mod tests {
             // `far` is out of span at cursor 0 and parks in overflow; the
             // pop at 2^35 ns brings it in range of a direct insert.
             push_all(&mut q, &[(far, 0), (1 << 35, 1)]);
-            let first = q.pop_through(SimTime::MAX).map(|i| q.take_entry(i).seq);
-            assert_eq!(first, Some(1));
+            let first = q.pop_through(SimTime::MAX).map(|i| take(&mut q, i));
+            assert_eq!(first, Some((1 << 35, 1)));
             push_all(&mut q, &[(far + 1, 2)]);
             assert_eq!(drain_keys(&mut q), vec![(far, 0), (far + 1, 2)], "{kind:?}");
         }
@@ -727,7 +756,7 @@ mod tests {
             let idx = q
                 .pop_through(SimTime::MAX)
                 .expect("event at the end of time");
-            assert_eq!(q.take_entry(idx).seq, 2);
+            assert_eq!(take(&mut q, idx), (u64::MAX, 2));
             assert_eq!(q.len(), 0);
         }
     }

@@ -7,8 +7,7 @@
 //! lookahead occur between the bursts.
 
 use fgmon_sim::{
-    run_sharded, Actor, ActorId, Ctx, Engine, ReplicaSet, RunOutcome, ShardPlan, SimDuration,
-    SimTime,
+    run_sharded, Actor, ActorId, Ctx, Engine, RunOutcome, ShardPlan, SimDuration, SimTime,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -19,9 +18,9 @@ enum TestMsg {
     Via { dst: ActorId, hops: u32 },
 }
 
-/// On each Tick, records a sample and relays through the (replicated)
-/// hub to the next node at the *same instant* — the adversarial case
-/// for cross-shard merge order.
+/// On each Tick, records a sample and relays through the shared hub to
+/// the next node at the *same instant* — the adversarial case for
+/// cross-shard merge order.
 struct TestNode {
     peer: ActorId,
     hub: ActorId,
@@ -73,13 +72,6 @@ impl Actor<TestMsg> for TestHub {
     }
 }
 
-fn hub(think: u64) -> Box<dyn Actor<TestMsg>> {
-    Box::new(TestHub {
-        think,
-        forwarded: 0,
-    })
-}
-
 fn build(nodes: usize, hops: u32, think: u64) -> (Engine<TestMsg>, ActorId, Vec<ActorId>) {
     let mut eng: Engine<TestMsg> = Engine::new();
     let hub = eng.reserve_actor();
@@ -96,7 +88,13 @@ fn build(nodes: usize, hops: u32, think: u64) -> (Engine<TestMsg>, ActorId, Vec<
             }),
         );
     }
-    eng.install(hub, self::hub(think));
+    eng.install(
+        hub,
+        Box::new(TestHub {
+            think,
+            forwarded: 0,
+        }),
+    );
     eng.mark_replicated(hub);
     for (i, &id) in ids.iter().enumerate() {
         // Several chains start at the *same* timestamp so cross-shard
@@ -113,7 +111,7 @@ fn build(nodes: usize, hops: u32, think: u64) -> (Engine<TestMsg>, ActorId, Vec<
 
 type Fp = (u64, u64, SimTime, u64, Vec<(String, u64, u64)>);
 
-fn fingerprint(eng: &Engine<TestMsg>, ids: &[ActorId], forwarded: u64) -> Fp {
+fn fingerprint(eng: &Engine<TestMsg>, hub: ActorId, ids: &[ActorId]) -> Fp {
     let hists = eng
         .recorder()
         .histogram_keys()
@@ -126,41 +124,29 @@ fn fingerprint(eng: &Engine<TestMsg>, ids: &[ActorId], forwarded: u64) -> Fp {
         .iter()
         .map(|&id| eng.actor::<TestNode>(id).unwrap().seen)
         .sum();
+    let forwarded = eng.actor::<TestHub>(hub).unwrap().forwarded;
     (seen, forwarded, eng.now(), eng.events_processed(), hists)
 }
 
 fn run_with_partition(nodes: usize, hops: u32, think: u64, partition: &[u16]) -> Fp {
     let (mut eng, hub, ids) = build(nodes, hops, think);
     let shards = (*partition.iter().max().unwrap() + 1).max(2) as usize;
+    // The hub's entry stays 0: it belongs to no shard.
     let mut shard_of = vec![0u16; eng.actor_count()];
-    shard_of[hub.index()] = ShardPlan::REPLICATED;
     for (i, &id) in ids.iter().enumerate() {
         shard_of[id.index()] = partition[i];
     }
     let plan = ShardPlan::new(shard_of, shards);
-    let replicas = vec![ReplicaSet {
-        id: hub,
-        replicas: (0..shards).map(|_| self::hub(think)).collect(),
-    }];
-    let returned = run_sharded(&mut eng, HORIZON, WIRE, &plan, replicas);
-    let mut forwarded = eng.actor::<TestHub>(hub).unwrap().forwarded;
-    for set in &returned {
-        for r in &set.replicas {
-            let h = (r.as_ref() as &dyn std::any::Any)
-                .downcast_ref::<TestHub>()
-                .unwrap();
-            forwarded += h.forwarded;
-        }
-    }
-    fingerprint(&eng, &ids, forwarded)
+    let outcome = run_sharded(&mut eng, HORIZON, WIRE, &plan);
+    assert_eq!(outcome, RunOutcome::QueueDrained, "horizon must drain");
+    fingerprint(&eng, hub, &ids)
 }
 
 fn run_sequential(nodes: usize, hops: u32, think: u64) -> Fp {
     let (mut eng, hub, ids) = build(nodes, hops, think);
     let outcome = eng.run_until(HORIZON);
     assert_eq!(outcome, RunOutcome::QueueDrained, "horizon must drain");
-    let forwarded = eng.actor::<TestHub>(hub).unwrap().forwarded;
-    fingerprint(&eng, &ids, forwarded)
+    fingerprint(&eng, hub, &ids)
 }
 
 proptest! {

@@ -34,12 +34,10 @@
 //! the per-region state can never race. The cross-shard-shared pieces are
 //! chosen to be order-insensitive: counters are commutative sums, and the
 //! capped diagnostics list keeps the entries with the smallest close keys
-//! (identical to "first N encountered" sequentially, whatever wall-clock
-//! order shards insert in). A single [`SharedRaceDetector`] handle can
-//! therefore be shared across all shards and still produce a report
-//! bitwise identical to a sequential run's. [`RaceDetector::split`] /
-//! [`RaceDetector::absorb`] additionally allow contention-free per-shard
-//! parts when no same-window cross-shard traffic exists.
+//! (identical to "first N encountered" sequentially, whatever order the
+//! shards of a window run in). A single [`SharedRaceDetector`] handle is
+//! therefore shared across all shards and still produces a report
+//! bitwise identical to a sequential run's.
 //!
 //! The epoch a read saw *at post time* (before it crossed the wire to the
 //! target's shard) is reconstructed from a short per-region write log:
@@ -180,7 +178,7 @@ pub enum ReadVerdict {
 }
 
 /// An open read window. Keyed by (target, region, initiator, req) so all
-/// windows for one target sort together and split cleanly per shard.
+/// windows for one target sort together.
 #[derive(Clone, Copy, Debug)]
 struct ReadWindow {
     /// Engine key of the fabric event that posted (or re-armed) the read.
@@ -241,17 +239,18 @@ pub struct RaceDetector {
     writes: BTreeMap<(NodeId, RegionId), WriteLog>,
     /// Open read windows, keyed (target, region, initiator, req).
     windows: BTreeMap<(NodeId, RegionId, NodeId, u64), ReadWindow>,
-    /// Engine keys of the close events of `report.torn`, parallel to it.
-    /// Used to merge per-shard diagnostic lists in sequential order.
+    /// Engine keys of the close events of `report.torn`, parallel to it:
+    /// the capped list keeps the smallest, whatever order shards close
+    /// reads in.
     torn_keys: Vec<PostedKey>,
     report: RaceReport,
 }
 
 /// Shared handle to one detector. A thin wrapper over `Arc<Mutex<..>>`
-/// (`Rc<RefCell<..>>` before the parallel executor): in a sequential run
-/// one handle is shared by the fabric and every node; in a parallel run
-/// each shard holds a handle to its own split part, so the lock is never
-/// contended — it exists to make the handle `Send`.
+/// (`Rc<RefCell<..>>` before the parallel executor): one handle is
+/// shared by the fabric and every node, in sequential and sharded runs
+/// alike, and a world runs on one thread, so the lock is never contended
+/// — it exists to make the handle `Send`.
 #[derive(Clone, Debug)]
 pub struct SharedRaceDetector(Arc<Mutex<RaceDetector>>);
 
@@ -386,8 +385,8 @@ impl RaceDetector {
                 // sequential run close keys arrive ascending, so this is
                 // exactly "the first MAX_TORN_DIAGNOSTICS encountered" —
                 // but unlike an append-while-space list it is independent
-                // of the wall-clock order shards reach this point when the
-                // detector is shared across a parallel run.
+                // of the order in which shards reach this point when the
+                // detector is shared across a sharded run.
                 let pos = self.torn_keys.partition_point(|k| *k <= complete);
                 if pos < MAX_TORN_DIAGNOSTICS {
                     self.torn_keys.insert(pos, complete);
@@ -456,54 +455,6 @@ impl RaceDetector {
     /// Open windows right now (diagnostic).
     pub fn open_windows(&self) -> usize {
         self.windows.len()
-    }
-
-    /// Carve the detector into per-shard parts for a parallel window.
-    /// `shard_of[node.index()]` names each node's shard. Every write log
-    /// and window moves to the shard owning its *target* node; counters in
-    /// the parts start at zero (deltas), while `self` keeps the running
-    /// report and temporarily holds no per-region state.
-    pub fn split(&mut self, shard_of: &[u16], shards: usize) -> Vec<RaceDetector> {
-        let mut parts: Vec<RaceDetector> =
-            (0..shards).map(|_| RaceDetector::new(self.mode)).collect();
-        for ((node, region), log) in std::mem::take(&mut self.writes) {
-            let s = shard_of[node.index()] as usize;
-            parts[s].writes.insert((node, region), log);
-        }
-        for (key, w) in std::mem::take(&mut self.windows) {
-            let s = shard_of[key.0.index()] as usize;
-            parts[s].windows.insert(key, w);
-        }
-        parts
-    }
-
-    /// Reabsorb per-shard parts after a parallel window: state maps are
-    /// disjoint unions, counters sum, and the capped diagnostics lists
-    /// merge in close-event order — each shard kept its locally-first 64,
-    /// and the globally-first 64 are a subset of that union, so the merged
-    /// report is bitwise identical to a sequential run's.
-    pub fn absorb(&mut self, parts: Vec<RaceDetector>) {
-        let mut torn: Vec<(PostedKey, TornRead)> = self
-            .torn_keys
-            .drain(..)
-            .zip(self.report.torn.drain(..))
-            .collect();
-        for part in parts {
-            self.writes.extend(part.writes);
-            self.windows.extend(part.windows);
-            self.report.host_writes += part.report.host_writes;
-            self.report.reads_tracked += part.report.reads_tracked;
-            self.report.torn_total += part.report.torn_total;
-            self.report.seqlock_retries += part.report.seqlock_retries;
-            self.report.seqlock_exhausted += part.report.seqlock_exhausted;
-            torn.extend(part.torn_keys.into_iter().zip(part.report.torn));
-        }
-        torn.sort_by_key(|(k, _)| *k);
-        torn.truncate(MAX_TORN_DIAGNOSTICS);
-        for (key, t) in torn {
-            self.torn_keys.push(key);
-            self.report.torn.push(t);
-        }
     }
 }
 
@@ -719,36 +670,5 @@ mod tests {
         // ...but the epoch (total) still counts every write.
         assert_eq!(log.total, 11);
         assert_eq!(log.epoch_asof((SimTime(far), 101)), 11);
-    }
-
-    #[test]
-    fn split_absorb_roundtrips_report() {
-        // Two targets on two shards, torn reads on both; the absorbed
-        // report must equal a sequential run's: summed counters and
-        // diagnostics sorted by close-event key.
-        let shard_of = [0u16, 1u16];
-        let run = |d: &mut RaceDetector, tgt: NodeId, t0: u64| {
-            d.on_read_arrive(N0, ReqId(t0), tgt, R0, at(t0, 1));
-            d.note_host_write(tgt, R0, SimTime(t0 + 1), 2);
-            d.on_read_complete(N0, ReqId(t0), tgt, R0, at(t0 + 5, 3));
-        };
-        // Sequential reference — the engine delivers events in global
-        // time order, so N1's read (all at t=50..55) runs before N0's.
-        let mut seq = RaceDetector::new(RaceMode::Strict);
-        run(&mut seq, N1, 50);
-        run(&mut seq, N0, 100);
-
-        // Split run: note_host_write lands on the owner's part.
-        let mut par = RaceDetector::new(RaceMode::Strict);
-        let mut parts = par.split(&shard_of, 2);
-        run(&mut parts[0], N0, 100);
-        run(&mut parts[1], N1, 50);
-        par.absorb(parts);
-
-        assert_eq!(par.report(), seq.report());
-        assert_eq!(par.report().torn_total, 2);
-        // Close order: N1's read (t=55) closed before N0's (t=105).
-        assert_eq!(par.report().torn[0].target, N1);
-        assert_eq!(par.report().torn[1].target, N0);
     }
 }

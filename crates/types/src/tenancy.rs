@@ -16,8 +16,8 @@ use fgmon_sim::{SimDuration, SimTime};
 use crate::ids::TenantId;
 
 /// Fixed tenant-table width. Per-tenant counters live in fixed-size
-/// arrays inside `FabricStats` so the stats stay `Copy` and shard
-/// absorption stays a plain field-wise sum.
+/// arrays inside `FabricStats` so the stats stay `Copy` and summing runs
+/// stays a plain field-wise sum.
 pub const MAX_TENANTS: usize = 4;
 
 /// Parameters of the per-NIC QP-cache / doorbell pressure model.
@@ -185,7 +185,7 @@ impl TokenBucket {
 
 /// Per-tenant fabric counters. Lives in a fixed `[TenantStats;
 /// MAX_TENANTS]` array inside `FabricStats`; every field is a plain
-/// sum, so shard-replica absorption is field-wise addition.
+/// sum, so absorbing another run's stats is field-wise addition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Ops (socket frames + one-sided posts) offered at source NICs.

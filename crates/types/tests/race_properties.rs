@@ -106,50 +106,4 @@ proptest! {
         prop_assert_eq!(va, vb);
         prop_assert_eq!(a.report(), b.report());
     }
-
-    /// Splitting the detector by an arbitrary shard assignment and
-    /// absorbing the parts back reassembles the sequential report:
-    /// every write and window lands with its target's shard, so no
-    /// cross-shard interleaving can reorder same-timestamp events.
-    #[test]
-    fn split_absorb_is_identity_for_any_partition(
-        start in 0u64..1_000,
-        len in 1u64..1_000,
-        writes in prop::collection::vec(0u64..3_000, 0..16),
-        shard_a in 0u16..4,
-        shards in 1usize..5,
-    ) {
-        let complete = start + len;
-        let (seq_d, _) = drive(RaceMode::Strict, start, complete, &writes);
-        let seq_report = seq_d.report().clone();
-
-        // Same event stream, but routed through a split detector: the
-        // writes and windows all target TARGET (node 1), which lives on
-        // shard `shard_a % shards`; other shards see nothing.
-        let mut d = RaceDetector::new(RaceMode::Strict);
-        let shard_of: Vec<u16> = vec![0, shard_a % shards as u16];
-        let mut parts = d.split(&shard_of, shards);
-        let part = &mut parts[(shard_a % shards as u16) as usize];
-        let mut sorted = writes.to_vec();
-        sorted.sort_unstable();
-        let mut seq = 0u64;
-        for &w in sorted.iter().filter(|&&w| w <= start) {
-            seq += 1;
-            part.note_host_write(TARGET, REGION, SimTime(w), seq);
-        }
-        seq += 1;
-        part.on_read_arrive(READER, ReqId(0), TARGET, REGION, (SimTime(start), seq));
-        for &w in sorted.iter().filter(|&&w| start < w && w < complete) {
-            seq += 1;
-            part.note_host_write(TARGET, REGION, SimTime(w), seq);
-        }
-        seq += 1;
-        part.on_read_complete(READER, ReqId(0), TARGET, REGION, (SimTime(complete), seq));
-        for &w in sorted.iter().filter(|&&w| w >= complete) {
-            seq += 1;
-            part.note_host_write(TARGET, REGION, SimTime(w), seq);
-        }
-        d.absorb(parts);
-        prop_assert_eq!(d.report(), &seq_report);
-    }
 }

@@ -31,8 +31,7 @@ pub struct RubisClient {
     pub key_prefix: &'static str,
     /// Interned per-class response histograms + completion counter,
     /// formatted once in `on_start` so the per-response path is
-    /// allocation-free and no key is interned mid-run (parallel windows
-    /// forbid interning new keys once the shards split).
+    /// allocation-free.
     metric_ids: RubisMetricIds,
 }
 

@@ -463,8 +463,8 @@ impl Service for LockClient {
     }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.key = os.node().index() as u64 + 1;
-        // Intern the wait-time key now: first grant happens inside a
-        // parallel window, where new interning is forbidden.
+        // Intern the wait-time key now, so the grant path only ever
+        // looks it up.
         os.recorder().histogram("lock/wait_us");
         self.think(os);
     }

@@ -2,10 +2,10 @@
 //! windows over communication-affinity partitions — is *bitwise
 //! identical* to the sequential engine. Every observable output —
 //! fabric frame counters, the strict race report (each torn-read
-//! diagnostic, timestamp, and epoch), monitoring histograms,
-//! channel-health counters, and the event count — must match exactly
-//! for any shard count, on both a fault-injected world and the
-//! failover world.
+//! diagnostic, timestamp, and epoch), monitoring histograms, every time
+//! series point, channel-health counters, and the event count — must
+//! match exactly for any shard count, on both a fault-injected world and
+//! the failover world.
 
 use fgmon_balancer::Dispatcher;
 use fgmon_cluster::{big_cluster, fault_compare_world, flaky_rdma_failover, Cluster};
@@ -19,16 +19,29 @@ const SEEDS: [u64; 3] = [11, 29, 4242];
 const SHARDS: [usize; 4] = [2, 3, 4, 8];
 
 type HistRow = (String, u64, u64, u64);
+/// A series' key and every point's time and value bits.
+type SeriesRow = (String, Vec<(u64, u64)>);
+type Metrics = (Vec<HistRow>, Vec<SeriesRow>);
 
-fn histograms(cluster: &Cluster) -> Vec<HistRow> {
-    cluster
-        .recorder()
+/// Every histogram's count, mean and max, and every series point.
+fn metrics(cluster: &Cluster) -> Metrics {
+    let r = cluster.recorder();
+    let hists = r
         .histogram_keys()
         .map(|k| {
-            let h = cluster.recorder().get_histogram(k).expect("listed key");
+            let h = r.get_histogram(k).expect("listed key");
             (k.to_string(), h.count(), h.mean().to_bits(), h.max())
         })
-        .collect()
+        .collect();
+    let series = r
+        .series_keys()
+        .map(|k| {
+            let points = r.get_series(k).expect("listed key").points();
+            let points = points.iter().map(|&(t, v)| (t.nanos(), v.to_bits()));
+            (k.to_string(), points.collect())
+        })
+        .collect();
+    (hists, series)
 }
 
 fn run(cluster: &mut Cluster, dur: SimDuration, shards: usize) {
@@ -41,7 +54,7 @@ fn run(cluster: &mut Cluster, dur: SimDuration, shards: usize) {
 
 #[test]
 fn fault_world_is_bitwise_identical_across_thread_counts() {
-    type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
+    type Fp = (FabricStats, RaceReport, u64, Metrics);
     let fingerprint = |seed: u64, shards: usize| -> Fp {
         let plan = FaultPlan::new(seed ^ 0xD15C)
             .congested(SimTime::ZERO, SimTime::MAX, 16.0)
@@ -58,7 +71,7 @@ fn fault_world_is_bitwise_identical_across_thread_counts() {
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
             w.cluster.eng.events_processed(),
-            histograms(&w.cluster),
+            metrics(&w.cluster),
         )
     };
     for seed in SEEDS {
@@ -89,7 +102,7 @@ fn failover_world_preserves_channel_health_bitwise() {
         Vec<ChannelHealthStats>,
         Vec<Option<u32>>,
         ChannelHealthStats,
-        Vec<HistRow>,
+        Metrics,
     );
     let fingerprint = |seed: u64, shards: usize| -> Fp {
         let mut w = flaky_rdma_failover(Scheme::RdmaSync, seed).world;
@@ -108,7 +121,7 @@ fn failover_world_preserves_channel_health_bitwise() {
             per,
             gens,
             total,
-            histograms(&w.cluster),
+            metrics(&w.cluster),
         )
     };
     for seed in SEEDS {
@@ -129,14 +142,14 @@ fn failover_world_preserves_channel_health_bitwise() {
 
 #[test]
 fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
-    type Fp = (FabricStats, u64, Vec<HistRow>);
+    type Fp = (FabricStats, u64, Metrics);
     let fingerprint = |shards: usize| -> Fp {
         let mut w = big_cluster(16, 7);
         run(&mut w.cluster, SimDuration::from_millis(600), shards);
         (
             w.cluster.fabric_stats(),
             w.cluster.eng.events_processed(),
-            histograms(&w.cluster),
+            metrics(&w.cluster),
         )
     };
     let sequential = fingerprint(1);
@@ -161,7 +174,7 @@ fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
 fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
     use fgmon_cluster::NOISY_RATE_LIMIT;
     use fgmon_types::QosPolicy;
-    type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
+    type Fp = (FabricStats, RaceReport, u64, Metrics);
     // Several segments, so every rejoin must hand the next segment the
     // per-node NIC state (rate-limit buckets, QP-cache pressure) a
     // sequential run would have: one boundary falls mid-way through a
@@ -181,12 +194,21 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
             w.cluster.eng.events_processed(),
-            histograms(&w.cluster),
+            metrics(&w.cluster),
         )
     };
     for qos in [QosPolicy::None, NOISY_RATE_LIMIT, QosPolicy::PriorityQp] {
         for seed in SEEDS {
             let sequential = fingerprint(qos, seed, 1);
+            let (_, series) = &sequential.3;
+            let gt: Vec<&SeriesRow> = series
+                .iter()
+                .filter(|(k, _)| k.starts_with("gt/"))
+                .collect();
+            assert!(
+                !gt.is_empty() && gt.iter().all(|(_, points)| !points.is_empty()),
+                "the ground-truth probe must record series points (seed {seed})"
+            );
             let hostile = sequential.0.tenants[1];
             if qos == NOISY_RATE_LIMIT {
                 assert!(
@@ -212,7 +234,7 @@ fn noisy_neighbor_world_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn gray_failure_world_is_bitwise_identical_across_thread_counts() {
-    type Fp = (FabricStats, RaceReport, u64, Vec<HistRow>);
+    type Fp = (FabricStats, RaceReport, u64, Metrics);
     let fingerprint = |seed: u64, shards: usize| -> Fp {
         let mut w = fgmon_cluster::gray_failure_world(seed);
         w.cluster.set_race_mode(RaceMode::Strict);
@@ -221,7 +243,7 @@ fn gray_failure_world_is_bitwise_identical_across_thread_counts() {
             w.cluster.fabric_stats(),
             w.cluster.race_report(),
             w.cluster.eng.events_processed(),
-            histograms(&w.cluster),
+            metrics(&w.cluster),
         )
     };
     for seed in SEEDS {
@@ -257,7 +279,7 @@ fn rdma_lock_world_is_bitwise_identical_across_thread_counts() {
         RaceReport,
         u64,
         Vec<(u64, u64, u64, u64)>,
-        Vec<HistRow>,
+        Metrics,
     );
     let fingerprint = |seed: u64, shards: usize| -> Fp {
         let crash = Some((SimTime(1_000_000_000), SimTime(1_600_000_000)));
@@ -278,7 +300,7 @@ fn rdma_lock_world_is_bitwise_identical_across_thread_counts() {
             w.cluster.race_report(),
             w.cluster.eng.events_processed(),
             counters,
-            histograms(&w.cluster),
+            metrics(&w.cluster),
         )
     };
     for seed in SEEDS {

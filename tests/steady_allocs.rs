@@ -51,12 +51,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const GROWTH_SLACK: u64 = 32;
 
 /// Extra allocations per shard a `run_parallel` segment may make over its
-/// sequential twin. The segment's fork and rejoin clone one recorder,
-/// one fabric replica and the queue scaffolding per shard, whatever the
-/// virtual length; the buffer that carries each window's cross-shard
-/// mail is recycled, so a per-window or per-event allocation would show
-/// up as thousands.
-const FORK_SLACK_PER_SHARD: u64 = 160;
+/// sequential twin. The split builds one event order per shard over the
+/// engine's one slab (a timing wheel's bucket tables and sorted runs),
+/// whatever the virtual length; no engine, recorder or fabric is copied
+/// and no message moves, so a per-window or per-event allocation would
+/// show up as thousands.
+const FORK_SLACK_PER_SHARD: u64 = 32;
 
 /// Allocations and doorbell batches of one counted half.
 struct Counted {
