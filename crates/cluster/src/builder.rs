@@ -132,12 +132,10 @@ impl ClusterBuilder {
     /// Finish assembly: install the fabric, schedule boot events, and
     /// start the ground-truth probe on the given nodes.
     pub fn finish(mut self, ground_truth: &[(NodeId, SimDuration)]) -> Cluster {
-        // Pre-size the engine from the known topology: one actor per node
-        // plus the fabric, and an event-pool hint proportional to fan-out
-        // (each node keeps a handful of timers, packets, and IRQ events in
-        // flight), so steady-state scheduling never grows the queue slab.
-        self.eng
-            .reserve_capacity(self.nodes.len() + 1, 64 * self.nodes.len().max(1));
+        // One actor per node plus the fabric. The event slab is left to
+        // grow to the run's own high-water mark of events in flight, which
+        // no per-node guess matches across worlds.
+        self.eng.reserve_capacity(self.nodes.len() + 1);
         let mut fabric = self.fabric;
         // Re-validate at the last gate: [`set_fault_plan`] already checks,
         // but a plan mutated through the fabric after installation (or one
@@ -163,6 +161,11 @@ impl ClusterBuilder {
             .collect();
         fabric.set_node_actors(self.nodes.clone());
         fabric.set_race_detector(self.race.clone());
+        // What `run_parallel` needs of the fabric, read while it is still
+        // a `Fabric`: its config has no setter and routes are only added
+        // here on the builder, and a harness may wrap the installed actor.
+        let lookahead = fabric.lookahead();
+        let chatter = fabric.chatter_edges();
         // Rate limiting is enforced where a post is made: each limited
         // node's NIC gets its own bucket, and the fabric only counts the
         // frames those NICs mark refused.
@@ -204,6 +207,8 @@ impl ClusterBuilder {
             fabric: self.fabric_slot,
             nodes: self.nodes,
             race: self.race,
+            lookahead,
+            chatter,
             plan_cache: None,
         }
     }
@@ -221,6 +226,12 @@ pub struct Cluster {
     pub fabric: ActorId,
     nodes: Vec<ActorId>,
     race: Option<SharedRaceDetector>,
+    /// The fabric's minimum cross-shard latency: `run_parallel`'s window
+    /// width.
+    lookahead: SimDuration,
+    /// The fabric's chatter graph: what `run_parallel`'s affinity
+    /// partition weighs.
+    chatter: Vec<(NodeId, NodeId, u64)>,
     /// Shard plan memoized per shard count: the topology (and therefore
     /// the affinity partition) is fixed after `finish`, and rebuilding it
     /// per `run_parallel` segment would put avoidable allocations on the
@@ -275,24 +286,16 @@ impl Cluster {
     /// exists so the chaos search and the equivalence suites can check
     /// the sharded protocol against the sequential engine.
     pub fn run_parallel(&mut self, dur: SimDuration, shards: usize) -> RunOutcome {
-        let lookahead = self
-            .eng
-            .actor::<Fabric>(self.fabric)
-            .expect("fabric actor")
-            .lookahead();
         let shards = shards.min(self.nodes.len());
-        if shards < 2 || lookahead == SimDuration::ZERO {
+        if shards < 2 || self.lookahead == SimDuration::ZERO {
             return self.run_for(dur);
         }
         let horizon = self.eng.now() + dur;
         if self.plan_cache.as_ref().is_none_or(|(s, _)| *s != shards) {
             let node_edges: Vec<(usize, usize, u64)> = self
-                .eng
-                .actor::<Fabric>(self.fabric)
-                .expect("fabric actor")
-                .chatter_edges()
-                .into_iter()
-                .map(|(a, b, w)| (a.index(), b.index(), w))
+                .chatter
+                .iter()
+                .map(|&(a, b, w)| (a.index(), b.index(), w))
                 .collect();
             let groups = ShardPlan::affinity_groups(self.nodes.len(), shards, &node_edges);
             // The fabric's entry is ignored: it belongs to no shard.
@@ -303,7 +306,7 @@ impl Cluster {
             self.plan_cache = Some((shards, ShardPlan::new(shard_of, shards)));
         }
         let plan = &self.plan_cache.as_ref().expect("plan cached above").1;
-        run_sharded(&mut self.eng, horizon, lookahead, plan)
+        run_sharded(&mut self.eng, horizon, self.lookahead, plan)
     }
 
     /// Engine actor id of a node.

@@ -177,6 +177,7 @@ impl Service for SocketBackend {
                 if let Some((conn, req)) = self.pending.pop_front() {
                     self.requests_served += 1;
                     let fence = self.fence(os);
+                    let snap = os.share_snapshot(snap);
                     os.send(tid, conn, Payload::MonitorReply { snap, req, fence });
                 }
             }
@@ -215,6 +216,7 @@ impl Service for SocketBackend {
                 ..LoadSnapshot::zero()
             });
             let fence = self.fence(os);
+            let snap = os.share_snapshot(snap);
             os.send(tid, conn, Payload::MonitorReply { snap, req, fence });
         }
     }
@@ -356,6 +358,7 @@ impl Service for RdmaAsyncBackend {
                     generation: os.boot_generation(),
                     seq: self.reply_seq,
                 };
+                let snap = os.share_snapshot(snap);
                 os.send(tid, conn, Payload::MonitorReply { snap, req, fence });
             }
             Payload::RegionQuery { req } => {
@@ -482,6 +485,7 @@ impl Service for RdmaSyncBackend {
                     generation: os.boot_generation(),
                     seq: self.reply_seq,
                 };
+                let snap = os.share_snapshot(snap);
                 os.send(tid, conn, Payload::MonitorReply { snap, req, fence });
             }
         }
@@ -561,6 +565,7 @@ impl Service for McastPushBackend {
             let snap = os.proc_snapshot(self.cfg.via_kernel_module);
             let origin = os.node();
             self.pushes += 1;
+            let snap = os.share_snapshot(snap);
             os.mcast_send(tid, MONITOR_GROUP, Payload::StatusPush { origin, snap });
             os.sleep(tid, self.cfg.calc_interval, TOK_PUSH_WAKE);
         }

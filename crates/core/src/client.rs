@@ -756,7 +756,7 @@ impl MonitorClient {
                             // can't poison the gate either.
                             self.channels[idx].health.corrupt_rejected += 1;
                         } else if self.admit_fenced(idx, *fence) != FenceVerdict::StaleGeneration {
-                            self.accept(idx, *snap, sent, os);
+                            self.accept(idx, **snap, sent, os);
                         }
                         // A pre-restart straggler is provably stale, never
                         // admitted into the view (counted by admit_fenced).
@@ -830,7 +830,7 @@ impl MonitorClient {
                         self.note_failure(idx, os);
                     } else {
                         if let RegionData::Snapshot(snap) = data {
-                            self.accept(idx, *snap, sent, os);
+                            self.accept(idx, **snap, sent, os);
                         }
                         self.note_success(idx, os);
                     }
@@ -886,7 +886,7 @@ impl MonitorClient {
             self.channels[idx].health.corrupt_rejected += 1;
             return true;
         }
-        self.accept(idx, *snap, None, os);
+        self.accept(idx, **snap, None, os);
         true
     }
 }

@@ -629,7 +629,7 @@ let v = std::env::var_os(\"FGMON_X\");
             vec!["payload-clone"]
         );
         assert!(
-            rules_hit("let p = payload.clone(); // lint: payload-clone — Rc refcount bump")
+            rules_hit("let p = payload.clone(); // lint: payload-clone — Arc refcount bump")
                 .is_empty()
         );
         // Unrelated clones stay legal.

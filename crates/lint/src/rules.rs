@@ -153,8 +153,8 @@ pub const RULES: &[Rule] = &[
         allow_paths: &[],
         suggestion: "deep-copying a payload on the hot path defeats the \
                      zero-copy delivery design; share it (`SharedPayload` \
-                     is an `Rc`), move it, or justify the copy with a \
-                     `// lint: payload-clone` comment",
+                     and `SharedSnapshot` are `Arc`s), move it, or justify \
+                     the copy with a `// lint: payload-clone` comment",
     },
     Rule {
         id: "allow-attr",

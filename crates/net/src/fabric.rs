@@ -14,12 +14,13 @@
 //! with a small per-destination fan-out cost.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fgmon_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 use fgmon_types::{
     ConnId, FaultOp, FaultPlan, McastGroup, Msg, NetConfig, NetMsg, NodeId, NodeMsg, Payload,
-    QosPolicy, RdmaResult, ReadVerdict, ServiceSlot, SharedRaceDetector, TenancyConfig, TenantId,
-    TenantStats, MAX_TENANTS,
+    QosPolicy, RdmaResult, ReadVerdict, ServiceSlot, SharedRaceDetector, SharedSnapshot,
+    TenancyConfig, TenantId, TenantStats, MAX_TENANTS,
 };
 
 /// One registered point-to-point connection.
@@ -430,13 +431,16 @@ impl Fabric {
         now: SimTime,
         seq: u64,
         producer: NodeId,
-        snap: &mut fgmon_types::LoadSnapshot,
+        snap: &mut SharedSnapshot,
     ) {
         if !self.payload_faults {
             return;
         }
         let (skew, corrupt) = self.plan.payload_fate(producer, now);
+        // Faults copy on write: a handle the producer still holds keeps
+        // the record it published.
         if skew != 0 {
+            let snap = Arc::make_mut(snap);
             let shifted = (snap.measured_at.0 as i64).saturating_add(skew).max(0) as u64;
             snap.measured_at = SimTime(shifted);
             if snap.checksum != 0 {
@@ -449,6 +453,7 @@ impl Fabric {
             // each XOR mask is nonzero, so the content always
             // changes and a sealed snapshot always fails its check.
             let mask = mix64(self.plan.seed ^ mix64(now.0 ^ seq));
+            let snap = Arc::make_mut(snap);
             snap.run_queue ^= (mask as u32) | 1;
             snap.mem_used_kb ^= (mask >> 8) | 1;
             snap.nthreads ^= ((mask >> 32) as u32) | 1;
@@ -521,39 +526,31 @@ impl Fabric {
     }
 
     /// The static node-chatter graph: weighted undirected edges between
-    /// every node pair that can exchange frames, derived from the
-    /// routing state (connection table, multicast membership, declared
-    /// RDMA routes). This is the route metadata the parallel executor's
-    /// affinity partition weighs. Deterministic: edges come out in
-    /// ascending `(a, b)` order.
+    /// node pairs that can exchange frames, derived from the routing
+    /// state (connection table, declared RDMA routes, multicast
+    /// membership). This is the route metadata the parallel executor's
+    /// affinity partition weighs. One edge per connection, route and
+    /// multicast co-membership, in that order: a pair linked several ways
+    /// appears once per link, and the partition sums the weights. One
+    /// `Vec` filled in one pass, because every world builds it at
+    /// `ClusterBuilder::finish`.
     pub fn chatter_edges(&self) -> Vec<(NodeId, NodeId, u64)> {
-        let mut weights: BTreeMap<(u16, u16), u64> = BTreeMap::new();
-        let mut bump = |a: NodeId, b: NodeId, w: u64| {
-            if a != b {
-                let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-                *weights.entry(key).or_insert(0) += w;
-            }
-        };
         // A connection carries request *and* completion legs; weight it
         // above a multicast co-membership, which most pairs only share
         // for occasional pushes.
-        for c in &self.conns {
-            bump(c.a, c.b, 4);
-        }
-        for (a, b) in &self.declared_routes {
-            bump(*a, *b, 4);
-        }
+        let mut edges: Vec<_> = self
+            .conns
+            .iter()
+            .map(|c| (c.a, c.b, 4))
+            .chain(self.declared_routes.iter().map(|&(a, b)| (a, b, 4)))
+            .collect();
         for members in self.mcast.values() {
             for (i, &a) in members.iter().enumerate() {
-                for &b in &members[i + 1..] {
-                    bump(a, b, 1);
-                }
+                edges.extend(members[i + 1..].iter().map(|&b| (a, b, 1)));
             }
         }
-        weights
-            .into_iter()
-            .map(|((a, b), w)| (NodeId(a), NodeId(b), w))
-            .collect()
+        edges.retain(|&(a, b, _)| a != b);
+        edges
     }
 
     /// Wire + serialization latency for a frame of `size` bytes.
@@ -1565,11 +1562,14 @@ mod tests {
                 .clock_skew(NodeId(1), -2_000_000, SimTime(0), SimTime(100))
                 .corrupting(Some(NodeId(2)), 1.0, SimTime(0), SimTime(100)),
         );
-        let mut snap = LoadSnapshot {
+        let published = LoadSnapshot {
             measured_at: SimTime(5_000_000),
             ..LoadSnapshot::zero()
         }
         .sealed();
+        // The producer's buffer keeps a second handle to the record.
+        let held = SharedSnapshot::new(published);
+        let mut snap = Arc::clone(&held);
         // Skew shifts the reported timestamp and re-seals: the fault is
         // the producer's clock, not the wire.
         f.apply_payload_faults(SimTime(50), 0, NodeId(1), &mut snap);
@@ -1577,20 +1577,32 @@ mod tests {
         assert!(snap.checksum_ok());
         assert_eq!(f.stats.fault_skewed, 1);
         assert_eq!(f.stats.fault_corrupted, 0);
-        // Corruption perturbs content and leaves the seal stale.
-        let mut snap2 = LoadSnapshot::zero().sealed();
+        // Copy on write: the in-flight record changed, the held one did not.
+        assert!(!Arc::ptr_eq(&snap, &held));
+        assert_eq!(*held, published);
+        // Corruption perturbs content and leaves the seal stale, again on
+        // a copy of a record someone else still holds.
+        let held2 = SharedSnapshot::new(LoadSnapshot::zero().sealed());
+        let mut snap2 = Arc::clone(&held2);
         f.apply_payload_faults(SimTime(50), 1, NodeId(2), &mut snap2);
         assert!(!snap2.checksum_ok());
+        assert!(held2.checksum_ok());
+        assert_eq!(*held2, LoadSnapshot::zero().sealed());
         assert_eq!(f.stats.fault_corrupted, 1);
-        // Negative skew saturates at time zero.
-        let mut snap3 = LoadSnapshot {
-            measured_at: SimTime(1_000_000),
-            ..LoadSnapshot::zero()
-        }
-        .sealed();
+        // Negative skew saturates at time zero; a sole handle is faulted
+        // in place.
+        let mut snap3 = SharedSnapshot::new(
+            LoadSnapshot {
+                measured_at: SimTime(1_000_000),
+                ..LoadSnapshot::zero()
+            }
+            .sealed(),
+        );
+        let before = Arc::as_ptr(&snap3);
         f.apply_payload_faults(SimTime(50), 2, NodeId(1), &mut snap3);
         assert_eq!(snap3.measured_at, SimTime::ZERO);
         assert!(snap3.checksum_ok());
+        assert_eq!(Arc::as_ptr(&snap3), before);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! manipulation lives here so it can be unit-tested in isolation.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use fgmon_sim::{ActorId, DetRng, SimDuration, SimTime};
 use fgmon_types::{
     ConnId, LoadSnapshot, McastGroup, NodeId, OsConfig, RegionId, ReqId, ServiceSlot,
-    SharedRaceDetector, ThreadId, TokenBucket, MAX_CPUS,
+    SharedRaceDetector, SharedSnapshot, ThreadId, TokenBucket, MAX_CPUS,
 };
 
 use crate::irq::CpuIrq;
@@ -108,6 +109,9 @@ pub struct OsCore {
     pub stats: KernelStats,
     regions: Vec<Region>,
     user_snapshots: Vec<Option<LoadSnapshot>>,
+    /// The buffer every load record this node sends out is shared from
+    /// (see [`OsCore::share_snapshot`]); `None` until the first record.
+    snap_buf: Option<SharedSnapshot>,
     /// Word banks backing [`RegionKind::AtomicWords`] regions, parallel
     /// to `regions` (empty for every other kind).
     atomic_words: Vec<Vec<u64>>,
@@ -168,6 +172,7 @@ impl OsCore {
             stats: KernelStats::new(),
             regions: Vec::new(),
             user_snapshots: Vec::new(),
+            snap_buf: None,
             atomic_words: Vec::new(),
             rdma_pending: Vec::new(),
             next_req: 0,
@@ -401,6 +406,23 @@ impl OsCore {
         self.user_snapshots.get(id.0 as usize).copied().flatten()
     }
 
+    /// Put `snap` in this node's outgoing record buffer and return a
+    /// handle for a message to carry: read data this NIC serves, writes
+    /// it posts, and the replies and pushes its services send. In the
+    /// paper's terms, the registered buffer a one-sided read copies from.
+    ///
+    /// The buffer is rewritten in place only when no earlier handle is
+    /// alive; otherwise a fresh `Arc` replaces it, so a handle in flight
+    /// never changes and a warm node allocates nothing. Either way the
+    /// handle reads `snap`: no simulated value depends on a refcount.
+    pub fn share_snapshot(&mut self, snap: LoadSnapshot) -> SharedSnapshot {
+        match self.snap_buf.as_mut().and_then(Arc::get_mut) {
+            Some(buf) => *buf = snap,
+            None => self.snap_buf = Some(Arc::new(snap)),
+        }
+        Arc::clone(self.snap_buf.as_ref().expect("buffer filled above"))
+    }
+
     /// Install (or remove) this NIC's post rate limiter (builder wiring).
     pub fn set_post_limiter(&mut self, limiter: Option<TokenBucket>) {
         self.limiter = limiter;
@@ -539,6 +561,33 @@ mod tests {
         s.nthreads = 42;
         c.write_user_snapshot(r0, s, SimTime(100));
         assert_eq!(c.read_user_snapshot(r0).unwrap().nthreads, 42);
+    }
+
+    #[test]
+    fn outgoing_records_reuse_the_buffer_only_once_every_handle_is_gone() {
+        let mut c = core();
+        let busy = c.snapshot(SimTime(5_000), true);
+        let first = c.share_snapshot(busy);
+        assert_eq!(*first, busy);
+        // A live handle pins its record: the next share takes a fresh
+        // buffer and leaves the first one untouched.
+        let zero = LoadSnapshot::zero();
+        let second = c.share_snapshot(zero);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(*first, busy);
+        assert_eq!(*second, zero);
+        // Once the consumers drop their handles, the buffer is rewritten
+        // in place.
+        drop(first);
+        let kept = Arc::as_ptr(&second);
+        drop(second);
+        let third = c.share_snapshot(busy);
+        assert_eq!(Arc::as_ptr(&third), kept);
+        assert_eq!(*third, busy);
+        drop(third);
+        let fourth = c.share_snapshot(zero);
+        assert_eq!(Arc::as_ptr(&fourth), kept);
+        assert_eq!(*fourth, zero);
     }
 
     #[test]

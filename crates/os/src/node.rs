@@ -609,7 +609,7 @@ impl NodeActor {
             Some(r) => match r.kind {
                 RegionKind::UserSnapshot => match self.core.read_user_snapshot(region) {
                     Some(snap) => RdmaResult::ReadOk {
-                        data: RegionData::Snapshot(snap),
+                        data: RegionData::Snapshot(self.core.share_snapshot(snap)),
                         fence: self.core.region_fence(region),
                     },
                     None => RdmaResult::ReadOk {
@@ -620,7 +620,7 @@ impl NodeActor {
                 RegionKind::KernelLoad { detail } => {
                     let snap = self.core.snapshot(now, detail);
                     RdmaResult::ReadOk {
-                        data: RegionData::Snapshot(snap),
+                        data: RegionData::Snapshot(self.core.share_snapshot(snap)),
                         fence: self.core.bump_region_seq(region),
                     }
                 }
@@ -668,7 +668,7 @@ impl NodeActor {
             Some(r) if matches!(r.kind, RegionKind::AtomicWords { .. }) => RdmaResult::AccessDenied,
             Some(r) if r.writable => {
                 if let RegionData::Snapshot(snap) = data {
-                    self.core.write_user_snapshot(region, snap, now);
+                    self.core.write_user_snapshot(region, *snap, now);
                 }
                 RdmaResult::WriteOk
             }

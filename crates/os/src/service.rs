@@ -11,7 +11,7 @@ use std::any::Any;
 use fgmon_sim::{Ctx, DetRng, SimDuration, SimTime};
 use fgmon_types::{
     BatchedRead, ConnId, LoadSnapshot, McastGroup, Msg, NetMsg, NodeId, NodeMsg, Payload,
-    RdmaResult, RegionData, RegionId, ServiceSlot, SharedPayload, ThreadId,
+    RdmaResult, RegionData, RegionId, ServiceSlot, SharedPayload, SharedSnapshot, ThreadId,
 };
 
 use crate::core_state::{ListenMode, OsCore, RegionKind};
@@ -348,6 +348,14 @@ impl OsApi<'_, '_> {
         self.core.snapshot(now, via_kernel_module)
     }
 
+    /// Put `snap` in this node's outgoing record buffer and return the
+    /// handle a reply or push carries ([`Payload::MonitorReply`],
+    /// [`Payload::StatusPush`]). The buffer is reused once every earlier
+    /// handle is dropped, so a warm reporter allocates nothing.
+    pub fn share_snapshot(&mut self, snap: LoadSnapshot) -> SharedSnapshot {
+        self.core.share_snapshot(snap)
+    }
+
     // ---- RDMA --------------------------------------------------------------
 
     /// Register a user-space buffer for one-sided access.
@@ -446,7 +454,6 @@ impl OsApi<'_, '_> {
         );
     }
 
-    /// Post a one-sided write of `snap` into `region` on node `dst`.
     /// Post a one-sided compare-and-swap against word `word` of an
     /// atomic region on `dst`. Completes with [`RdmaResult::CasOk`]
     /// carrying the prior value (the swap happened iff it equaled
@@ -479,6 +486,10 @@ impl OsApi<'_, '_> {
             }),
         );
     }
+
+    /// Post a one-sided write of `snap` into `region` on node `dst`. The
+    /// record travels in this node's outgoing buffer
+    /// ([`OsApi::share_snapshot`]).
     pub fn rdma_write(&mut self, dst: NodeId, region: RegionId, snap: LoadSnapshot, token: u64) {
         let refused = !self.core.admit_post(self.ctx.now);
         let req = self.core.alloc_req(self.slot, token, refused);
@@ -491,7 +502,7 @@ impl OsApi<'_, '_> {
                 dst,
                 region,
                 req_id: req,
-                data: RegionData::Snapshot(snap),
+                data: RegionData::Snapshot(self.core.share_snapshot(snap)),
                 refused,
             }),
         );

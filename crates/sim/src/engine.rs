@@ -248,16 +248,16 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Capacity hint from world builders: pre-size the actor table for
-    /// `actors` registrations and the event structures for roughly
-    /// `events` concurrently outstanding events, so steady-state
-    /// scheduling never grows them.
-    pub fn reserve_capacity(&mut self, actors: usize, events: usize) {
+    /// `actors` registrations and the staging buffer for a handler's
+    /// sends. The event slab is not pre-sized: it grows to the run's
+    /// high-water mark of events in flight and recycles its nodes from
+    /// then on.
+    pub fn reserve_capacity(&mut self, actors: usize) {
         self.actors
             .reserve(actors.saturating_sub(self.actors.len()));
         if self.staged.capacity() < 64 {
             self.staged.reserve(64 - self.staged.capacity());
         }
-        self.queue.reserve(events);
     }
 
     /// Register an actor and return its id.

@@ -217,17 +217,6 @@ impl<M> EventQueue<M> {
         self.order.len()
     }
 
-    /// Pre-size internal storage for roughly `events` concurrently
-    /// outstanding events.
-    pub fn reserve(&mut self, events: usize) {
-        let nodes = &mut self.slab.nodes;
-        nodes.reserve(events.saturating_sub(nodes.len()));
-        match &mut self.order {
-            Order::Heap(h) => h.reserve(events),
-            Order::Wheel(w) => w.reserve(),
-        }
-    }
-
     /// Stamp `seq` on a staged node and file it.
     #[inline]
     pub fn file(&mut self, idx: u32, seq: u64) {
@@ -403,11 +392,6 @@ impl TimingWheel {
             in_buckets: 0,
             scratch: Vec::new(),
         }
-    }
-
-    fn reserve(&mut self) {
-        self.ready.reserve(64);
-        self.scratch.reserve(64);
     }
 
     #[inline]

@@ -28,7 +28,7 @@ pub use health::{
 pub use ids::{
     ConnId, McastGroup, NodeId, RegionId, ReqId, ServiceSlot, ShardId, TenantId, ThreadId,
 };
-pub use load::{LoadSnapshot, LoadWeights, NodeCapacity, MAX_CPUS};
+pub use load::{LoadSnapshot, LoadWeights, NodeCapacity, SharedSnapshot, MAX_CPUS};
 pub use lock::{LockTable, TicketLock, FETCH_SENTINEL, LOCK_STRIDE, W_OWNER, W_SERVING, W_TAIL};
 pub use msg::{BatchedRead, Msg, NetMsg, NodeMsg, PostedKey, RdmaResult, RegionData};
 pub use payload::{Payload, QueryClass, RequestKind, SharedPayload};

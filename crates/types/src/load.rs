@@ -148,6 +148,16 @@ impl LoadSnapshot {
     }
 }
 
+/// A load record in flight: socket replies, one-sided read and write
+/// data, and multicast status pushes carry the record behind this handle,
+/// so every message stays a few words wide. An `Arc` for the reason
+/// [`crate::SharedPayload`] is one.
+///
+/// In-flight records are immutable to everyone but the fabric's payload
+/// faults, which copy on write (`Arc::make_mut`); consumers copy the
+/// record out and drop the handle.
+pub type SharedSnapshot = std::sync::Arc<LoadSnapshot>;
+
 /// Capacity normalizers used when folding a [`LoadSnapshot`] into a scalar
 /// index (the "appropriate weights" of the IBM WebSphere algorithm the
 /// paper adopts for its load balancer).

@@ -7,7 +7,7 @@
 
 use crate::health::RecordFence;
 use crate::ids::{ConnId, McastGroup, NodeId, RegionId, ReqId, ServiceSlot, ThreadId};
-use crate::load::LoadSnapshot;
+use crate::load::SharedSnapshot;
 use crate::payload::{Payload, SharedPayload};
 use fgmon_sim::SimTime;
 
@@ -32,8 +32,9 @@ pub enum Msg {
 /// modeling serialization.
 #[derive(Clone, Debug)]
 pub enum RegionData {
-    /// A load snapshot (user-space buffer or live kernel view).
-    Snapshot(LoadSnapshot),
+    /// A load snapshot (user-space buffer or live kernel view), shared
+    /// from the producing node's buffer.
+    Snapshot(SharedSnapshot),
     /// Uninterpreted bytes of the given length.
     Raw(u32),
 }
@@ -244,6 +245,7 @@ impl From<NetMsg> for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::LoadSnapshot;
 
     #[test]
     fn conversions() {
@@ -265,9 +267,9 @@ mod tests {
     #[test]
     fn message_union_stays_small() {
         let sizes = [
-            ("Msg", std::mem::size_of::<Msg>(), 160),
-            ("NodeMsg", std::mem::size_of::<NodeMsg>(), 152),
-            ("NetMsg", std::mem::size_of::<NetMsg>(), 160),
+            ("Msg", std::mem::size_of::<Msg>(), 64),
+            ("NodeMsg", std::mem::size_of::<NodeMsg>(), 56),
+            ("NetMsg", std::mem::size_of::<NetMsg>(), 64),
         ];
         for (name, size, limit) in sizes {
             assert!(
@@ -275,14 +277,15 @@ mod tests {
                 "{name} is {size} bytes, over its {limit}-byte budget: every event \
                  moves the whole message union at least twice (into the queue slab \
                  and out into the handler), so large data belongs out of line \
-                 (behind an Arc or Box, as SharedPayload does)"
+                 (behind an Arc or Box, as SharedSnapshot carries the 104-byte \
+                 LoadSnapshot and SharedPayload a multicast body)"
             );
         }
     }
 
     #[test]
     fn region_data_carries_snapshot() {
-        let d = RegionData::Snapshot(LoadSnapshot::zero());
+        let d = RegionData::Snapshot(LoadSnapshot::zero().into());
         match d {
             RegionData::Snapshot(s) => assert_eq!(s.nthreads, 0),
             _ => panic!("wrong variant"),

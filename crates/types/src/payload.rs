@@ -2,7 +2,7 @@
 
 use crate::health::RecordFence;
 use crate::ids::{NodeId, RegionId};
-use crate::load::LoadSnapshot;
+use crate::load::SharedSnapshot;
 use crate::scheme::Scheme;
 
 /// The eight RUBiS query classes of the paper's Table 1.
@@ -66,9 +66,12 @@ pub enum RequestKind {
 ///
 /// The fabric replicates multicast frames in hardware; the simulation
 /// mirrors that by handing each recipient the *same* immutable body
-/// (`Arc` refcount bump) instead of a per-recipient deep clone. `Arc`
-/// rather than `Rc` because the parallel executor moves in-flight events
-/// between shard threads; the refcount bump stays off the hot path.
+/// (`Arc` refcount bump) instead of a per-recipient deep clone.
+///
+/// `Arc` rather than `Rc`, here and in [`crate::SharedSnapshot`], because
+/// `Actor: Send`: a harness moves whole worlds, with the messages in
+/// flight inside them, to sweep threads of its own. A world runs on one
+/// thread, so the atomic refcount is never contended.
 pub type SharedPayload = std::sync::Arc<Payload>;
 
 /// Application payloads.
@@ -88,7 +91,7 @@ pub enum Payload {
     /// back-end's boot generation so pre-restart stragglers are provably
     /// stale.
     MonitorReply {
-        snap: LoadSnapshot,
+        snap: SharedSnapshot,
         req: u64,
         fence: RecordFence,
     },
@@ -117,7 +120,10 @@ pub enum Payload {
         value: f64,
     },
     /// Back-end status pushed over hardware multicast (extension scheme).
-    StatusPush { origin: NodeId, snap: LoadSnapshot },
+    StatusPush {
+        origin: NodeId,
+        snap: SharedSnapshot,
+    },
     /// Uninterpreted padding traffic (background communication load).
     Opaque { tag: u64 },
 }
@@ -142,6 +148,7 @@ impl Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::LoadSnapshot;
 
     #[test]
     fn table1_row_labels() {
@@ -173,7 +180,7 @@ mod tests {
             }
             .wire_size()
                 < Payload::MonitorReply {
-                    snap: LoadSnapshot::zero(),
+                    snap: LoadSnapshot::zero().into(),
                     req: 0,
                     fence: RecordFence::default()
                 }

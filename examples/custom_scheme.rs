@@ -72,6 +72,7 @@ impl Service for HybridBackend {
             generation: os.boot_generation(),
             seq: self.extended_served,
         };
+        let snap = os.share_snapshot(snap);
         os.send(tid, conn, Payload::MonitorReply { snap, req, fence });
     }
 }
@@ -127,7 +128,7 @@ impl Service for HybridFrontend {
             os.recorder()
                 .series("hybrid/kernel_util")
                 .push(now, snap.cpu_util);
-            self.kernel_view = Some(snap);
+            self.kernel_view = Some(*snap);
         }
     }
 

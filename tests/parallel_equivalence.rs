@@ -10,8 +10,8 @@
 use fgmon_balancer::Dispatcher;
 use fgmon_cluster::{big_cluster, fault_compare_world, flaky_rdma_failover, Cluster};
 use fgmon_net::FabricStats;
-use fgmon_sim::{SimDuration, SimTime};
-use fgmon_types::{ChannelHealthStats, FaultPlan, RaceMode, RaceReport, RetryPolicy, Scheme};
+use fgmon_sim::{Actor, Ctx, SimDuration, SimTime};
+use fgmon_types::{ChannelHealthStats, FaultPlan, Msg, RaceMode, RaceReport, RetryPolicy, Scheme};
 
 const SEEDS: [u64; 3] = [11, 29, 4242];
 // Includes a prime shard count (uneven affinity groups) and more shards
@@ -168,6 +168,38 @@ fn big_cluster_with_batched_doorbells_is_bitwise_identical() {
             "big-cluster run diverged (shards {shards})"
         );
     }
+}
+
+/// Forwards every event to the actor it wraps, as a harness that times
+/// or traces the fabric's handler does.
+struct PassThrough(Box<dyn Actor<Msg>>);
+
+impl Actor<Msg> for PassThrough {
+    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        self.0.handle(now, msg, ctx);
+    }
+}
+
+#[test]
+fn wrapped_fabric_runs_sharded_like_the_bare_one() {
+    type Fp = (u64, Metrics);
+    let fingerprint = |wrap: bool, shards: usize| -> Fp {
+        let mut w = big_cluster(16, 7);
+        if wrap {
+            let fabric = w.cluster.fabric;
+            let bare = w.cluster.eng.take_actor(fabric).expect("fabric installed");
+            w.cluster.eng.install(fabric, Box::new(PassThrough(bare)));
+        }
+        run(&mut w.cluster, SimDuration::from_millis(600), shards);
+        (w.cluster.eng.events_processed(), metrics(&w.cluster))
+    };
+    let bare = fingerprint(false, 1);
+    assert!(bare.0 > 1_000, "the world must actually run");
+    assert_eq!(
+        bare,
+        fingerprint(true, 2),
+        "a sharded run over a wrapped fabric diverged from the bare sequential run"
+    );
 }
 
 #[test]
