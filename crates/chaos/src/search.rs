@@ -44,8 +44,11 @@ pub struct RunVerdict {
     pub violations: Vec<Violation>,
     /// Individual invariant evaluations performed.
     pub checks: u64,
-    /// Engine events processed (bitwise-equality proxy for the whole
-    /// event order).
+    /// Engine events processed. A count, not the event order: two legs
+    /// can run different trajectories to the same count, so equal
+    /// verdicts do not prove equal runs. A probe build that delayed every
+    /// cross-shard send by 1 ns failed every `tests/parallel_equivalence.rs`
+    /// test, yet the 64-schedule sweep flagged only 8 schedules.
     pub events: u64,
     /// Frames the fault plan evaluated.
     pub fault_checks: u64,

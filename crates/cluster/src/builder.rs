@@ -92,15 +92,6 @@ impl ClusterBuilder {
         self.fabric.join_mcast(group, node);
     }
 
-    /// Declare a node pair that exchanges one-sided RDMA verbs without a
-    /// registered connection (e.g. lock clients CAS'ing a host's atomic
-    /// region). The declaration only weights `Cluster::run_parallel`'s
-    /// affinity partition, which then tends to keep the pair on one
-    /// shard; an undeclared pair still runs correctly on any shards.
-    pub fn declare_rdma_route(&mut self, a: NodeId, b: NodeId) {
-        self.fabric.declare_route(a, b);
-    }
-
     /// Install a fault schedule on the fabric. Panics if the plan is
     /// malformed (see [`FaultPlan::validate`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -162,10 +153,9 @@ impl ClusterBuilder {
         fabric.set_node_actors(self.nodes.clone());
         fabric.set_race_detector(self.race.clone());
         // What `run_parallel` needs of the fabric, read while it is still
-        // a `Fabric`: its config has no setter and routes are only added
-        // here on the builder, and a harness may wrap the installed actor.
+        // a `Fabric`: its config has no setter, and a harness may wrap the
+        // installed actor.
         let lookahead = fabric.lookahead();
-        let chatter = fabric.chatter_edges();
         // Rate limiting is enforced where a post is made: each limited
         // node's NIC gets its own bucket, and the fabric only counts the
         // frames those NICs mark refused.
@@ -208,8 +198,6 @@ impl ClusterBuilder {
             nodes: self.nodes,
             race: self.race,
             lookahead,
-            chatter,
-            plan_cache: None,
         }
     }
 }
@@ -229,14 +217,6 @@ pub struct Cluster {
     /// The fabric's minimum cross-shard latency: `run_parallel`'s window
     /// width.
     lookahead: SimDuration,
-    /// The fabric's chatter graph: what `run_parallel`'s affinity
-    /// partition weighs.
-    chatter: Vec<(NodeId, NodeId, u64)>,
-    /// Shard plan memoized per shard count: the topology (and therefore
-    /// the affinity partition) is fixed after `finish`, and rebuilding it
-    /// per `run_parallel` segment would put avoidable allocations on the
-    /// steady-state path.
-    plan_cache: Option<(usize, ShardPlan)>,
 }
 
 impl Cluster {
@@ -274,39 +254,29 @@ impl Cluster {
     /// Run for `dur` of virtual time split across `shards` shards, which
     /// run one lookahead window at a time on the calling thread.
     ///
-    /// Bitwise identical to [`Cluster::run_for`]: nodes are grouped
-    /// onto shards by communication affinity (a greedy partition of the
-    /// fabric's chatter graph, so ring/rack neighbors land together and
-    /// most traffic stays shard-local), the one fabric runs each frame
-    /// on the shard that posted it, and the window width is the fabric's
-    /// minimum cross-shard latency. The chatter graph only shapes the
-    /// partition: any partition gives the same run. Falls back to the
+    /// Bitwise identical to [`Cluster::run_for`]: node `i` of `n` runs
+    /// on shard `i * shards / n`, so each shard takes a contiguous block
+    /// of nodes, the one fabric runs each frame on the shard that posted
+    /// it, and the window width is the fabric's minimum cross-shard
+    /// latency. Any partition gives the same run. Falls back to the
     /// sequential engine when fewer than two shards are possible.
     /// Sharding buys no speed on its own (see `fgmon_sim::parallel`); it
     /// exists so the chaos search and the equivalence suites can check
     /// the sharded protocol against the sequential engine.
     pub fn run_parallel(&mut self, dur: SimDuration, shards: usize) -> RunOutcome {
-        let shards = shards.min(self.nodes.len());
+        let n = self.nodes.len();
+        let shards = shards.min(n);
         if shards < 2 || self.lookahead == SimDuration::ZERO {
             return self.run_for(dur);
         }
         let horizon = self.eng.now() + dur;
-        if self.plan_cache.as_ref().is_none_or(|(s, _)| *s != shards) {
-            let node_edges: Vec<(usize, usize, u64)> = self
-                .chatter
-                .iter()
-                .map(|&(a, b, w)| (a.index(), b.index(), w))
-                .collect();
-            let groups = ShardPlan::affinity_groups(self.nodes.len(), shards, &node_edges);
-            // The fabric's entry is ignored: it belongs to no shard.
-            let mut shard_of = vec![0u16; self.eng.actor_count()];
-            for (i, actor) in self.nodes.iter().enumerate() {
-                shard_of[actor.index()] = groups[i];
-            }
-            self.plan_cache = Some((shards, ShardPlan::new(shard_of, shards)));
+        // The fabric's entry is ignored: it belongs to no shard.
+        let mut shard_of = vec![0u16; self.eng.actor_count()];
+        for (i, actor) in self.nodes.iter().enumerate() {
+            shard_of[actor.index()] = (i * shards / n) as u16;
         }
-        let plan = &self.plan_cache.as_ref().expect("plan cached above").1;
-        run_sharded(&mut self.eng, horizon, self.lookahead, plan)
+        let plan = ShardPlan::new(shard_of, shards);
+        run_sharded(&mut self.eng, horizon, self.lookahead, &plan)
     }
 
     /// Engine actor id of a node.

@@ -1103,10 +1103,6 @@ pub fn rdma_lock_world(
                 SimDuration::from_millis(25),
             )),
         );
-        // Lock clients CAS the host's region directly over RDMA with no
-        // connection; declare the route so the parallel executor knows
-        // these two nodes exchange events.
-        b.declare_rdma_route(n, host);
         nodes.push(n);
         client_slots.push(slot);
     }
@@ -1243,8 +1239,6 @@ pub fn chaos_world(plan: FaultPlan, seed: u64, race: RaceMode) -> ChaosWorld {
                 SimDuration::from_millis(25),
             )),
         );
-        // Connection-less RDMA CAS traffic: declare it for shard planning.
-        b.declare_rdma_route(n, lock_host);
         lock_clients.push(n);
         client_slots.push(slot);
     }

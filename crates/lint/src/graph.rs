@@ -43,7 +43,7 @@ pub fn reach_root(name: &str, owner: Option<&str>) -> bool {
         return true;
     }
     match owner {
-        Some("Engine") => name.starts_with("run") || name == "step",
+        Some("Engine") => name.starts_with("run"),
         Some("Cluster") => name.starts_with("run"),
         _ => false,
     }
@@ -59,7 +59,7 @@ pub fn event_root(name: &str, owner: Option<&str>) -> bool {
     if name.starts_with("on_") {
         return true;
     }
-    owner == Some("Engine") && matches!(name, "step" | "run_until" | "run_for")
+    owner == Some("Engine") && matches!(name, "run_until" | "run_for")
 }
 
 impl CallGraph {
@@ -260,7 +260,7 @@ fn target() {}
     fn event_roots_are_narrower_than_reach_roots() {
         assert!(reach_root("run_parallel", Some("Cluster")));
         assert!(!event_root("run_parallel", Some("Cluster")));
-        assert!(event_root("step", Some("Engine")));
+        assert!(event_root("run_until", Some("Engine")));
         assert!(event_root("on_packet", Some("Gmond")));
         assert!(!event_root("main", None));
         assert!(reach_root("main", None));

@@ -76,7 +76,7 @@ impl fmt::Display for Finding {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScanOptions {
     /// When set, needle/structural findings inside functions the call
-    /// graph cannot reach from a sim entry point (`Engine::run*`/`step`,
+    /// graph cannot reach from a sim entry point (`Engine::run*`,
     /// `Cluster::run*`, `on_*` handlers, `main`) are dropped. Findings
     /// outside any fn (imports, statics) are always kept, as are
     /// `stale-suppression` and `allow-reentry`.
@@ -766,11 +766,11 @@ pub fn merge_locked(x: u64) -> u64 { let g = Mutex::new(x); x }
         };
         let engine = SourceFile {
             label: "crates/sim/src/engine.rs".into(),
-            source: "impl Engine { pub fn step(&mut self) { merge_locked(1); } }".into(),
+            source: "impl Engine { pub fn run_until(&mut self) { merge_locked(1); } }".into(),
         };
         let findings = analyze(&[sweeps, engine], &ScanOptions::default());
         // sweep_parallel is allow-path'd and never called from the event
-        // path: clean. merge_locked is re-entered from Engine::step.
+        // path: clean. merge_locked is re-entered from Engine::run_until.
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "allow-reentry");
         assert_eq!(findings[0].path, "crates/cluster/src/sweep.rs");

@@ -194,7 +194,7 @@ fn each_new_rule_family_fires_with_exact_line() {
             ),
             (
                 "crates/sim/src/engine.rs",
-                "pub struct Engine;\nimpl Engine {\n    pub fn step(&mut self) {\n        sweep_merge(1);\n    }\n}\n",
+                "pub struct Engine;\nimpl Engine {\n    pub fn run_until(&mut self) {\n        sweep_merge(1);\n    }\n}\n",
             ),
         ],
     );
@@ -206,7 +206,7 @@ fn each_new_rule_family_fires_with_exact_line() {
         ("unsafe-block", "crates/sim/src/unsafe_peek.rs", 2),
         ("stale-suppression", "crates/sim/src/stale.rs", 1),
         // `sweep_merge` uses the sanctioned Mutex in an allow-path file,
-        // but `Engine::step` re-enters it from the event path.
+        // but `Engine::run_until` re-enters it from the event path.
         ("allow-reentry", "crates/cluster/src/sweep.rs", 1),
     ];
     for (rule, path, line) in expect {

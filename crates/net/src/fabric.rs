@@ -117,11 +117,6 @@ pub struct Fabric {
     node_actors: Vec<ActorId>,
     conns: Vec<ConnEntry>,
     mcast: BTreeMap<McastGroup, Vec<NodeId>>,
-    /// Node pairs that exchange one-sided RDMA verbs without a
-    /// registered connection (the lock service's CAS traffic): declared
-    /// at build time so the affinity partition weighs them like
-    /// connections. Immutable routing state.
-    declared_routes: Vec<(NodeId, NodeId)>,
     /// Fault schedule; `fault_active` is true iff the plan has rules, so
     /// fault-free runs evaluate zero fates and stay bit-identical to
     /// builds that predate fault injection.
@@ -183,7 +178,6 @@ impl Fabric {
             node_actors,
             conns: Vec::new(),
             mcast: BTreeMap::new(),
-            declared_routes: Vec::new(),
             plan: FaultPlan::default(),
             fault_active: false,
             payload_faults: false,
@@ -512,45 +506,6 @@ impl Fabric {
         if !members.contains(&node) {
             members.push(node);
         }
-    }
-
-    /// Declare that `a` and `b` exchange frames outside any registered
-    /// connection (one-sided RDMA verbs address nodes directly). The
-    /// declaration only adds the pair to [`Fabric::chatter_edges`], which
-    /// weights the sharded executor's affinity partition; routing and
-    /// correctness never depend on it.
-    pub fn declare_route(&mut self, a: NodeId, b: NodeId) {
-        if a != b && !self.declared_routes.contains(&(a, b)) {
-            self.declared_routes.push((a, b));
-        }
-    }
-
-    /// The static node-chatter graph: weighted undirected edges between
-    /// node pairs that can exchange frames, derived from the routing
-    /// state (connection table, declared RDMA routes, multicast
-    /// membership). This is the route metadata the parallel executor's
-    /// affinity partition weighs. One edge per connection, route and
-    /// multicast co-membership, in that order: a pair linked several ways
-    /// appears once per link, and the partition sums the weights. One
-    /// `Vec` filled in one pass, because every world builds it at
-    /// `ClusterBuilder::finish`.
-    pub fn chatter_edges(&self) -> Vec<(NodeId, NodeId, u64)> {
-        // A connection carries request *and* completion legs; weight it
-        // above a multicast co-membership, which most pairs only share
-        // for occasional pushes.
-        let mut edges: Vec<_> = self
-            .conns
-            .iter()
-            .map(|c| (c.a, c.b, 4))
-            .chain(self.declared_routes.iter().map(|&(a, b)| (a, b, 4)))
-            .collect();
-        for members in self.mcast.values() {
-            for (i, &a) in members.iter().enumerate() {
-                edges.extend(members[i + 1..].iter().map(|&b| (a, b, 1)));
-            }
-        }
-        edges.retain(|&(a, b, _)| a != b);
-        edges
     }
 
     /// Wire + serialization latency for a frame of `size` bytes.

@@ -3,7 +3,7 @@
 //! they interleave.
 
 use fgmon_os::{NodeActor, OsApi, OsCore, Service};
-use fgmon_sim::{DetRng, Engine, SimDuration, SimTime};
+use fgmon_sim::{Actor, Ctx, DetRng, Engine, SimDuration, SimTime};
 use fgmon_types::{Msg, NodeId, NodeMsg, OsConfig, ThreadId};
 use proptest::prelude::*;
 
@@ -82,6 +82,28 @@ impl Service for ScriptRunner {
     }
 }
 
+/// Events a scheduler run may take before it counts as a runaway loop
+/// that never settles.
+const EVENT_BUDGET: u64 = 2_000_000;
+
+/// Forwards every event to the node it wraps, and panics past
+/// [`EVENT_BUDGET`] events instead of spinning forever.
+struct Budgeted {
+    node: NodeActor,
+    events: u64,
+}
+
+impl Actor<Msg> for Budgeted {
+    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        self.events += 1;
+        assert!(
+            self.events <= EVENT_BUDGET,
+            "runaway scheduler: more than {EVENT_BUDGET} events by {now:?}"
+        );
+        self.node.handle(now, msg, ctx);
+    }
+}
+
 fn arb_script() -> impl Strategy<Value = Script> {
     prop::collection::vec((1u64..5_000, 0u64..20_000), 1..8).prop_map(|steps| Script { steps })
 }
@@ -110,9 +132,8 @@ proptest! {
             DetRng::new(seed),
         ));
         node.add_service(Box::new(ScriptRunner::new(scripts.clone())));
-        eng.install(node_actor, Box::new(node));
+        eng.install(node_actor, Box::new(Budgeted { node, events: 0 }));
         eng.schedule(SimTime::ZERO, node_actor, Msg::Node(NodeMsg::Boot));
-        eng.set_event_budget(2_000_000);
 
         let outcome = eng.run_until(SimTime(SimDuration::from_secs(120).nanos()));
         prop_assert!(
@@ -122,7 +143,7 @@ proptest! {
         );
         let elapsed = eng.now();
 
-        let node = eng.actor_mut::<NodeActor>(node_actor).unwrap();
+        let node = &mut eng.actor_mut::<Budgeted>(node_actor).unwrap().node;
 
         // CPU accounting: total busy ≤ cpus × elapsed.
         let busy: u64 = node

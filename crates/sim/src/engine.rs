@@ -15,11 +15,11 @@
 //! straight into a free node of the queue's slab and stage the node's
 //! index. When the handler returns, the engine stamps each staged node's
 //! lane key (below) in submission order and files its index in the queue.
-//! [`Engine::run_until`], [`Engine::step`] and the sharded executor's
-//! windows pop an index and move the message out of the slab straight
-//! into [`Actor::handle`]; the node is free again before the handler runs.
-//! `run_until` fuses the horizon test with the pop, and its horizon is
-//! inclusive: an event at exactly the horizon runs.
+//! [`Engine::run_until`] and the sharded executor's windows pop an index
+//! and move the message out of the slab straight into [`Actor::handle`];
+//! the node is free again before the handler runs. Every pop is fused
+//! with the horizon test, and the horizon is inclusive: an event at
+//! exactly the horizon runs.
 //!
 //! ## Lane-structured sequence numbers
 //!
@@ -43,7 +43,7 @@
 use std::any::Any;
 
 use crate::metrics::Recorder;
-use crate::queue::{EventQueue, Link, Order, QueueKind, Slab};
+use crate::queue::{EventQueue, Link, Slab, TimingWheel};
 use crate::time::{SimDuration, SimTime};
 
 /// Bit position splitting a sequence number into `lane | counter`.
@@ -98,7 +98,6 @@ pub struct Ctx<'a, M> {
     slab: &'a mut Slab<M>,
     staged: &'a mut Vec<u32>,
     recorder: &'a mut Recorder,
-    stop_requested: &'a mut bool,
 }
 
 impl<M> Ctx<'_, M> {
@@ -138,12 +137,6 @@ impl<M> Ctx<'_, M> {
     pub fn recorder(&mut self) -> &mut Recorder {
         self.recorder
     }
-
-    /// Ask the engine to stop after the current event is processed.
-    #[inline]
-    pub fn request_stop(&mut self) {
-        *self.stop_requested = true;
-    }
 }
 
 /// Outcome of an engine run.
@@ -153,10 +146,6 @@ pub enum RunOutcome {
     HorizonReached,
     /// The event queue drained completely.
     QueueDrained,
-    /// An actor called [`Ctx::request_stop`].
-    Stopped,
-    /// The configured event budget was exhausted (runaway-loop backstop).
-    EventBudgetExhausted,
 }
 
 /// The discrete-event simulation engine.
@@ -174,9 +163,7 @@ pub struct Engine<M> {
     /// Per-lane tie-break counters (see the module docs).
     lanes: Vec<u64>,
     events_processed: u64,
-    event_budget: u64,
     recorder: Recorder,
-    stop_requested: bool,
     /// The shard orders of a sharded run in progress.
     shards: Option<Shards>,
 }
@@ -189,7 +176,7 @@ struct Shards {
     /// (ignored for replicated actors).
     owner: Vec<u16>,
     /// `orders[s]`: shard `s`'s pending events.
-    orders: Vec<Order>,
+    orders: Vec<TimingWheel>,
     /// Each shard's clock: the time of its last event.
     clocks: Vec<SimTime>,
     running: usize,
@@ -201,7 +188,7 @@ struct Shards {
 impl Shards {
     /// Events filed in the shards' orders.
     fn filed(&self) -> usize {
-        self.orders.iter().map(Order::len).sum()
+        self.orders.iter().map(TimingWheel::len).sum()
     }
 }
 
@@ -216,35 +203,14 @@ impl<M: 'static> Engine<M> {
         Engine {
             actors: Vec::new(),
             replicated: Vec::new(),
-            queue: EventQueue::new(QueueKind::Wheel),
+            queue: EventQueue::new(),
             staged: Vec::new(),
             now: SimTime::ZERO,
             lanes: Vec::new(),
             events_processed: 0,
-            event_budget: u64::MAX,
             recorder: Recorder::new(),
-            stop_requested: false,
             shards: None,
         }
-    }
-
-    /// Cap the total number of events the engine will process (safety
-    /// backstop against event loops that never settle).
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
-    }
-
-    /// Which event-queue implementation is active.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Switch the event-queue implementation, re-filing every queued
-    /// event's original `(time, seq)` key (messages stay in their slab
-    /// nodes) — the run is bitwise unaffected by when (or whether) the
-    /// switch happens.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue.set_kind(kind);
     }
 
     /// Capacity hint from world builders: pre-size the actor table for
@@ -344,11 +310,6 @@ impl<M: 'static> Engine<M> {
         self.queue.push(at, seq, dst, msg);
     }
 
-    /// Schedule an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, dst: ActorId, msg: M) {
-        self.schedule(self.now + delay, dst, msg);
-    }
-
     /// Claim `n` consecutive keys in `lane`, returning the first full
     /// sequence key. Counters never reset, so keys are unique per lane.
     fn alloc_lane(&mut self, lane: u64, n: u64) -> u64 {
@@ -378,56 +339,26 @@ impl<M: 'static> Engine<M> {
             .and_then(|a| (a as &mut dyn Any).downcast_mut::<T>())
     }
 
-    /// Run until `horizon` (inclusive), the queue drains, an actor requests
-    /// a stop, or the event budget is exhausted.
+    /// Run until `horizon` (inclusive) or until the queue drains.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            if self.stop_requested {
-                self.stop_requested = false;
-                return RunOutcome::Stopped;
-            }
-            if self.events_processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            // Fused peek + pop: one probe of the head per event.
-            let Some(node) = self.queue.pop_through(horizon) else {
-                if self.queue.len() == 0 {
-                    return RunOutcome::QueueDrained;
-                }
-                self.now = horizon;
-                return RunOutcome::HorizonReached;
-            };
-            self.dispatch(node);
+        self.run_window(horizon);
+        self.settle(horizon)
+    }
+
+    /// How a run through `horizon` ended. Its clock rests at the horizon
+    /// if work remains beyond it, else at the last processed event.
+    fn settle(&mut self, horizon: SimTime) -> RunOutcome {
+        if self.queue.len() == 0 {
+            return RunOutcome::QueueDrained;
         }
+        self.now = horizon;
+        RunOutcome::HorizonReached
     }
 
     /// Run for `span` of virtual time from the current instant.
     pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
         let horizon = self.now + span;
         self.run_until(horizon)
-    }
-
-    /// Process exactly one event if any is pending. Returns `true` if an
-    /// event was processed.
-    ///
-    /// Honors the same termination conditions as [`run_until`]: a pending
-    /// stop request is consumed (returning `false` without processing) and
-    /// an exhausted event budget refuses further work.
-    ///
-    /// [`run_until`]: Engine::run_until
-    pub fn step(&mut self) -> bool {
-        if self.stop_requested {
-            self.stop_requested = false;
-            return false;
-        }
-        if self.events_processed >= self.event_budget {
-            return false;
-        }
-        let Some(node) = self.queue.pop_through(SimTime::MAX) else {
-            return false;
-        };
-        self.dispatch(node);
-        true
     }
 
     /// Run the event in slab node `node`: its message moves out of the
@@ -467,7 +398,6 @@ impl<M: 'static> Engine<M> {
             slab: &mut self.queue.slab,
             staged: &mut self.staged,
             recorder: &mut self.recorder,
-            stop_requested: &mut self.stop_requested,
         };
         actor.handle(time, msg, &mut ctx);
         self.actors[idx] = Some(actor);
@@ -527,9 +457,8 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Process every pending event at or before `last`, leaving `now` at
-    /// the last processed event, and ignoring stop requests and event
-    /// budgets: the sharded executor drains the current instant with it
-    /// before a split (documented in `parallel`).
+    /// the last processed event: `run_until`'s loop, which the sharded
+    /// executor also drains the current instant with before a split.
     pub(crate) fn run_window(&mut self, last: SimTime) {
         // Fused peek-min + pop: one queue probe per event instead of two.
         while let Some(node) = self.queue.pop_through(last) {
@@ -543,7 +472,7 @@ impl<M: 'static> Engine<M> {
     /// the shard that owns its destination, `owner[actor.index()]`, over
     /// the one slab. No message moves.
     pub(crate) fn split_shards(&mut self, owner: &[u16], shards: usize, lookahead: SimDuration) {
-        let mut orders: Vec<Order> = (0..shards).map(|_| self.queue.new_order()).collect();
+        let mut orders: Vec<TimingWheel> = (0..shards).map(|_| TimingWheel::new()).collect();
         while let Some(node) = self.queue.pop_through(SimTime::MAX) {
             let Link { seq, dst, .. } = self.queue.slab.link(node);
             assert!(
@@ -574,8 +503,7 @@ impl<M: 'static> Engine<M> {
     /// Run shard `s` in a window that ends at `last`, on the shard's own
     /// clock: its events through `last`, or with `next_only` its earliest
     /// event alone, whatever its time (an event at `SimTime::MAX` lies
-    /// past every window). Like `run_window`, it ignores stop requests
-    /// and event budgets.
+    /// past every window).
     pub(crate) fn run_shard(&mut self, s: usize, last: SimTime, next_only: bool) {
         let sh = self.shards.as_mut().expect("no sharded run");
         (sh.running, sh.last) = (s, last);
@@ -595,25 +523,18 @@ impl<M: 'static> Engine<M> {
     }
 
     /// End the sharded run: every shard's keys re-file into the one
-    /// order, a stop requested inside the run is dropped (windows ignore
-    /// it), and, as `run_until` does, the clock rests at the horizon if
-    /// work remains beyond it, else at the last processed event.
-    pub(crate) fn rejoin_shards(&mut self, horizon: SimTime) {
+    /// order, and the run settles as `run_until` does.
+    pub(crate) fn rejoin_shards(&mut self, horizon: SimTime) -> RunOutcome {
         let sh = self.shards.take().expect("no sharded run");
         for order in sh.orders {
             self.queue.merge_order(order);
         }
         self.recorder.set_shard(None);
-        self.stop_requested = false;
-        let last_event = sh.clocks.into_iter().max().unwrap_or(self.now);
-        self.now = if self.queue.len() > 0 {
-            horizon
-        } else {
-            last_event
-        };
+        self.now = sh.clocks.into_iter().max().unwrap_or(self.now);
+        self.settle(horizon)
     }
 
-    /// Pending events in the queue (diagnostics and split assertions).
+    /// Pending events in the queue (diagnostics).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -636,7 +557,6 @@ mod tests {
         Relay {
             hops_left: u32,
         },
-        StopNow,
         /// Schedule a ping to self at the end of time.
         Forever,
     }
@@ -660,7 +580,6 @@ mod tests {
                         },
                     );
                 }
-                TestMsg::StopNow => ctx.request_stop(),
                 TestMsg::Forever => ctx.send_self_in(SimDuration::MAX, TestMsg::Ping(0)),
                 _ => {}
             }
@@ -734,72 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_request_halts_run() {
-        let mut eng: Engine<TestMsg> = Engine::new();
-        let a = eng.add_actor(Box::new(Collector::default()));
-        eng.schedule(SimTime(1), a, TestMsg::StopNow);
-        eng.schedule(SimTime(2), a, TestMsg::Ping(1));
-        assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::Stopped);
-        let col: &Collector = eng.actor(a).unwrap();
-        assert_eq!(col.seen.len(), 1);
-        // Run can continue afterwards.
-        assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
-    }
-
-    #[test]
-    fn event_budget_backstop() {
-        let mut eng: Engine<TestMsg> = Engine::new();
-        let a = eng.add_actor(Box::new(Collector::default()));
-        // Self-relay loops forever; budget must stop it.
-        eng.actor_mut::<Collector>(a).unwrap().peer = Some(a);
-        eng.schedule(
-            SimTime::ZERO,
-            a,
-            TestMsg::Relay {
-                hops_left: u32::MAX,
-            },
-        );
-        eng.set_event_budget(50);
-        assert_eq!(
-            eng.run_until(SimTime::MAX),
-            RunOutcome::EventBudgetExhausted
-        );
-        assert_eq!(eng.events_processed(), 50);
-    }
-
-    #[test]
-    fn step_honors_budget_and_stop_request() {
-        let mut eng: Engine<TestMsg> = Engine::new();
-        let a = eng.add_actor(Box::new(Collector::default()));
-
-        // Budget: after two processed events, step refuses further work
-        // even though the queue is non-empty.
-        eng.schedule(SimTime(1), a, TestMsg::Ping(1));
-        eng.schedule(SimTime(2), a, TestMsg::Ping(2));
-        eng.schedule(SimTime(3), a, TestMsg::Ping(3));
-        eng.set_event_budget(2);
-        assert!(eng.step());
-        assert!(eng.step());
-        assert!(!eng.step());
-        assert_eq!(eng.events_processed(), 2);
-        let col: &Collector = eng.actor(a).unwrap();
-        assert_eq!(col.seen.len(), 2);
-
-        // Stop request: the step that handles StopNow succeeds, the next
-        // step consumes the request without touching the queue, and the
-        // one after that resumes normally — mirroring run_until.
-        eng.set_event_budget(u64::MAX);
-        assert!(eng.step());
-        eng.schedule(SimTime(10), a, TestMsg::StopNow);
-        eng.schedule(SimTime(11), a, TestMsg::Ping(4));
-        assert!(eng.step());
-        assert!(!eng.step());
-        assert!(eng.step());
-        let col: &Collector = eng.actor(a).unwrap();
-        assert_eq!(col.seen.last().unwrap().1, TestMsg::Ping(4));
-    }
-
-    #[test]
     fn schedule_in_past_clamps_to_now() {
         let mut eng: Engine<TestMsg> = Engine::new();
         let a = eng.add_actor(Box::new(Collector::default()));
@@ -813,38 +666,32 @@ mod tests {
 
     #[test]
     fn event_at_end_of_time_is_reachable_on_both_queues() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            // A saturated `send_self_in(SimDuration::MAX)` parks an event at
-            // `SimTime::MAX`; a finite horizon must still return.
-            let mut eng: Engine<TestMsg> = Engine::new();
-            eng.set_queue_kind(kind);
-            let a = eng.add_actor(Box::new(Collector::default()));
-            eng.schedule(SimTime::ZERO, a, TestMsg::Forever);
-            assert_eq!(
-                eng.run_until(SimTime(1_000_000)),
-                RunOutcome::HorizonReached,
-                "{kind:?}"
-            );
-            assert_eq!(eng.queue.peek_key(), Some((SimTime::MAX, 1 << LANE_SHIFT)));
-            // The inclusive horizon processes it.
-            assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
-            let col: &Collector = eng.actor(a).unwrap();
-            assert_eq!(col.seen.last(), Some(&(u64::MAX, TestMsg::Ping(0))));
+        // A saturated `send_self_in(SimDuration::MAX)` parks an event at
+        // `SimTime::MAX`; a finite horizon must still return.
+        let mut eng: Engine<TestMsg> = Engine::new();
+        let a = eng.add_actor(Box::new(Collector::default()));
+        eng.schedule(SimTime::ZERO, a, TestMsg::Forever);
+        assert_eq!(
+            eng.run_until(SimTime(1_000_000)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(eng.queue.peek_key(), Some((SimTime::MAX, 1 << LANE_SHIFT)));
+        // The inclusive horizon processes it.
+        assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
+        let col: &Collector = eng.actor(a).unwrap();
+        assert_eq!(col.seen.last(), Some(&(u64::MAX, TestMsg::Ping(0))));
 
-            let mut eng: Engine<TestMsg> = Engine::new();
-            eng.set_queue_kind(kind);
-            let a = eng.add_actor(Box::new(Collector::default()));
-            eng.schedule(SimTime::MAX, a, TestMsg::Ping(2));
-            eng.schedule(SimTime(5), a, TestMsg::Ping(1));
-            assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
-            let col: &Collector = eng.actor(a).unwrap();
-            assert_eq!(
-                col.seen,
-                vec![(5, TestMsg::Ping(1)), (u64::MAX, TestMsg::Ping(2))],
-                "{kind:?}"
-            );
-            assert_eq!(eng.now(), SimTime::MAX);
-        }
+        let mut eng: Engine<TestMsg> = Engine::new();
+        let a = eng.add_actor(Box::new(Collector::default()));
+        eng.schedule(SimTime::MAX, a, TestMsg::Ping(2));
+        eng.schedule(SimTime(5), a, TestMsg::Ping(1));
+        assert_eq!(eng.run_until(SimTime::MAX), RunOutcome::QueueDrained);
+        let col: &Collector = eng.actor(a).unwrap();
+        assert_eq!(
+            col.seen,
+            vec![(5, TestMsg::Ping(1)), (u64::MAX, TestMsg::Ping(2))]
+        );
+        assert_eq!(eng.now(), SimTime::MAX);
     }
 
     /// Relays itself `hops_left` times, 1 ns apart, and pings `to`
@@ -904,29 +751,6 @@ mod tests {
         assert_eq!(eng.events_processed(), 20_000);
         assert_eq!(eng.actor::<Collector>(remote).unwrap().seen.len(), 10_000);
         assert!(eng.slab_nodes() <= 3, "slab grew to {}", eng.slab_nodes());
-    }
-
-    #[test]
-    fn set_queue_kind_mid_run_keeps_the_slab() {
-        let run = |switch: bool| {
-            let mut eng: Engine<TestMsg> = Engine::new();
-            let a = eng.add_actor(Box::new(Collector::default()));
-            for i in 0..200u32 {
-                let t = (i as u64 * 7_919) % 3_000_000;
-                eng.schedule(SimTime(t), a, TestMsg::Relay { hops_left: i % 5 });
-            }
-            eng.run_until(SimTime(1_000_000));
-            if switch {
-                let (nodes, queued) = (eng.slab_nodes(), eng.queue_len());
-                for kind in [QueueKind::Heap, QueueKind::Wheel] {
-                    eng.set_queue_kind(kind);
-                    assert_eq!((eng.slab_nodes(), eng.queue_len()), (nodes, queued));
-                }
-            }
-            eng.run_until(SimTime::MAX);
-            eng.actor::<Collector>(a).unwrap().seen.clone()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! * **Virtual time only.** [`SimTime`] is nanoseconds since simulation
 //!   start; wall-clock never enters simulation logic, so a (seed, config)
 //!   pair fully determines every output byte.
-//! * **Deterministic ordering.** Ties at equal timestamps are broken by
-//!   lane-structured sequence numbers (per-actor staging streams; see
-//!   [`engine`]'s module docs).
+//! * **Deterministic ordering.** One hierarchical timing wheel
+//!   ([`queue`]) orders every pending event by `(time, seq)`. Ties at
+//!   equal timestamps are broken by lane-structured sequence numbers
+//!   (per-actor staging streams; see [`engine`]'s module docs).
 //! * **Sequential semantics, optional sharding.** Actors need no
 //!   synchronization: each engine runs one handler at a time, and the
 //!   sharded executor in [`parallel`] gives each shard of a world its own
@@ -38,6 +39,5 @@ pub use metrics::{
     Counter, CounterId, Histogram, HistogramId, Recorder, SeriesId, Summary, TimeSeries,
 };
 pub use parallel::{run_sharded, ShardPlan};
-pub use queue::QueueKind;
 pub use rng::{DetRng, ZipfSampler};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

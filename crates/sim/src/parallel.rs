@@ -70,12 +70,6 @@
 //! cores for almost nothing (DESIGN.md §12.2). Parallelism pays across
 //! independent worlds instead: the chaos search runs each schedule's
 //! sequential and sharded legs at once, one world per thread.
-//!
-//! Windows ignore `Ctx::request_stop` and event budgets — bounded-lag
-//! windows must drain deterministically — and a stop requested inside a
-//! sharded run is dropped at the rejoin, so it does not stop the next
-//! run either. Worlds driven through the sharded path use plain
-//! horizons (all shipped scenarios do).
 
 use crate::engine::{Engine, RunOutcome};
 use crate::time::{SimDuration, SimTime};
@@ -83,9 +77,9 @@ use crate::time::{SimDuration, SimTime};
 /// Which shard owns each actor slot.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
-    /// `shard_of[actor.index()]`: owning shard. Ignored for actors marked
-    /// with [`Engine::mark_replicated`], whose events run on the shard
-    /// that sent them.
+    /// `shard_of[actor.index()]`: owning shard, below `shards`. Ignored
+    /// for actors marked with [`Engine::mark_replicated`], whose events
+    /// run on the shard that sent them.
     pub shard_of: Vec<u16>,
     /// Number of shards.
     pub shards: usize,
@@ -96,70 +90,6 @@ impl ShardPlan {
     pub fn new(shard_of: Vec<u16>, shards: usize) -> Self {
         ShardPlan { shard_of, shards }
     }
-
-    /// Greedy communication-affinity partition: split `n` items into
-    /// `shards` balanced groups, keeping heavily-chattering items (ring
-    /// or rack neighbors) together so most traffic stays on one shard.
-    /// `edges` are undirected `(a, b, weight)` chatter edges over item
-    /// indices. Deterministic: ties break toward the heaviest total
-    /// chatter, then the lowest index.
-    ///
-    /// Each shard is seeded with the most-connected unassigned item and
-    /// grown by strongest attraction to the members chosen so far, up to
-    /// its capacity share; isolated items fill remaining capacity in
-    /// index order.
-    pub fn affinity_groups(n: usize, shards: usize, edges: &[(usize, usize, u64)]) -> Vec<u16> {
-        assert!(shards <= u16::MAX as usize, "too many shards");
-        let mut out = vec![0u16; n];
-        if shards <= 1 || n == 0 {
-            return out;
-        }
-        let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        let mut degree = vec![0u64; n];
-        for &(a, b, w) in edges {
-            if a >= n || b >= n || a == b {
-                continue;
-            }
-            adj[a].push((b as u32, w));
-            adj[b].push((a as u32, w));
-            degree[a] += w;
-            degree[b] += w;
-        }
-        let mut assigned = vec![false; n];
-        let mut attraction = vec![0u64; n];
-        let mut remaining = n;
-        for s in 0..shards {
-            // Even split of what's left, so late shards never end up empty.
-            let cap = remaining.div_ceil(shards - s);
-            for a in attraction.iter_mut() {
-                *a = 0;
-            }
-            for _ in 0..cap {
-                let mut pick = None;
-                let mut best = (0u64, 0u64, 0usize);
-                for (i, &done) in assigned.iter().enumerate() {
-                    if done {
-                        continue;
-                    }
-                    let key = (attraction[i], degree[i], usize::MAX - i);
-                    if pick.is_none() || key > best {
-                        best = key;
-                        pick = Some(i);
-                    }
-                }
-                let Some(i) = pick else { break };
-                assigned[i] = true;
-                out[i] = s as u16;
-                remaining -= 1;
-                for &(nb, w) in &adj[i] {
-                    if !assigned[nb as usize] {
-                        attraction[nb as usize] += w;
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPlan) {
@@ -168,7 +98,15 @@ fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPla
         lookahead > SimDuration::ZERO,
         "zero lookahead cannot overlap shards; run sequentially instead"
     );
+    assert!(plan.shards <= u16::MAX as usize, "too many shards");
     assert_eq!(plan.shard_of.len(), eng.actor_count());
+    for (slot, &shard) in plan.shard_of.iter().enumerate() {
+        assert!(
+            usize::from(shard) < plan.shards,
+            "shard plan puts actor slot {slot} on shard {shard}, but the plan has {} shards",
+            plan.shards
+        );
+    }
 }
 
 /// Run `eng` sharded until `horizon` (inclusive), bitwise identically
@@ -178,11 +116,12 @@ fn validate<M: 'static>(eng: &Engine<M>, lookahead: SimDuration, plan: &ShardPla
 /// else [`RunOutcome::QueueDrained`]: windows never stop early.
 ///
 /// # Panics
-/// Panics if `lookahead` is zero, `plan.shards < 2`, an event addressed
-/// to a replicated actor is pending at the start, a cross-shard event
-/// lands inside the window that sent it (some cross-shard latency is
-/// below `lookahead`), or two shards write one time series. A panicking
-/// actor's own panic propagates unchanged.
+/// Panics if `lookahead` is zero, `plan.shards < 2`, a plan entry names
+/// a shard the plan lacks, an event addressed to a replicated actor is
+/// pending at the start, a cross-shard event lands inside the window
+/// that sent it (some cross-shard latency is below `lookahead`), or two
+/// shards write one time series. A panicking actor's own panic
+/// propagates unchanged.
 pub fn run_sharded<M: 'static>(
     eng: &mut Engine<M>,
     horizon: SimTime,
@@ -229,13 +168,7 @@ fn run_windows<M: 'static>(
         }
         windows += 1;
     }
-    eng.rejoin_shards(horizon);
-    let outcome = if eng.queue_len() > 0 {
-        RunOutcome::HorizonReached
-    } else {
-        RunOutcome::QueueDrained
-    };
-    (outcome, windows)
+    (eng.rejoin_shards(horizon), windows)
 }
 
 #[cfg(test)]
@@ -473,34 +406,6 @@ mod tests {
         );
     }
 
-    /// Asks the engine to stop on every event.
-    struct Stopper;
-
-    impl Actor<TestMsg> for Stopper {
-        fn handle(&mut self, _now: SimTime, _msg: TestMsg, ctx: &mut Ctx<'_, TestMsg>) {
-            ctx.request_stop();
-        }
-    }
-
-    #[test]
-    fn stop_requested_in_a_sharded_run_does_not_stop_the_next_run() {
-        // Windows ignore the stop; the rejoin drops it, so the next
-        // sequential run goes on to its horizon.
-        let mut eng = build(4);
-        let stopper = eng.add_actor(Box::new(Stopper));
-        eng.schedule(SimTime(2_000_000), stopper, TestMsg::Tick { hops: 0 });
-        let mut plan = ring_plan(4, 2);
-        plan.shard_of.push(1);
-        let outcome = run_sharded(&mut eng, SimTime(5_000_000), WIRE, &plan);
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        let before = eng.events_processed();
-        assert_eq!(
-            eng.run_until(SimTime(9_000_000)),
-            RunOutcome::HorizonReached
-        );
-        assert!(eng.events_processed() > before, "the next run must run");
-    }
-
     #[test]
     fn sparse_traffic_leaps_idle_gaps() {
         // Crawling the 10 ms gaps 5 µs at a time would take ~2,000
@@ -561,29 +466,13 @@ mod tests {
     }
 
     #[test]
-    fn affinity_groups_keep_ring_neighbors_together() {
-        // A 16-node ring split two ways: the greedy partition should cut
-        // the ring in exactly two places (contiguous arcs), not sixteen.
-        let n = 16usize;
-        let edges: Vec<(usize, usize, u64)> = (0..n).map(|i| (i, (i + 1) % n, 4)).collect();
-        let groups = ShardPlan::affinity_groups(n, 2, &edges);
-        let cuts = (0..n).filter(|&i| groups[i] != groups[(i + 1) % n]).count();
-        assert_eq!(cuts, 2, "ring should split into two arcs: {groups:?}");
-        let per_shard = groups.iter().filter(|&&g| g == 0).count();
-        assert_eq!(per_shard, 8, "partition must stay balanced");
-    }
-
-    #[test]
-    fn affinity_groups_balance_star_with_hub() {
-        // A hub chattering with every leaf plus a leaf ring: every shard
-        // gets its fair share even though the hub attracts everything.
-        let n = 9usize; // hub = 0, leaves 1..=8
-        let mut edges: Vec<(usize, usize, u64)> = (1..n).map(|i| (0, i, 4)).collect();
-        edges.extend((1..n).map(|i| (i, if i + 1 < n { i + 1 } else { 1 }, 8)));
-        let groups = ShardPlan::affinity_groups(n, 3, &edges);
-        for s in 0..3u16 {
-            let size = groups.iter().filter(|&&g| g == s).count();
-            assert!((2..=4).contains(&size), "shard {s} got {size}: {groups:?}");
-        }
+    #[should_panic(expected = "puts actor slot 3 on shard 2, but the plan has 2 shards")]
+    fn plan_entry_past_the_shard_count_panics() {
+        // Without the check, the split would index past its two orders
+        // for node 2's pending tick.
+        let mut eng = build(4);
+        let mut plan = ring_plan(4, 2);
+        plan.shard_of[3] = 2;
+        run_sharded(&mut eng, SimTime(10_000_000), WIRE, &plan);
     }
 }

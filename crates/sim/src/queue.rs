@@ -1,4 +1,4 @@
-//! The engine's event store and its two dequeue orders.
+//! The engine's event store and its timing-wheel order.
 //!
 //! Every pending event lives in one node of a recycled `Slab` from the
 //! moment it is staged until dispatch moves its message out: `Ctx::send_*`
@@ -7,22 +7,16 @@
 //! `u32` index travels. A node is a 24-byte `Link` (`time`, `seq`,
 //! destination and an intrusive `next` index) followed by the message.
 //!
-//! Two interchangeable orders file the same indices by `(time, seq,
-//! index)`; `seq` is unique, so the order is total:
-//!
-//! * [`QueueKind::Heap`] — a `BinaryHeap` of 24-byte `(time, seq, index)`
-//!   keys. Kept as the golden reference: the wheel must reproduce its
-//!   dequeue order bitwise (see the golden-equivalence tests in
-//!   `fgmon-cluster`).
-//! * [`QueueKind::Wheel`] — a hierarchical timing wheel that chains slab
-//!   nodes into buckets through their `next` links. Inserts and pops are
-//!   O(1) amortized and allocation-free in steady state.
-//!
-//! Neither order moves a message: switching kinds re-files keys, and so
-//! does a sharded run, which files each shard's keys in an `Order` of its
-//! own over the same slab. The pop is fused with the horizon test
+//! A hierarchical timing wheel files the indices by `(time, seq)`;
+//! `seq` is unique, so the order is total. It chains slab nodes into
+//! buckets through their `next` links, so inserts and pops are O(1)
+//! amortized and allocation-free in steady state. It never moves a
+//! message: a sharded run files each shard's keys in a wheel of its own
+//! over the same slab. The pop is fused with the horizon test
 //! (`EventQueue::pop_through`), so one probe of the head decides whether
-//! it is due and takes it.
+//! it is due and takes it. The unit tests below, the engine property
+//! test in `tests/properties.rs` and the heap-recorded goldens in
+//! `fgmon-cluster` hold the wheel to a binary heap's dequeue order.
 //!
 //! # Wheel layout
 //!
@@ -47,7 +41,8 @@
 //! re-enter the wheel before it drains or cascades, (c) the cursor only
 //! advances past fully-drained time, and (d) late inserts below the cursor
 //! binary-search into the sorted `ready` run, every pop returns the global
-//! `(time, seq)` minimum — the same entry the reference heap would return.
+//! `(time, seq)` minimum — the same entry a binary heap of the keys would
+//! return.
 //!
 //! The cursor saturates at `END` once the last granule below
 //! `SimTime::MAX` has drained; from then on every insert is "below the
@@ -58,15 +53,6 @@ use std::collections::BinaryHeap;
 
 use crate::engine::ActorId;
 use crate::time::SimTime;
-
-/// Which event-queue implementation an [`crate::Engine`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueueKind {
-    /// Binary heap of slab keys (the reference implementation).
-    Heap,
-    /// Hierarchical timing wheel (the default).
-    Wheel,
-}
 
 const NIL: u32 = u32::MAX;
 
@@ -170,44 +156,20 @@ impl<M> Slab<M> {
     }
 }
 
-/// `(time, seq, slab index)`: what the heap and the overflow heap order.
+/// `(time, seq, slab index)`: what the wheel's overflow heap orders.
 type Key = (u64, u64, u32);
 
-/// The engine's event queue: the slab plus one of the two orders over it.
+/// The engine's event queue: the slab plus the wheel that orders it.
 pub(crate) struct EventQueue<M> {
     pub slab: Slab<M>,
-    order: Order,
-}
-
-/// One order over a slab: the queue's own, or a shard's during a sharded
-/// run (see [`crate::parallel`]). Each filed node sits in exactly one
-/// order.
-///
-/// The size gap between variants is intentional: one `Order` exists per
-/// engine (plus one per shard during a sharded run) and the wheel is the
-/// default, so boxing it would buy nothing but a pointer chase on every
-/// push/pop.
-// lint: allow-attr — one instance per engine or shard; boxing the wheel
-// would put an indirection on the hottest path in the workspace to save
-// bytes that don't multiply.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Order {
-    Heap(BinaryHeap<Reverse<Key>>),
-    Wheel(TimingWheel),
+    order: TimingWheel,
 }
 
 impl<M> EventQueue<M> {
-    pub fn new(kind: QueueKind) -> Self {
+    pub fn new() -> Self {
         EventQueue {
             slab: Slab::new(),
-            order: Order::new(kind),
-        }
-    }
-
-    pub fn kind(&self) -> QueueKind {
-        match self.order {
-            Order::Heap(_) => QueueKind::Heap,
-            Order::Wheel(_) => QueueKind::Wheel,
+            order: TimingWheel::new(),
         }
     }
 
@@ -221,15 +183,15 @@ impl<M> EventQueue<M> {
     #[inline]
     pub fn file(&mut self, idx: u32, seq: u64) {
         self.slab.nodes[idx as usize].link.seq = seq;
-        self.order.file(&mut self.slab.nodes, idx);
+        self.order.push(&mut self.slab.nodes, idx);
     }
 
-    /// Stamp `seq` on a staged node and file it in `order` instead of the
-    /// queue's own.
+    /// Stamp `seq` on a staged node and file it in `order` (a shard's)
+    /// instead of the queue's own.
     #[inline]
-    pub fn file_in(&mut self, order: &mut Order, idx: u32, seq: u64) {
+    pub fn file_in(&mut self, order: &mut TimingWheel, idx: u32, seq: u64) {
         self.slab.nodes[idx as usize].link.seq = seq;
-        order.file(&mut self.slab.nodes, idx);
+        order.push(&mut self.slab.nodes, idx);
     }
 
     /// Store and file an event whose key is already known.
@@ -246,7 +208,7 @@ impl<M> EventQueue<M> {
     }
 
     /// `(time, seq)` of the earliest event filed in `order`.
-    pub fn peek_key_in(&mut self, order: &mut Order) -> Option<(SimTime, u64)> {
+    pub fn peek_key_in(&mut self, order: &mut TimingWheel) -> Option<(SimTime, u64)> {
         order.peek_key(&mut self.slab.nodes)
     }
 
@@ -258,85 +220,17 @@ impl<M> EventQueue<M> {
         self.order.pop_through(&mut self.slab.nodes, last.0)
     }
 
-    /// Switch the order, re-filing every key. No message moves.
-    pub fn set_kind(&mut self, kind: QueueKind) {
-        if self.kind() != kind {
-            let old = std::mem::replace(&mut self.order, Order::new(kind));
-            self.merge_order(old);
-        }
-    }
-
-    /// An empty order of the queue's kind.
-    pub fn new_order(&self) -> Order {
-        Order::new(self.kind())
-    }
-
     /// [`EventQueue::pop_through`] on `order` instead of the queue's own.
     #[inline]
-    pub fn pop_through_in(&mut self, order: &mut Order, last: SimTime) -> Option<u32> {
+    pub fn pop_through_in(&mut self, order: &mut TimingWheel, last: SimTime) -> Option<u32> {
         order.pop_through(&mut self.slab.nodes, last.0)
     }
 
     /// Re-file every key of `order` into the queue's own. No message
     /// moves.
-    pub fn merge_order(&mut self, mut order: Order) {
+    pub fn merge_order(&mut self, mut order: TimingWheel) {
         while let Some(idx) = order.pop_through(&mut self.slab.nodes, u64::MAX) {
-            self.order.file(&mut self.slab.nodes, idx);
-        }
-    }
-}
-
-impl Order {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => Order::Heap(BinaryHeap::new()),
-            QueueKind::Wheel => Order::Wheel(TimingWheel::new()),
-        }
-    }
-
-    /// Filed events.
-    pub fn len(&self) -> usize {
-        match self {
-            Order::Heap(h) => h.len(),
-            Order::Wheel(w) => w.len,
-        }
-    }
-
-    #[inline]
-    fn file<M>(&mut self, nodes: &mut [Node<M>], idx: u32) {
-        match self {
-            Order::Heap(h) => {
-                let (t, seq) = nodes[idx as usize].link.key();
-                h.push(Reverse((t, seq, idx)));
-            }
-            Order::Wheel(w) => w.push(nodes, idx),
-        }
-    }
-
-    fn peek<M>(&mut self, nodes: &mut [Node<M>]) -> Option<u32> {
-        match self {
-            Order::Heap(h) => h.peek().map(|&Reverse((_, _, idx))| idx),
-            Order::Wheel(w) => w.peek(nodes),
-        }
-    }
-
-    fn peek_key<M>(&mut self, nodes: &mut [Node<M>]) -> Option<(SimTime, u64)> {
-        let link = nodes[self.peek(nodes)? as usize].link;
-        Some((link.time, link.seq))
-    }
-
-    #[inline]
-    fn pop_through<M>(&mut self, nodes: &mut [Node<M>], last: u64) -> Option<u32> {
-        match self {
-            Order::Heap(h) => {
-                let &Reverse((t, _, idx)) = h.peek()?;
-                if t > last {
-                    return None;
-                }
-                h.pop();
-                Some(idx)
-            }
-            Order::Wheel(w) => w.pop_through(nodes, last),
+            self.order.push(&mut self.slab.nodes, idx);
         }
     }
 }
@@ -354,8 +248,10 @@ fn level_shift(level: usize) -> u32 {
     G0_SHIFT + SLOT_BITS * level as u32
 }
 
-/// Hierarchical timing wheel over slab links. See the module docs for the
-/// layout and the ordering argument.
+/// Hierarchical timing wheel over slab links: the queue's order, or a
+/// shard's during a sharded run (see [`crate::parallel`]). Each filed node
+/// sits in exactly one wheel. See the module docs for the layout and the
+/// ordering argument.
 pub(crate) struct TimingWheel {
     /// Intrusive singly-linked bucket lists: `heads/tails[level * SLOTS + slot]`.
     heads: Vec<u32>,
@@ -380,7 +276,7 @@ pub(crate) struct TimingWheel {
 }
 
 impl TimingWheel {
-    fn new() -> Self {
+    pub fn new() -> Self {
         TimingWheel {
             heads: vec![NIL; LEVELS * SLOTS as usize],
             tails: vec![NIL; LEVELS * SLOTS as usize],
@@ -573,9 +469,15 @@ impl TimingWheel {
         (t >> sh) - (self.cursor >> sh) < SLOTS
     }
 
-    fn peek<M>(&mut self, nodes: &mut [Node<M>]) -> Option<u32> {
+    /// Filed events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    fn peek_key<M>(&mut self, nodes: &mut [Node<M>]) -> Option<(SimTime, u64)> {
         self.refill(nodes);
-        self.ready.last().copied()
+        let link = nodes[*self.ready.last()? as usize].link;
+        Some((link.time, link.seq))
     }
 
     /// Fused peek-min + conditional pop: one `refill` and one ready-list
@@ -621,6 +523,21 @@ mod tests {
         }
     }
 
+    /// The reference order the wheel must reproduce: a binary heap of
+    /// `(time, seq)` keys.
+    #[derive(Default)]
+    struct Reference(BinaryHeap<Reverse<(u64, u64)>>);
+
+    impl Reference {
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            self.0.pop().map(|Reverse(key)| key)
+        }
+
+        fn drain(&mut self) -> Vec<(u64, u64)> {
+            std::iter::from_fn(|| self.pop()).collect()
+        }
+    }
+
     #[test]
     fn wheel_matches_heap_on_random_schedule() {
         let mut rng = DetRng::new(0xfeed);
@@ -640,33 +557,29 @@ mod tests {
                 };
                 entries.push((t, seq));
             }
-            let mut heap = EventQueue::new(QueueKind::Heap);
-            let mut wheel = EventQueue::new(QueueKind::Wheel);
-            push_all(&mut heap, &entries);
+            let mut heap = Reference::default();
+            heap.0.extend(entries.iter().copied().map(Reverse));
+            let mut wheel = EventQueue::new();
             push_all(&mut wheel, &entries);
-            assert_eq!(
-                drain_keys(&mut heap),
-                drain_keys(&mut wheel),
-                "round {round}"
-            );
+            assert_eq!(heap.drain(), drain_keys(&mut wheel), "round {round}");
         }
     }
 
     /// The engine's dispatch loop in miniature: `rounds` times, pop up to
-    /// two events from both kinds and compare them, then push up to three
-    /// keys from `key(rng, last popped time, counter)`.
+    /// two events from the wheel and the reference and compare them, then
+    /// push up to three keys from `key(rng, last popped time, counter)`.
     fn interleave_matches_heap(
         seed: u64,
         rounds: usize,
         mut key: impl FnMut(&mut DetRng, u64, u64) -> (u64, u64),
     ) {
         let mut rng = DetRng::new(seed);
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut wheel = EventQueue::new(QueueKind::Wheel);
+        let mut heap = Reference::default();
+        let mut wheel = EventQueue::new();
         let (mut now, mut n) = (0u64, 0u64);
         for _ in 0..rounds {
             for _ in 0..rng.range_u64(0, 3) {
-                let h = heap.pop_through(SimTime::MAX).map(|i| take(&mut heap, i));
+                let h = heap.pop();
                 let w = wheel.pop_through(SimTime::MAX).map(|i| take(&mut wheel, i));
                 assert_eq!(h, w);
                 if let Some((t, _)) = h {
@@ -676,11 +589,11 @@ mod tests {
             for _ in 0..rng.range_u64(0, 4) {
                 let e = key(&mut rng, now, n);
                 n += 1;
-                push_all(&mut heap, &[e]);
+                heap.0.push(Reverse(e));
                 push_all(&mut wheel, &[e]);
             }
         }
-        assert_eq!(drain_keys(&mut heap), drain_keys(&mut wheel));
+        assert_eq!(heap.drain(), drain_keys(&mut wheel));
     }
 
     #[test]
@@ -714,40 +627,36 @@ mod tests {
     fn overflow_entry_rejoins_its_granule_before_it_drains() {
         let span = SLOTS << level_shift(LEVELS - 1);
         let far = span + 4_000;
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            // `far` is out of span at cursor 0 and parks in overflow; the
-            // pop at 2^35 ns brings it in range of a direct insert.
-            push_all(&mut q, &[(far, 0), (1 << 35, 1)]);
-            let first = q.pop_through(SimTime::MAX).map(|i| take(&mut q, i));
-            assert_eq!(first, Some((1 << 35, 1)));
-            push_all(&mut q, &[(far + 1, 2)]);
-            assert_eq!(drain_keys(&mut q), vec![(far, 0), (far + 1, 2)], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        // `far` is out of span at cursor 0 and parks in overflow; the pop
+        // at 2^35 ns brings it in range of a direct insert.
+        push_all(&mut q, &[(far, 0), (1 << 35, 1)]);
+        let first = q.pop_through(SimTime::MAX).map(|i| take(&mut q, i));
+        assert_eq!(first, Some((1 << 35, 1)));
+        push_all(&mut q, &[(far + 1, 2)]);
+        assert_eq!(drain_keys(&mut q), vec![(far, 0), (far + 1, 2)]);
     }
 
     #[test]
     fn pop_through_is_inclusive() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q = EventQueue::new(kind);
-            push_all(&mut q, &[(5, 0), (10, 1), (u64::MAX, 2)]);
-            assert_eq!(q.pop_through(SimTime(4)), None);
-            assert!(q.pop_through(SimTime(5)).is_some());
-            assert_eq!(q.pop_through(SimTime(9)), None);
-            assert!(q.pop_through(SimTime(10)).is_some());
-            assert_eq!(q.pop_through(SimTime(u64::MAX - 1)), None);
-            assert_eq!(q.peek_key(), Some((SimTime::MAX, 2)));
-            let idx = q
-                .pop_through(SimTime::MAX)
-                .expect("event at the end of time");
-            assert_eq!(take(&mut q, idx), (u64::MAX, 2));
-            assert_eq!(q.len(), 0);
-        }
+        let mut q = EventQueue::new();
+        push_all(&mut q, &[(5, 0), (10, 1), (u64::MAX, 2)]);
+        assert_eq!(q.pop_through(SimTime(4)), None);
+        assert!(q.pop_through(SimTime(5)).is_some());
+        assert_eq!(q.pop_through(SimTime(9)), None);
+        assert!(q.pop_through(SimTime(10)).is_some());
+        assert_eq!(q.pop_through(SimTime(u64::MAX - 1)), None);
+        assert_eq!(q.peek_key(), Some((SimTime::MAX, 2)));
+        let idx = q
+            .pop_through(SimTime::MAX)
+            .expect("event at the end of time");
+        assert_eq!(take(&mut q, idx), (u64::MAX, 2));
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn same_tick_storm_preserves_seq_order() {
-        let mut wheel = EventQueue::new(QueueKind::Wheel);
+        let mut wheel = EventQueue::new();
         // All in one level-0 granule, inserted in scrambled seq order.
         let mut entries: Vec<(u64, u64)> = (0..256u64).map(|s| (4_096 + (s % 7), s)).collect();
         entries.reverse();
@@ -760,7 +669,7 @@ mod tests {
 
     #[test]
     fn far_future_overflow_round_trips() {
-        let mut wheel = EventQueue::new(QueueKind::Wheel);
+        let mut wheel = EventQueue::new();
         // Beyond the wheel span (256 << 34 ns): must park in overflow and
         // still come out in order, interleaved with near entries.
         let far = (SLOTS << level_shift(LEVELS - 1)) + 12_345;

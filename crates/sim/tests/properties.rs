@@ -1,8 +1,10 @@
 //! Property-based tests for the simulation engine's data structures.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use fgmon_sim::{
-    Actor, ActorId, Ctx, DetRng, Engine, Histogram, QueueKind, SimDuration, SimTime, TimeSeries,
-    ZipfSampler,
+    Actor, ActorId, Ctx, DetRng, Engine, Histogram, SimDuration, SimTime, TimeSeries, ZipfSampler,
 };
 use proptest::prelude::*;
 
@@ -27,11 +29,9 @@ impl Actor<u32> for QueueProbe {
     }
 }
 
-/// Run the probe scenario on the given queue implementation and return
-/// the delivery trace.
-fn queue_trace(kind: QueueKind, times: &[u64], followups: &[Vec<(u64, u32)>]) -> Vec<(u64, u32)> {
+/// Run the probe scenario on the engine and return the delivery trace.
+fn queue_trace(times: &[u64], followups: &[Vec<(u64, u32)>]) -> Vec<(u64, u32)> {
     let mut eng: Engine<u32> = Engine::new();
-    eng.set_queue_kind(kind);
     let a: ActorId = eng.add_actor(Box::new(QueueProbe {
         trace: Vec::new(),
         followups: followups.to_vec(),
@@ -42,6 +42,28 @@ fn queue_trace(kind: QueueKind, times: &[u64], followups: &[Vec<(u64, u32)>]) ->
     eng.run_until(SimTime::MAX);
     let probe: &QueueProbe = eng.actor(a).expect("probe");
     probe.trace.clone()
+}
+
+/// The probe scenario's delivery trace in the engine's key order, from a
+/// binary heap of `(time, seq, id)`: initial events take lane 0 in
+/// scheduling order, and follow-ups take the probe's lane, `1 << 40 | k`,
+/// in staging order.
+fn model_trace(times: &[u64], followups: &[Vec<(u64, u32)>]) -> Vec<(u64, u32)> {
+    let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = times
+        .iter()
+        .enumerate()
+        .map(|(id, &t)| Reverse((t, id as u64, id as u32)))
+        .collect();
+    let mut staged = 0u64;
+    let mut trace = Vec::new();
+    while let Some(Reverse((t, _, id))) = heap.pop() {
+        trace.push((t, id));
+        for &(delay, new_id) in followups.get(id as usize).into_iter().flatten() {
+            heap.push(Reverse((t + delay, 1 << 40 | staged, new_id)));
+            staged += 1;
+        }
+    }
+    trace
 }
 
 proptest! {
@@ -165,12 +187,12 @@ proptest! {
         }
     }
 
-    /// The engine dequeues in strict (time, seq) order on BOTH queue
-    /// implementations: delivery times never regress, same-time events
-    /// keep their scheduling (seq) order, and the timing wheel's trace is
-    /// identical to the reference binary heap's — including follow-ups
-    /// scheduled mid-run at arbitrary (possibly zero) delays, which land
-    /// below the wheel's cursor.
+    /// The engine dequeues in strict (time, seq) order: delivery times
+    /// never regress, same-time events keep their scheduling (seq) order,
+    /// and the timing wheel's trace is identical to a binary heap's over
+    /// the engine's keys — including follow-ups scheduled mid-run at
+    /// arbitrary (possibly zero) delays, which land below the wheel's
+    /// cursor.
     #[test]
     fn event_queue_dequeues_in_time_seq_order(
         times in prop::collection::vec(0u64..5_000, 1..60),
@@ -186,20 +208,20 @@ proptest! {
             followups[target % times.len()].push((delay, (times.len() + k) as u32));
         }
 
-        let heap = queue_trace(QueueKind::Heap, &times, &followups);
-        let wheel = queue_trace(QueueKind::Wheel, &times, &followups);
+        let wheel = queue_trace(&times, &followups);
+        let heap = model_trace(&times, &followups);
 
         // Everything scheduled is delivered exactly once.
-        prop_assert_eq!(heap.len(), times.len() + raw_followups.len());
+        prop_assert_eq!(wheel.len(), times.len() + raw_followups.len());
 
         // Delivery time never regresses.
-        for w in heap.windows(2) {
+        for w in wheel.windows(2) {
             prop_assert!(w[0].0 <= w[1].0, "time regressed: {:?} -> {:?}", w[0], w[1]);
         }
 
         // Same-time initial events keep scheduling order (seq order):
         // their ids were assigned in schedule order.
-        for w in heap.windows(2) {
+        for w in wheel.windows(2) {
             let (ta, ia) = w[0];
             let (tb, ib) = w[1];
             if ta == tb && (ia as usize) < times.len() && (ib as usize) < times.len() {
@@ -207,8 +229,8 @@ proptest! {
             }
         }
 
-        // The wheel is bitwise order-equivalent to the reference heap.
-        prop_assert_eq!(heap, wheel);
+        // The wheel is bitwise order-equivalent to the heap model.
+        prop_assert_eq!(wheel, heap);
     }
 
     /// TimeSeries::value_at returns the latest point at or before t.

@@ -1,12 +1,13 @@
-//! Integration: accuracy (Fig. 5), interrupt detail (Fig. 6), Ganglia
-//! disturbance (Fig. 8) and fine-vs-coarse throughput (Fig. 9) shapes.
+//! Integration: RUBiS response times (Table 1), accuracy (Fig. 5),
+//! interrupt detail (Fig. 6), Ganglia disturbance (Fig. 8) and
+//! fine-vs-coarse throughput (Fig. 9) shapes.
 
 use fgmon_balancer::Dispatcher;
 use fgmon_cluster::{accuracy_world, ganglia_world, rubis_world, RubisWorldCfg};
 use fgmon_core::{mean_deviation, mean_reported, AccuracyMetric};
 use fgmon_ganglia::GmetricPublisher;
 use fgmon_sim::{SimDuration, SimTime};
-use fgmon_types::{FaultPlan, NodeId, Scheme, ServiceSlot};
+use fgmon_types::{FaultPlan, NodeId, QueryClass, Scheme, ServiceSlot};
 use fgmon_workload::{RampStep, RubisClient};
 
 fn ramp() -> Vec<RampStep> {
@@ -19,6 +20,54 @@ fn ramp() -> Vec<RampStep> {
         });
     }
     steps
+}
+
+#[test]
+fn table1_shape_rdma_sync_beats_socket_async_in_every_class() {
+    // `table1_rubis`'s world: each class's mean response time and its
+    // response count after 10 virtual seconds.
+    let classes = |scheme: Scheme, seed: u64| {
+        let cfg = RubisWorldCfg {
+            scheme,
+            backends: 8,
+            rubis_sessions: 288,
+            think_mean: SimDuration::from_millis(100),
+            zipf: None,
+            granularity: SimDuration::from_millis(50),
+            seed,
+            ..Default::default()
+        };
+        let mut w = rubis_world(&cfg);
+        w.cluster.run_for(SimDuration::from_secs(10));
+        QueryClass::ALL.map(|class| {
+            let h = w
+                .cluster
+                .recorder()
+                .get_histogram(&format!("rubis/resp/{}", class.label()))
+                .expect("every class is requested");
+            (class, h.mean(), h.count())
+        })
+    };
+    for seed in [1, 42] {
+        let socket = classes(Scheme::SocketAsync, seed);
+        let rdma = classes(Scheme::RdmaSync, seed);
+        // Fresher load data steers every class to a less loaded back-end.
+        // Maximum response times are not compared: they flip in several
+        // classes on every seed.
+        for ((class, sock_mean, _), (_, rdma_mean, _)) in socket.iter().zip(&rdma) {
+            assert!(
+                *rdma_mean < sock_mean * 0.95,
+                "seed {seed}, {}: RDMA-Sync mean {rdma_mean} vs Socket-Async {sock_mean}",
+                class.label()
+            );
+        }
+        let total = |rows: &[(QueryClass, f64, u64)]| rows.iter().map(|r| r.2).sum::<u64>();
+        let (sock_total, rdma_total) = (total(&socket), total(&rdma));
+        assert!(
+            rdma_total as f64 > sock_total as f64 * 1.01,
+            "seed {seed}: RDMA-Sync completed {rdma_total} vs Socket-Async {sock_total}"
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration: the sharded parallel executor — global lookahead
-//! windows over communication-affinity partitions — is *bitwise
-//! identical* to the sequential engine. Every observable output —
+//! windows over `Cluster::run_parallel`'s contiguous node blocks — is
+//! *bitwise identical* to the sequential engine. Every observable output —
 //! fabric frame counters, the strict race report (each torn-read
 //! diagnostic, timestamp, and epoch), monitoring histograms, every time
 //! series point, channel-health counters, and the event count — must
@@ -14,7 +14,7 @@ use fgmon_sim::{Actor, Ctx, SimDuration, SimTime};
 use fgmon_types::{ChannelHealthStats, FaultPlan, Msg, RaceMode, RaceReport, RetryPolicy, Scheme};
 
 const SEEDS: [u64; 3] = [11, 29, 4242];
-// Includes a prime shard count (uneven affinity groups) and more shards
+// Includes a prime shard count (blocks of uneven size) and more shards
 // than some worlds have busy nodes (degenerate near-empty shards).
 const SHARDS: [usize; 4] = [2, 3, 4, 8];
 
