@@ -370,10 +370,6 @@ impl Dispatcher {
 }
 
 impl Service for Dispatcher {
-    fn name(&self) -> &'static str {
-        "dispatcher"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.monitor.start(os);
         for &c in &self.client_conns {

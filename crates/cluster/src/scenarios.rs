@@ -3,9 +3,8 @@
 //! describes; the bench harnesses sweep their parameters.
 
 use fgmon_balancer::{Dispatcher, DispatcherConfig, Policy, ReconfigPolicy, Reconfigurator};
-use fgmon_core::backend::{RdmaAsyncBackend, RdmaSyncBackend, SocketBackend};
 use fgmon_core::{
-    make_backend, BackendConfig, BackendHandle, MonitorClient, MonitorFrontendService,
+    BackendConfig, BackendHandle, MonitorBackend, MonitorClient, MonitorFrontendService,
     MONITOR_GROUP,
 };
 use fgmon_ganglia::{GmetricPublisher, Gmond, GANGLIA_GROUP};
@@ -48,20 +47,14 @@ fn wire_monitoring(
         // Callers pass the backend's ordinal via `expected_region`.
         cfg.push_target = Some((frontend, RegionId(expected_region)));
     }
-    let svc = make_backend(scheme, cfg);
-    let slot = b.add_service(backend, svc);
+    let be_node = b.node_actor_mut(backend).expect("back-end node");
+    let slot = ServiceSlot(be_node.service_count() as u16);
     let conn = b.connect(frontend, fe_slot, backend, slot);
-    // Socket backends answer requests on the connection; RDMA backends
-    // use it for fallback replies and restart re-advertisements.
-    if let Some(sb) = b.node_service_mut::<SocketBackend>(backend, slot) {
-        sb.conns.push(conn);
-    }
-    if let Some(rb) = b.node_service_mut::<RdmaSyncBackend>(backend, slot) {
-        rb.conns.push(conn);
-    }
-    if let Some(rb) = b.node_service_mut::<RdmaAsyncBackend>(backend, slot) {
-        rb.conns.push(conn);
-    }
+    // A reporter answers requests on the connection; a region is
+    // re-advertised on it after a restart.
+    let mut svc = MonitorBackend::new(scheme, cfg);
+    svc.conns.push(conn);
+    b.add_service(backend, Box::new(svc));
     if scheme == Scheme::McastPush {
         b.join_mcast(MONITOR_GROUP, frontend);
         b.join_mcast(MONITOR_GROUP, backend);

@@ -32,9 +32,10 @@ use fgmon_types::{
 use crate::backend::MONITOR_GROUP;
 
 /// Token namespace for this component's RDMA work requests:
-/// `BASE | idx << 32 | seq`.
-pub const MON_TOKEN_BASE: u64 = 0x4D4F_4E00_0000_0000;
-const MON_TOKEN_MASK: u64 = 0xFFFF_FF00_0000_0000;
+/// `BASE | idx << 32 | seq`, with the back-end index in 16 bits, the
+/// width of a [`NodeId`].
+pub const MON_TOKEN_BASE: u64 = 0x4D4F_0000_0000_0000;
+const MON_TOKEN_MASK: u64 = 0xFFFF_0000_0000_0000;
 
 /// How the front-end reaches one back-end.
 #[derive(Clone, Copy, Debug)]
@@ -83,13 +84,10 @@ impl BackendView {
 /// Per-backend in-flight tracking. Every request carries a correlation
 /// id (socket replies echo it in the payload; RDMA completions carry it
 /// in the token), so matching is exact even under loss and reordering.
+/// The tracker's rows hold each request's send time for latency
+/// accounting.
 struct Inflight {
     tracker: RetryTracker,
-    /// Send timestamps as `(correlation id, at)` rows, for latency
-    /// accounting. At most `max_outstanding` (~16) are in flight per
-    /// back-end, so a capacity-retaining Vec with a linear scan beats
-    /// per-poll map node churn.
-    sent: Vec<(u64, SimTime)>,
     next_seq: u32,
 }
 
@@ -97,22 +95,12 @@ impl Inflight {
     fn new(policy: RetryPolicy) -> Self {
         Inflight {
             tracker: RetryTracker::new(policy),
-            sent: Vec::new(),
             next_seq: 0,
         }
     }
 
     fn count(&self) -> usize {
         self.tracker.outstanding()
-    }
-
-    fn note_sent(&mut self, req: u64, at: SimTime) {
-        self.sent.push((req, at));
-    }
-
-    fn take_sent(&mut self, req: u64) -> Option<SimTime> {
-        let pos = self.sent.iter().position(|&(r, _)| r == req)?;
-        Some(self.sent.swap_remove(pos).1)
     }
 }
 
@@ -170,15 +158,13 @@ pub struct MonitorClient {
     retry_scratch: Vec<PendingRetry>,
     /// Per-backend channel-health state (breaker + fence + counters).
     channels: Vec<Channel>,
-    /// Breaker thresholds installed via [`MonitorClient::set_breaker`].
-    breaker_cfg: Option<BreakerConfig>,
     /// In-flight request budget per back-end (socket-buffer model).
     pub max_outstanding: usize,
     /// Push per-backend reported-value series into the recorder (accuracy
     /// experiments); off by default to keep large runs lean.
     pub record_series: bool,
-    /// Interned latency/staleness histogram handles (lazy, so the key set
-    /// matches per-sample formatting exactly).
+    /// Interned latency/staleness histogram handles, set by
+    /// [`MonitorClient::start`].
     lat_id: Option<HistogramId>,
     stale_id: Option<HistogramId>,
     /// Per-backend interned series handles, parallel to `backends`.
@@ -244,7 +230,6 @@ impl MonitorClient {
             timeout_scratch: Vec::new(),
             retry_scratch: Vec::new(),
             channels,
-            breaker_cfg: None,
             max_outstanding: 16,
             record_series: false,
             lat_id: None,
@@ -270,16 +255,11 @@ impl MonitorClient {
         self.pending_retries.clear();
     }
 
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Install the channel-health circuit breaker (one per backend).
     /// Only meaningful for the one-sided schemes — socket schemes have no
     /// lower rung to fall back to. Resets breaker state; call before the
     /// first poll.
     pub fn set_breaker(&mut self, cfg: BreakerConfig) {
-        self.breaker_cfg = Some(cfg);
         for ch in &mut self.channels {
             ch.breaker = Some(CircuitBreaker::new(cfg));
         }
@@ -557,7 +537,6 @@ impl MonitorClient {
         } else {
             self.inflight[idx].tracker.begin_retry(req, attempt, now);
         }
-        self.inflight[idx].note_sent(req, now);
         self.sync_view(idx);
     }
 
@@ -579,11 +558,8 @@ impl MonitorClient {
             for &action in &actions {
                 match action {
                     TimeoutAction::Retry {
-                        req,
-                        attempt,
-                        backoff,
+                        attempt, backoff, ..
                     } => {
-                        self.inflight[idx].take_sent(req);
                         self.pending_retries.push(PendingRetry {
                             idx,
                             attempt,
@@ -591,7 +567,6 @@ impl MonitorClient {
                         });
                     }
                     TimeoutAction::GiveUp { req } => {
-                        self.inflight[idx].take_sent(req);
                         // Only primary-path (RDMA-token) give-ups judge the
                         // primary channel; a fallback socket give-up says
                         // nothing about the RDMA path.
@@ -678,35 +653,21 @@ impl MonitorClient {
         sent: Option<SimTime>,
         os: &mut OsApi<'_, '_>,
     ) {
+        const INTERNED: &str = "start interns the metric handles";
         let now = os.now();
-        let label = self.scheme.label();
         let r = os.recorder();
         if let Some(sent) = sent {
-            let lat = *self
-                .lat_id
-                .get_or_insert_with(|| r.histogram_id(&format!("mon/latency/{label}")));
+            let lat = self.lat_id.expect(INTERNED);
             r.histogram_at(lat).record(now.since(sent).nanos());
         }
-        let stale = *self
-            .stale_id
-            .get_or_insert_with(|| r.histogram_id(&format!("mon/staleness/{label}")));
+        let stale = self.stale_id.expect(INTERNED);
         r.histogram_at(stale)
             .record(now.since(snap.measured_at).nanos());
         if self.record_series {
             // Fig. 5 semantics: the reply answers "what was the load when I
             // asked" — timestamp reported values at request time.
             let at = sent.unwrap_or(now);
-            let node = self.backends[idx].node;
-            let ids = *self.series_ids[idx].get_or_insert_with(|| MonSeriesIds {
-                nthreads: r.series_id(&format!("mon/{label}/{node}/nthreads")),
-                cpu_util: r.series_id(&format!("mon/{label}/{node}/cpu_util")),
-                run_queue: r.series_id(&format!("mon/{label}/{node}/run_queue")),
-                pending_irqs: r.series_id(&format!("mon/{label}/{node}/pending_irqs")),
-                pending_cpu: [0, 1]
-                    .map(|cpu| r.series_id(&format!("mon/{label}/{node}/pending_irqs_cpu{cpu}"))),
-                irq_total_cpu: [0, 1]
-                    .map(|cpu| r.series_id(&format!("mon/{label}/{node}/irq_total_cpu{cpu}"))),
-            });
+            let ids = self.series_ids[idx].expect(INTERNED);
             r.series_at(ids.nthreads).push(at, snap.nthreads as f64);
             r.series_at(ids.cpu_util).push(at, snap.cpu_util);
             r.series_at(ids.run_queue).push(at, snap.run_queue as f64);
@@ -732,7 +693,7 @@ impl MonitorClient {
                 let Some(&idx) = self.conn_to_idx.get(&conn) else {
                     return false;
                 };
-                let sent = self.inflight[idx].take_sent(*req);
+                let sent = self.inflight[idx].tracker.sent_at(*req);
                 let outcome = self.inflight[idx].tracker.on_reply(*req);
                 // The canary bug's production half: late and duplicate
                 // replies are no longer ignored, so a pre-restart
@@ -809,11 +770,11 @@ impl MonitorClient {
         if token & MON_TOKEN_MASK != MON_TOKEN_BASE {
             return false;
         }
-        let idx = ((token >> 32) & 0xFF) as usize;
+        let idx = ((token >> 32) & 0xFFFF) as usize;
         if idx >= self.backends.len() {
             return false;
         }
-        let sent = self.inflight[idx].take_sent(token);
+        let sent = self.inflight[idx].tracker.sent_at(token);
         match self.inflight[idx].tracker.on_reply(token) {
             ReplyOutcome::Accepted => match result {
                 RdmaResult::ReadOk { data, fence } => {

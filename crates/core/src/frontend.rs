@@ -46,10 +46,6 @@ impl MonitorFrontendService {
 }
 
 impl Service for MonitorFrontendService {
-    fn name(&self) -> &'static str {
-        "monitor-frontend"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.client.start(os);
         os.set_timer(self.start_offset + self.poll_interval, TOK_POLL);

@@ -5,7 +5,10 @@
 //! `Socket-Async`, `Socket-Sync`, `RDMA-Async`, `RDMA-Sync` and
 //! `e-RDMA-Sync` — plus a multicast-push extension.
 //!
-//! * [`backend`] — the back-end exporters (Figs. 1–2 of the paper).
+//! * [`backend`] — [`MonitorBackend`], the back-end process of every
+//!   scheme, built from the paper's three parts (Figs. 1–2): a
+//!   load-calculating thread, a load-reporting thread and registered
+//!   memory, each present as the [`fgmon_types::Scheme`] says.
 //! * [`client`] — the front-end [`client::MonitorClient`] component.
 //! * [`frontend`] — a standalone polling service for micro-benchmarks.
 //! * [`accuracy`] — reported-vs-ground-truth analysis (Figs. 5–6).
@@ -22,7 +25,7 @@ pub mod frontend;
 
 pub use accuracy::{mean_deviation, mean_reported, scheme_quality, AccuracyMetric, SchemeQuality};
 pub use backend::{
-    make_backend, BackendConfig, McastPushBackend, RdmaAsyncBackend, RdmaSyncBackend,
+    BackendConfig, McastPushBackend, MonitorBackend, RdmaAsyncBackend, RdmaSyncBackend,
     SocketBackend, MONITOR_GROUP,
 };
 pub use client::{BackendHandle, BackendView, MonitorClient, MON_TOKEN_BASE};

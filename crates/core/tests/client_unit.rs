@@ -17,9 +17,6 @@ struct StubBackend {
 }
 
 impl Service for StubBackend {
-    fn name(&self) -> &'static str {
-        "stub"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         if self.register {
             os.register_kernel_region(false);
@@ -138,4 +135,65 @@ fn info_age_tracks_measurement_time() {
     assert!(age_later > SimDuration::from_secs(3));
     assert_eq!(svc.client.backend_node(0), NodeId(1));
     assert_eq!(svc.client.backend_count(), 1);
+}
+
+#[test]
+fn every_view_of_a_wide_front_end_gets_replies() {
+    // The back-end index rides in each RDMA token: the 257th and 258th
+    // back-ends' completions must reach their own views.
+    const BACKENDS: u16 = 258;
+    let mut eng: Engine<Msg> = Engine::new();
+    let fabric_id = eng.reserve_actor();
+    let actors: Vec<_> = (0..=BACKENDS).map(|_| eng.reserve_actor()).collect();
+    let fabric = Fabric::new(NetConfig::default(), actors.clone());
+    eng.install(fabric_id, Box::new(fabric));
+    for (i, &actor) in actors.iter().enumerate().skip(1) {
+        let mut node = NodeActor::new(OsCore::new(
+            NodeId(i as u16),
+            OsConfig::default(),
+            fabric_id,
+            actor,
+            DetRng::new(i as u64),
+        ));
+        node.add_service(Box::new(StubBackend {
+            register: true,
+            hogs: 0,
+        }));
+        eng.install(actor, Box::new(node));
+    }
+    let handles = (1..=BACKENDS)
+        .map(|i| BackendHandle {
+            node: NodeId(i),
+            conn: None,
+            region: Some(RegionId(0)),
+        })
+        .collect();
+    let mut fe_node = NodeActor::new(OsCore::new(
+        NodeId(0),
+        OsConfig::frontend(),
+        fabric_id,
+        actors[0],
+        DetRng::new(0),
+    ));
+    fe_node.add_service(Box::new(MonitorFrontendService::new(
+        Scheme::RdmaSync,
+        false,
+        SimDuration::from_millis(10),
+        handles,
+    )));
+    eng.install(actors[0], Box::new(fe_node));
+    for &actor in &actors {
+        eng.schedule(SimTime::ZERO, actor, Msg::Node(NodeMsg::Boot));
+    }
+    eng.run_until(SimTime(SimDuration::from_millis(100).nanos()));
+
+    let actor = eng.actor::<NodeActor>(actors[0]).unwrap();
+    let svc = actor
+        .service::<MonitorFrontendService>(ServiceSlot(0))
+        .unwrap();
+    assert_eq!(svc.client.views().len(), BACKENDS as usize);
+    for (i, view) in svc.client.views().iter().enumerate() {
+        assert!(view.replies > 0, "back-end {i} got no reply: {view:?}");
+        assert!(view.outstanding <= 1, "back-end {i} backlog: {view:?}");
+    }
 }

@@ -2,8 +2,8 @@
 //! one front-end node polls one back-end node while background load varies.
 
 use fgmon_core::{
-    make_backend, scheme_quality, BackendConfig, BackendHandle, MonitorFrontendService,
-    RdmaSyncBackend, SocketBackend, MONITOR_GROUP,
+    scheme_quality, BackendConfig, BackendHandle, MonitorBackend, MonitorFrontendService,
+    MONITOR_GROUP,
 };
 use fgmon_net::Fabric;
 use fgmon_os::{NodeActor, OsApi, OsCore, Service};
@@ -18,9 +18,6 @@ struct Hogs {
 }
 
 impl Service for Hogs {
-    fn name(&self) -> &'static str {
-        "hogs"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.n {
             let tid = os.spawn_thread("hog");
@@ -42,6 +39,11 @@ struct World {
 /// One front-end + one back-end, with `hogs` background threads on the
 /// back-end and the given monitoring scheme at 50 ms polling.
 fn build(scheme: Scheme, hogs: u32, poll: SimDuration) -> World {
+    build_with(scheme, hogs, poll, false)
+}
+
+/// [`build`], with the back-end's `fallback_reporter` set as given.
+fn build_with(scheme: Scheme, hogs: u32, poll: SimDuration, fallback_reporter: bool) -> World {
     let mut eng: Engine<Msg> = Engine::new();
     let fabric_id = eng.reserve_actor();
     let fe = eng.reserve_actor();
@@ -71,14 +73,13 @@ fn build(scheme: Scheme, hogs: u32, poll: SimDuration) -> World {
         } else {
             None
         },
+        fallback_reporter,
         ..BackendConfig::default()
     };
-    let mut backend = make_backend(scheme, bcfg);
-    // Socket backends need their listening connections configured.
-    if let Some(sb) = (backend.as_mut() as &mut dyn std::any::Any).downcast_mut::<SocketBackend>() {
-        sb.conns.push(conn);
-    }
-    be_node.add_service(backend);
+    let mut backend = MonitorBackend::new(scheme, bcfg);
+    // A reporter listens on the monitoring connection.
+    backend.conns.push(conn);
+    be_node.add_service(Box::new(backend));
     if hogs > 0 {
         be_node.add_service(Box::new(Hogs { n: hogs }));
     }
@@ -200,7 +201,7 @@ fn rdma_sync_backend_runs_no_threads() {
         "RDMA-Sync must not run any back-end thread"
     );
     assert!(be
-        .service::<RdmaSyncBackend>(ServiceSlot(0))
+        .service::<MonitorBackend>(ServiceSlot(0))
         .unwrap()
         .region
         .is_some());
@@ -210,6 +211,28 @@ fn rdma_sync_backend_runs_no_threads() {
     run_secs(&mut w, 2);
     let be = w.eng.actor::<NodeActor>(w.be).unwrap();
     assert_eq!(be.core().threads.live_count(), 2);
+
+    // Every scheme runs the calc and reporter threads its composition
+    // names, and a one-sided scheme's standby reporter adds one more.
+    for scheme in Scheme::ALL {
+        let parts = u32::from(scheme.has_backend_calc_thread())
+            + u32::from(scheme.has_backend_reporter_thread());
+        let standby: &[bool] = if scheme.is_one_sided() {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &fallback in standby {
+            let mut w = build_with(scheme, 0, SimDuration::from_millis(50), fallback);
+            run_secs(&mut w, 2);
+            let be = w.eng.actor::<NodeActor>(w.be).unwrap();
+            assert_eq!(
+                be.core().threads.live_count(),
+                parts + u32::from(fallback),
+                "{scheme} with fallback_reporter = {fallback}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -258,9 +281,7 @@ fn rdma_write_push_delivers_via_local_memory() {
     // The backend runs exactly one push thread and its writes are acked.
     let be = w.eng.actor::<NodeActor>(w.be).unwrap();
     assert_eq!(be.core().threads.live_count(), 1);
-    let backend = be
-        .service::<fgmon_core::backend::RdmaWritePushBackend>(ServiceSlot(0))
-        .unwrap();
+    let backend = be.service::<MonitorBackend>(ServiceSlot(0)).unwrap();
     assert!(backend.pushes >= 30, "pushes {}", backend.pushes);
     assert!(backend.write_acks >= 29, "acks {}", backend.write_acks);
     assert_eq!(backend.write_denied, 0);
@@ -287,9 +308,6 @@ fn e_rdma_sync_sees_pending_interrupt_detail() {
         conn: ConnId,
     }
     impl Service for Chatter {
-        fn name(&self) -> &'static str {
-            "chatter"
-        }
         fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
             os.set_timer(SimDuration::from_micros(200), 1);
         }
@@ -318,7 +336,10 @@ fn e_rdma_sync_sees_pending_interrupt_detail() {
         be,
         DetRng::new(3),
     ));
-    be_node.add_service(make_backend(Scheme::ERdmaSync, BackendConfig::default()));
+    be_node.add_service(Box::new(MonitorBackend::new(
+        Scheme::ERdmaSync,
+        BackendConfig::default(),
+    )));
     be_node.add_service(Box::new(Hogs { n: 4 }));
     eng.install(be, Box::new(be_node));
 

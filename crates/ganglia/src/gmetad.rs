@@ -104,10 +104,6 @@ impl Gmetad {
 }
 
 impl Service for Gmetad {
-    fn name(&self) -> &'static str {
-        "gmetad"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for &c in &self.sources {
             os.listen_direct(c);

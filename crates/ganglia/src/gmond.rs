@@ -66,10 +66,6 @@ impl Gmond {
 }
 
 impl Service for Gmond {
-    fn name(&self) -> &'static str {
-        "gmond"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.subscribe_mcast(GANGLIA_GROUP);
         let tid = os.spawn_thread("gmond");

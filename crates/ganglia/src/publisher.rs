@@ -46,10 +46,6 @@ impl GmetricPublisher {
 }
 
 impl Service for GmetricPublisher {
-    fn name(&self) -> &'static str {
-        "gmetric-publisher"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.client.start(os);
         os.set_timer(self.granularity, TOK_POLL);

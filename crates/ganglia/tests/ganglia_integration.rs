@@ -1,7 +1,7 @@
 //! Ganglia overlay tests: gmond heartbeats propagate the cluster view to
 //! every daemon; the gmetric publisher injects fine-grained metrics.
 
-use fgmon_core::{make_backend, BackendConfig, BackendHandle};
+use fgmon_core::{BackendConfig, BackendHandle, MonitorBackend};
 use fgmon_ganglia::{GmetricPublisher, Gmond, GANGLIA_GROUP};
 use fgmon_net::Fabric;
 use fgmon_os::{NodeActor, OsCore};
@@ -93,13 +93,13 @@ fn gmetric_publisher_feeds_gmonds_with_captured_metric() {
         be,
         DetRng::new(2),
     ));
-    be_node.add_service(make_backend(
+    be_node.add_service(Box::new(MonitorBackend::new(
         Scheme::RdmaSync,
         BackendConfig {
             calc_interval: SimDuration::from_millis(32),
             ..BackendConfig::default()
         },
-    ));
+    )));
     be_node.add_service(Box::new(Gmond::new(SimDuration::from_secs(1))));
     eng.install(be, Box::new(be_node));
 

@@ -19,9 +19,6 @@ struct Sniffer {
 }
 
 impl Service for Sniffer {
-    fn name(&self) -> &'static str {
-        "sniffer"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for &c in &self.listen_conns {
             os.listen_direct(c);
@@ -58,9 +55,6 @@ struct Blaster {
 }
 
 impl Service for Blaster {
-    fn name(&self) -> &'static str {
-        "blaster"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.set_timer(SimDuration::from_micros(100), 1);
     }
@@ -245,9 +239,6 @@ fn large_frames_pay_serialization_latency() {
         conn: ConnId,
     }
     impl Service for BigSender {
-        fn name(&self) -> &'static str {
-            "big"
-        }
         fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
             // 256 KiB response vs a 256-byte one.
             os.send_direct(
@@ -295,9 +286,6 @@ fn rdma_read_roundtrip_matches_config_rtt() {
         done_at: Option<SimTime>,
     }
     impl Service for Reader {
-        fn name(&self) -> &'static str {
-            "reader"
-        }
         fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
             os.rdma_read(NodeId(1), fgmon_types::RegionId(0), 1);
         }
@@ -312,9 +300,6 @@ fn rdma_read_roundtrip_matches_config_rtt() {
     }
     struct Exporter;
     impl Service for Exporter {
-        fn name(&self) -> &'static str {
-            "exporter"
-        }
         fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
             os.register_kernel_region(false);
         }

@@ -34,8 +34,6 @@ use crate::thread::{ThreadOp, ThreadState};
 /// * `on_timer` — a zero-cost service-level timer (driver convenience;
 ///   *simulated* code paths should sleep a thread instead).
 pub trait Service: Any + Send {
-    fn name(&self) -> &'static str;
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let _ = os;
     }

@@ -34,9 +34,6 @@ struct Accountant {
 }
 
 impl Service for Accountant {
-    fn name(&self) -> &'static str {
-        "accountant"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let base_mem = os.proc_snapshot(false).mem_used_kb;
         os.alloc_mem_kb(1024);
@@ -78,9 +75,6 @@ struct Assassin {
 }
 
 impl Service for Assassin {
-    fn name(&self) -> &'static str {
-        "assassin"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let victim = os.spawn_thread("victim");
         let killer = os.spawn_thread("killer");
@@ -145,9 +139,6 @@ struct TimerTester {
 }
 
 impl Service for TimerTester {
-    fn name(&self) -> &'static str {
-        "timers"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.set_timer(SimDuration::from_millis(30), 30);
         os.set_timer(SimDuration::from_millis(10), 10);
@@ -183,9 +174,6 @@ struct SilentWorker {
 }
 
 impl Service for SilentWorker {
-    fn name(&self) -> &'static str {
-        "silent"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let tid = os.spawn_thread("silent");
         self.tid = Some(tid);
@@ -219,9 +207,6 @@ struct Spawner {
 }
 
 impl Service for Spawner {
-    fn name(&self) -> &'static str {
-        "spawner"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..3 {
             self.tids.push(os.spawn_thread("w"));
@@ -254,9 +239,6 @@ struct CostProbe {
 }
 
 impl Service for CostProbe {
-    fn name(&self) -> &'static str {
-        "cost-probe"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.before = Some(os.proc_read_cost());
         for _ in 0..20 {

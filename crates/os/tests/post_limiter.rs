@@ -64,9 +64,6 @@ struct Poster {
 }
 
 impl Service for Poster {
-    fn name(&self) -> &'static str {
-        "poster"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         (self.post)(os);
         for &d in &self.again {

@@ -51,10 +51,6 @@ impl ScriptRunner {
 }
 
 impl Service for ScriptRunner {
-    fn name(&self) -> &'static str {
-        "script-runner"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for i in 0..self.scripts.len() {
             let tid = os.spawn_thread("script");

@@ -162,9 +162,6 @@ struct BurstRunner {
 }
 
 impl Service for BurstRunner {
-    fn name(&self) -> &'static str {
-        "burst-runner"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let tid = os.spawn_thread("runner");
         self.tid = Some(tid);
@@ -184,9 +181,6 @@ struct Hogs {
 }
 
 impl Service for Hogs {
-    fn name(&self) -> &'static str {
-        "hogs"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.n {
             let tid = os.spawn_thread("hog");
@@ -206,9 +200,6 @@ struct Sleeper {
 }
 
 impl Service for Sleeper {
-    fn name(&self) -> &'static str {
-        "sleeper"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let tid = os.spawn_thread("sleeper");
         os.sleep(tid, self.dur, 9);
@@ -226,9 +217,6 @@ struct EchoServer {
 }
 
 impl Service for EchoServer {
-    fn name(&self) -> &'static str {
-        "echo"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let tid = os.spawn_thread("echo");
         os.listen_thread(ConnId(0), tid);
@@ -255,9 +243,6 @@ struct EchoClient {
 }
 
 impl Service for EchoClient {
-    fn name(&self) -> &'static str {
-        "client"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.listen_direct(ConnId(0));
         self.sent_at = Some(os.now());
@@ -284,9 +269,6 @@ struct RdmaReader {
 }
 
 impl Service for RdmaReader {
-    fn name(&self) -> &'static str {
-        "rdma-reader"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.rdma_read(NodeId(1), RegionId(self.region), 5);
     }
@@ -303,9 +285,6 @@ struct KernelExporter {
 }
 
 impl Service for KernelExporter {
-    fn name(&self) -> &'static str {
-        "kernel-exporter"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let _region = os.register_kernel_region(self.detail);
         for _ in 0..self.hogs {
@@ -503,9 +482,6 @@ fn rdma_write_to_readonly_kernel_region_is_denied() {
         result: Option<RdmaResult>,
     }
     impl Service for Writer {
-        fn name(&self) -> &'static str {
-            "writer"
-        }
         fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
             os.rdma_write(NodeId(1), RegionId(0), fgmon_types::LoadSnapshot::zero(), 3);
         }

@@ -346,12 +346,13 @@ impl<M: 'static> Engine<M> {
     }
 
     /// How a run through `horizon` ended. Its clock rests at the horizon
-    /// if work remains beyond it, else at the last processed event.
+    /// if work remains beyond it, else at the last processed event; a
+    /// horizon already behind the clock leaves it where it is.
     fn settle(&mut self, horizon: SimTime) -> RunOutcome {
         if self.queue.len() == 0 {
             return RunOutcome::QueueDrained;
         }
-        self.now = horizon;
+        self.now = self.now.max(horizon);
         RunOutcome::HorizonReached
     }
 
@@ -650,6 +651,24 @@ mod tests {
         assert_eq!(eng.run_until(SimTime(10_000)), RunOutcome::QueueDrained);
         let col: &Collector = eng.actor(a).unwrap();
         assert_eq!(col.seen.len(), 1);
+    }
+
+    #[test]
+    fn past_horizon_never_winds_the_clock_back() {
+        let mut eng: Engine<TestMsg> = Engine::new();
+        let a = eng.add_actor(Box::new(Collector::default()));
+        eng.schedule(SimTime(100), a, TestMsg::Ping(1));
+        eng.schedule(SimTime(200), a, TestMsg::Ping(2));
+        assert_eq!(eng.run_until(SimTime(150)), RunOutcome::HorizonReached);
+        assert_eq!(eng.run_until(SimTime(50)), RunOutcome::HorizonReached);
+        assert_eq!(eng.now(), SimTime(150));
+        // An event scheduled "at 60" now clamps to 150, after the one
+        // already handled at 100.
+        eng.schedule(SimTime(60), a, TestMsg::Ping(3));
+        eng.run_until(SimTime::MAX);
+        let col: &Collector = eng.actor(a).unwrap();
+        let times: Vec<u64> = col.seen.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, vec![100, 150, 200]);
     }
 
     #[test]

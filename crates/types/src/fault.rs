@@ -777,7 +777,9 @@ const DEAD_RING: usize = 64;
 #[derive(Clone, Debug)]
 pub struct RetryTracker {
     policy: RetryPolicy,
-    /// Outstanding attempts: (request id, retry attempt number, deadline).
+    /// Outstanding attempts: (request id, retry attempt number, send
+    /// time). At most a few dozen are in flight, so a capacity-retaining
+    /// Vec with a linear scan beats per-poll map node churn.
     inflight: Vec<(u64, u32, SimTime)>,
     /// Recently timed-out or abandoned request ids.
     dead: VecDeque<u64>,
@@ -841,8 +843,12 @@ impl RetryTracker {
             !self.inflight.iter().any(|&(r, _, _)| r == req),
             "request id {req} already in flight"
         );
-        self.inflight
-            .push((req, attempt, now + self.policy.timeout));
+        self.inflight.push((req, attempt, now));
+    }
+
+    /// When outstanding request `req` was sent, if it still is.
+    pub fn sent_at(&self, req: u64) -> Option<SimTime> {
+        self.inflight.iter().find(|r| r.0 == req).map(|r| r.2)
     }
 
     /// Expire every attempt whose deadline has passed, returning what to
@@ -861,8 +867,8 @@ impl RetryTracker {
         }
         let mut i = 0;
         while i < self.inflight.len() {
-            let (req, attempt, deadline) = self.inflight[i];
-            if deadline <= now {
+            let (req, attempt, sent) = self.inflight[i];
+            if sent + self.policy.timeout <= now {
                 self.inflight.remove(i);
                 self.timed_out += 1;
                 self.remember_dead(req);
@@ -1296,9 +1302,13 @@ mod tests {
             unreachable_after: 2,
         };
         let mut t = RetryTracker::new(pol);
-        t.begin(1, SimTime(0));
+        t.begin(1, SimTime(7));
         assert_eq!(t.outstanding(), 1);
+        // The row keeps the send time until the reply retires it.
+        assert_eq!(t.sent_at(1), Some(SimTime(7)));
+        assert_eq!(t.sent_at(2), None);
         assert_eq!(t.on_reply(1), ReplyOutcome::Accepted);
+        assert_eq!(t.sent_at(1), None);
         assert_eq!(t.outstanding(), 0);
         assert_eq!(t.timed_out, 0);
     }

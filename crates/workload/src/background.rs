@@ -26,9 +26,6 @@ impl ComputeHogs {
 }
 
 impl Service for ComputeHogs {
-    fn name(&self) -> &'static str {
-        "compute-hogs"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.n {
             let tid = os.spawn_thread("hog");
@@ -82,9 +79,6 @@ impl CommLoad {
 }
 
 impl Service for CommLoad {
-    fn name(&self) -> &'static str {
-        "comm-load"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let tid = os.spawn_thread("comm-tx");
         self.tid = Some(tid);
@@ -139,9 +133,6 @@ impl CommSink {
 }
 
 impl Service for CommSink {
-    fn name(&self) -> &'static str {
-        "comm-sink"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let tid = os.spawn_thread("comm-rx");
         os.listen_thread(self.conn, tid);
@@ -218,9 +209,6 @@ impl LoadRamp {
 }
 
 impl Service for LoadRamp {
-    fn name(&self) -> &'static str {
-        "load-ramp"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.arm_next(os);
     }

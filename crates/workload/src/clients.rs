@@ -73,10 +73,6 @@ impl RubisClient {
 }
 
 impl Service for RubisClient {
-    fn name(&self) -> &'static str {
-        "rubis-client"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.listen_direct(self.conn);
         let prefix = self.key_prefix;
@@ -195,10 +191,6 @@ impl ZipfClient {
 }
 
 impl Service for ZipfClient {
-    fn name(&self) -> &'static str {
-        "zipf-client"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.listen_direct(self.conn);
         let prefix = self.key_prefix;

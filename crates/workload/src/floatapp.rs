@@ -68,10 +68,6 @@ impl FloatApp {
 }
 
 impl Service for FloatApp {
-    fn name(&self) -> &'static str {
-        "float-app"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.threads.max(1) {
             let tid = os.spawn_thread("float");

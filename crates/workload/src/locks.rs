@@ -96,9 +96,6 @@ impl LockHost {
 }
 
 impl Service for LockHost {
-    fn name(&self) -> &'static str {
-        "lock-host"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.boot(os);
     }
@@ -458,9 +455,6 @@ impl LockClient {
 }
 
 impl Service for LockClient {
-    fn name(&self) -> &'static str {
-        "lock-client"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.key = os.node().index() as u64 + 1;
         // Intern the wait-time key now, so the grant path only ever
@@ -589,9 +583,6 @@ impl RdmaFlood {
 }
 
 impl Service for RdmaFlood {
-    fn name(&self) -> &'static str {
-        "rdma-flood"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.set_timer(self.tick, token(KIND_THINK, 0));
     }

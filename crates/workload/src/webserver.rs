@@ -232,10 +232,6 @@ impl WorkerPoolServer {
 }
 
 impl Service for WorkerPoolServer {
-    fn name(&self) -> &'static str {
-        "worker-pool-server"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let acceptor = os.spawn_thread("httpd-acceptor");
         self.acceptor = Some(acceptor);

@@ -31,10 +31,6 @@ struct HybridBackend {
 }
 
 impl Service for HybridBackend {
-    fn name(&self) -> &'static str {
-        "hybrid-backend"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         // Fast path: one-sided reads of live kernel statistics.
         os.register_kernel_region(false);
@@ -91,10 +87,6 @@ struct HybridFrontend {
 }
 
 impl Service for HybridFrontend {
-    fn name(&self) -> &'static str {
-        "hybrid-frontend"
-    }
-
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.listen_direct(self.conn);
         os.set_timer(SimDuration::from_millis(20), 1);
@@ -154,9 +146,6 @@ impl Service for HybridFrontend {
 struct Hogs;
 
 impl Service for Hogs {
-    fn name(&self) -> &'static str {
-        "hogs"
-    }
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..2 {
             let tid = os.spawn_thread("hog");
