@@ -8,6 +8,8 @@ use fgmon_sim::{SimDuration, SimTime};
 use fgmon_types::{ChannelHealthStats, FaultPlan, OsConfig, RaceMode, RetryPolicy, Scheme};
 use fgmon_workload::RubisClient;
 
+mod push_faults;
+
 fn fingerprint(seed: u64) -> (u64, u64, Vec<u64>, u64) {
     let cfg = RubisWorldCfg {
         backends: 4,
@@ -285,7 +287,7 @@ fn fnv1a(s: &str) -> u64 {
 /// [`world_digest`] of one run of every world family, pinned across
 /// commits: a change to how a world is wired that is not bitwise neutral
 /// moves at least one.
-const GOLDEN_WORLDS: [(&str, u64); 13] = [
+const GOLDEN_WORLDS: [(&str, u64); 15] = [
     ("micro_latency", 0x8fe7_9435_ae08_0388),
     ("float_granularity", 0x8a73_4308_3bf9_683d),
     ("accuracy_world", 0xfd66_e9ed_192c_0376),
@@ -299,6 +301,8 @@ const GOLDEN_WORLDS: [(&str, u64); 13] = [
     ("rdma_lock_crash", 0xa79f_303f_b717_2c25),
     ("chaos_world", 0xaa83_3327_e37e_4328),
     ("crash_restart_recovery", 0xa0cd_3939_aa80_803c),
+    ("rubis_world/RdmaWritePush faulted", 0xac1f_8fcc_7ad3_fb52),
+    ("rubis_world/McastPush faulted", 0x3be3_81a5_6d26_5868),
 ];
 
 #[test]
@@ -432,5 +436,8 @@ fn scenario_worlds_match_golden() {
             ),
         ),
     ];
+    let faulted = push_faults::worlds()
+        .map(|(name, cfg)| (name, world_digest(rubis_world(&cfg).cluster, ms(1_000))));
+    let got: Vec<(&str, u64)> = got.into_iter().chain(faulted).collect();
     assert_eq!(got, GOLDEN_WORLDS);
 }

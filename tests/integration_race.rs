@@ -6,9 +6,10 @@
 //! observe tearing; seqlock mode must eliminate it and pay for that in
 //! monitoring latency.
 
-use fgmon_cluster::{torn_read_world, TornReadWorld};
-use fgmon_sim::SimDuration;
-use fgmon_types::RaceMode;
+use fgmon_cluster::{fault_compare_world, torn_read_world, TornReadWorld};
+use fgmon_net::Fabric;
+use fgmon_sim::{SimDuration, SimTime};
+use fgmon_types::{FaultOp, FaultPlan, NodeId, RaceDetector, RaceMode, RetryPolicy};
 
 const RUN: SimDuration = SimDuration::from_secs(2);
 
@@ -102,4 +103,43 @@ fn torn_detection_is_deterministic() {
     let (b, mean_b, n_b) = run(RaceMode::Strict, 31);
     assert_eq!(a, b);
     assert_eq!((mean_a.to_bits(), n_a), (mean_b.to_bits(), n_b));
+}
+
+/// A seqlock retry re-arms its read window; when the fabric loses the
+/// retry's frame, the window must close, or it stays open for good. The
+/// test holds the detector itself, so it can count the open windows.
+#[test]
+fn a_lost_seqlock_retry_closes_its_race_window() {
+    for seed in [7, 5] {
+        let plan = FaultPlan::new(seed ^ 0x5E01)
+            .congested(SimTime::ZERO, SimTime::MAX, 24.0)
+            .lossy_op(FaultOp::RdmaRead, 0.3);
+        let mut w = fault_compare_world(
+            plan,
+            RetryPolicy::aggressive(SimDuration::from_millis(3)),
+            SimDuration::from_millis(1),
+            seed,
+        );
+        let race = RaceDetector::new_shared(RaceMode::Seqlock);
+        let fabric = w.cluster.fabric;
+        w.cluster
+            .eng
+            .actor_mut::<Fabric>(fabric)
+            .expect("fabric actor")
+            .set_race_detector(Some(race.clone()));
+        for n in 0..w.cluster.node_count() {
+            w.cluster
+                .node_mut(NodeId(n as u16))
+                .core_mut()
+                .set_race_detector(Some(race.clone()));
+        }
+        w.cluster.run_for(SimDuration::from_secs(3));
+        let retries = w.cluster.fabric_stats().seqlock_retries;
+        assert!(retries > 0, "the reads must retry (seed {seed})");
+        assert_eq!(
+            race.borrow().open_windows(),
+            0,
+            "a read window outlived its request (seed {seed}, {retries} retries)"
+        );
+    }
 }

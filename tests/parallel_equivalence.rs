@@ -13,6 +13,8 @@ use fgmon_net::FabricStats;
 use fgmon_sim::{Actor, Ctx, SimDuration, SimTime};
 use fgmon_types::{ChannelHealthStats, FaultPlan, Msg, RaceMode, RaceReport, RetryPolicy, Scheme};
 
+mod push_faults;
+
 const SEEDS: [u64; 3] = [11, 29, 4242];
 // Includes a prime shard count (blocks of uneven size) and more shards
 // than some worlds have busy nodes (degenerate near-empty shards).
@@ -346,6 +348,53 @@ fn rdma_lock_world_is_bitwise_identical_across_thread_counts() {
             assert_eq!(
                 sequential, parallel,
                 "lock-world run diverged (seed {seed}, shards {shards})"
+            );
+        }
+    }
+}
+
+#[test]
+fn faulted_push_worlds_are_bitwise_identical_in_sharded_segments() {
+    type Fp = (FabricStats, u64, Metrics);
+    for (name, cfg) in push_faults::worlds() {
+        let fingerprint = |shards: usize| -> Fp {
+            let mut w = fgmon_cluster::rubis_world(&cfg);
+            if shards <= 1 {
+                w.cluster.run_for(SimDuration::from_secs(1));
+            } else {
+                for _ in 0..4 {
+                    w.cluster
+                        .run_parallel(SimDuration::from_millis(250), shards);
+                }
+            }
+            (
+                w.cluster.fabric_stats(),
+                w.cluster.eng.events_processed(),
+                metrics(&w.cluster),
+            )
+        };
+        let sequential = fingerprint(1);
+        let s = &sequential.0;
+        assert!(
+            s.fault_dropped > 0,
+            "the loss rule must drop push frames ({name})"
+        );
+        if cfg.scheme == Scheme::RdmaWritePush {
+            assert!(
+                s.fault_skewed > 0 && s.fault_corrupted > 0,
+                "pushed writes must be skewed and corrupted ({name})"
+            );
+        } else {
+            assert!(
+                s.fault_reordered > 0 && s.fault_partitioned > 0,
+                "multicast frames must be reordered and partitioned ({name})"
+            );
+        }
+        for shards in [2, 3] {
+            assert_eq!(
+                sequential,
+                fingerprint(shards),
+                "faulted push world diverged ({name}, shards {shards})"
             );
         }
     }
