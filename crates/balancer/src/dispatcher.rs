@@ -53,11 +53,6 @@ pub struct DispatcherConfig {
     /// Reject requests when the best load index exceeds this (None = admit
     /// everything).
     pub admission_threshold: Option<f64>,
-    /// Weight of the dispatcher's *locally tracked* in-flight count in the
-    /// index (the "connection load" part of the WebSphere formula the
-    /// dispatcher knows first-hand). Damps herd oscillations when the
-    /// monitored information is stale.
-    pub local_conn_weight: f64,
     /// Exclude a back-end from routing while its monitored information is
     /// older than this (None = route on arbitrarily stale views). A
     /// back-end with no information yet is *not* excluded — retry
@@ -87,7 +82,6 @@ impl DispatcherConfig {
             weights,
             capacity: NodeCapacity::default(),
             admission_threshold: None,
-            local_conn_weight: 0.0,
             max_info_age: None,
             retry: RetryPolicy::OFF,
             breaker: None,
@@ -182,11 +176,10 @@ impl Dispatcher {
     }
 
     fn index_of(&self, idx: usize) -> f64 {
-        let monitored = match self.monitor.views()[idx].latest {
+        match self.monitor.views()[idx].latest {
             Some(snap) => self.cfg.weights.index(&snap, &self.cfg.capacity),
             None => 0.0,
-        };
-        monitored + self.cfg.local_conn_weight * self.outstanding[idx] as f64
+        }
     }
 
     /// Is back-end `i` eligible for `class` under the current partition?

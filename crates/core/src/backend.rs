@@ -150,7 +150,7 @@ impl MonitorBackend {
 
     /// Spawn a reporter thread listening on every connection.
     fn spawn_reporter(&self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("mon-report");
+        let tid = os.spawn_thread();
         for &c in &self.conns {
             os.listen_thread(c, tid);
         }
@@ -249,7 +249,7 @@ impl Service for MonitorBackend {
             self.spawn_reporter(os);
         }
         if self.scheme.has_backend_calc_thread() {
-            let calc = os.spawn_thread("mon-calc");
+            let calc = os.spawn_thread();
             compute(calc, TOK_CALC_DONE, os);
         }
         if self.scheme.is_one_sided() && self.cfg.fallback_reporter {

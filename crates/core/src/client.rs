@@ -10,7 +10,7 @@
 //!
 //! Polling is *pipelined*: the front-end fires a request every interval
 //! regardless of whether earlier ones have been answered (bounded by
-//! [`MonitorClient::max_outstanding`], the socket-buffer budget). An
+//! [`MonitorClient::MAX_OUTSTANDING`], the socket-buffer budget). An
 //! overloaded back-end therefore accumulates a backlog of monitoring work
 //! — the mechanism behind the paper's Figs. 3 and 8 degradations.
 //!
@@ -158,8 +158,6 @@ pub struct MonitorClient {
     retry_scratch: Vec<PendingRetry>,
     /// Per-backend channel-health state (breaker + fence + counters).
     channels: Vec<Channel>,
-    /// In-flight request budget per back-end (socket-buffer model).
-    pub max_outstanding: usize,
     /// Push per-backend reported-value series into the recorder (accuracy
     /// experiments); off by default to keep large runs lean.
     pub record_series: bool,
@@ -197,6 +195,9 @@ struct MonSeriesIds {
 }
 
 impl MonitorClient {
+    /// In-flight request budget per back-end (socket-buffer model).
+    pub const MAX_OUTSTANDING: usize = 16;
+
     pub fn new(scheme: Scheme, want_detail: bool, backends: Vec<BackendHandle>) -> Self {
         let views = vec![BackendView::default(); backends.len()];
         let series_ids = vec![None; backends.len()];
@@ -230,7 +231,6 @@ impl MonitorClient {
             timeout_scratch: Vec::new(),
             retry_scratch: Vec::new(),
             channels,
-            max_outstanding: 16,
             record_series: false,
             lat_id: None,
             stale_id: None,
@@ -403,7 +403,7 @@ impl MonitorClient {
     /// Issue one round of load requests (no-op for the push scheme).
     ///
     /// Requests pipeline: a new one is fired even while earlier ones are
-    /// outstanding, up to [`MonitorClient::max_outstanding`].
+    /// outstanding, up to [`MonitorClient::MAX_OUTSTANDING`].
     pub fn poll_all(&mut self, os: &mut OsApi<'_, '_>) {
         if self.scheme == Scheme::McastPush {
             return;
@@ -441,7 +441,7 @@ impl MonitorClient {
         let mut batch = std::mem::take(&mut self.batch_scratch);
         batch.clear();
         for idx in 0..self.backends.len() {
-            if self.inflight[idx].count() >= self.max_outstanding {
+            if self.inflight[idx].count() >= Self::MAX_OUTSTANDING {
                 self.views[idx].skipped += 1;
                 continue;
             }

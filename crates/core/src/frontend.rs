@@ -19,8 +19,6 @@ pub struct MonitorFrontendService {
     /// Delay before the first poll (staggers concurrent pollers so their
     /// request traffic is not phase-locked).
     pub start_offset: SimDuration,
-    /// Stop polling after this many rounds (0 = unlimited).
-    pub max_rounds: u64,
     rounds: u64,
 }
 
@@ -35,7 +33,6 @@ impl MonitorFrontendService {
             client: MonitorClient::new(scheme, want_detail, backends),
             poll_interval,
             start_offset: SimDuration::ZERO,
-            max_rounds: 0,
             rounds: 0,
         }
     }
@@ -60,14 +57,12 @@ impl Service for MonitorFrontendService {
         self.client.check_timeouts(os);
         self.client.poll_all(os);
         self.rounds += 1;
-        if self.max_rounds == 0 || self.rounds < self.max_rounds {
-            // Re-arm with ±10% jitter: real user-space timers drift, and
-            // an exact period phase-locks the samples with every other
-            // periodic process in the cluster (tick-aligned calc threads,
-            // sibling pollers), which biases what the samples see.
-            let jitter = 0.9 + 0.2 * os.rng().f64();
-            os.set_timer(self.poll_interval.mul_f64(jitter), TOK_POLL);
-        }
+        // Re-arm with ±10% jitter: real user-space timers drift, and an
+        // exact period phase-locks the samples with every other periodic
+        // process in the cluster (tick-aligned calc threads, sibling
+        // pollers), which biases what the samples see.
+        let jitter = 0.9 + 0.2 * os.rng().f64();
+        os.set_timer(self.poll_interval.mul_f64(jitter), TOK_POLL);
     }
 
     fn on_packet(

@@ -22,7 +22,7 @@ impl Service for StubBackend {
             os.register_kernel_region(false);
         }
         for _ in 0..self.hogs {
-            let tid = os.spawn_thread("hog");
+            let tid = os.spawn_thread();
             os.burst(tid, SimDuration::from_secs(60), 1);
         }
     }

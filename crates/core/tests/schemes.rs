@@ -20,7 +20,7 @@ struct Hogs {
 impl Service for Hogs {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.n {
-            let tid = os.spawn_thread("hog");
+            let tid = os.spawn_thread();
             os.burst(tid, SimDuration::from_millis(40), 1);
         }
     }

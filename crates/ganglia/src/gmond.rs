@@ -68,7 +68,7 @@ impl Gmond {
 impl Service for Gmond {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         os.subscribe_mcast(GANGLIA_GROUP);
-        let tid = os.spawn_thread("gmond");
+        let tid = os.spawn_thread();
         self.tid = Some(tid);
         for &c in &self.tcp_conns {
             os.listen_thread(c, tid);

@@ -22,15 +22,16 @@ use crate::gmond::GANGLIA_GROUP;
 const TOK_POLL: u64 = 0x6E_0001;
 const TOK_PUBLISH: u64 = 0x6E_0002;
 
+/// Ganglia-channel publish interval. Captures happen at the publisher's
+/// `granularity` (that is the monitoring threshold being evaluated); the
+/// aggregated metric enters the Ganglia channel at normal gmond rates.
+const PUBLISH_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Front-end gmetric driver.
 pub struct GmetricPublisher {
     pub client: MonitorClient,
     /// Fine-grained capture interval (the Fig. 8 x-axis, 1–4096 ms).
     pub granularity: SimDuration,
-    /// Ganglia-channel publish interval. Captures happen at `granularity`
-    /// (that is the monitoring threshold being evaluated); the aggregated
-    /// metric enters the Ganglia channel at normal gmond rates.
-    pub publish_interval: SimDuration,
     pub published: u64,
 }
 
@@ -39,7 +40,6 @@ impl GmetricPublisher {
         GmetricPublisher {
             client: MonitorClient::new(scheme, scheme.uses_irq_signal(), backends),
             granularity,
-            publish_interval: SimDuration::from_secs(1),
             published: 0,
         }
     }
@@ -49,7 +49,7 @@ impl Service for GmetricPublisher {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.client.start(os);
         os.set_timer(self.granularity, TOK_POLL);
-        os.set_timer(self.publish_interval, TOK_PUBLISH);
+        os.set_timer(PUBLISH_INTERVAL, TOK_PUBLISH);
     }
 
     fn on_timer(&mut self, token: u64, os: &mut OsApi<'_, '_>) {
@@ -77,7 +77,7 @@ impl Service for GmetricPublisher {
                         );
                     }
                 }
-                os.set_timer(self.publish_interval, TOK_PUBLISH);
+                os.set_timer(PUBLISH_INTERVAL, TOK_PUBLISH);
             }
             _ => {}
         }

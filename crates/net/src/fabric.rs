@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use fgmon_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 use fgmon_types::{
-    ConnId, FaultOp, FaultPlan, McastGroup, Msg, NetConfig, NetMsg, NodeId, NodeMsg, Payload,
-    QosPolicy, RdmaResult, ReadVerdict, ServiceSlot, SharedRaceDetector, SharedSnapshot,
-    TenancyConfig, TenantId, TenantStats, MAX_TENANTS,
+    BatchedRead, ConnId, FaultOp, FaultPlan, McastGroup, Msg, NetConfig, NetMsg, NodeId, NodeMsg,
+    Payload, QosPolicy, RdmaResult, ReadVerdict, RegionData, RegionId, ReqId, ServiceSlot,
+    SharedRaceDetector, SharedSnapshot, TenancyConfig, TenantId, TenantStats, MAX_TENANTS,
 };
 
 /// One registered point-to-point connection.
@@ -198,10 +198,6 @@ impl Fabric {
         self.cfg.wire_latency
     }
 
-    pub fn cfg(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// Attach the cluster-wide race detector, or detach it with `None`.
     pub fn set_race_detector(&mut self, detector: Option<SharedRaceDetector>) {
         self.race = detector;
@@ -282,6 +278,7 @@ impl Fabric {
     /// one doorbell batch): charge it to the posting tenant, and a frame
     /// the source NIC's rate limiter `refused` also as `rate_limited`.
     /// Returns whether the frame goes on; a refused frame is dropped.
+    #[inline]
     fn admit_post(&mut self, src: NodeId, refused: bool) -> bool {
         if self.tenancy.is_some() {
             let t = &mut self.stats.tenants[self.tenant_of(src).index()];
@@ -427,9 +424,6 @@ impl Fabric {
         producer: NodeId,
         snap: &mut SharedSnapshot,
     ) {
-        if !self.payload_faults {
-            return;
-        }
         let (skew, corrupt) = self.plan.payload_fate(producer, now);
         // Faults copy on write: a handle the producer still holds keeps
         // the record it published.
@@ -513,69 +507,251 @@ impl Fabric {
         self.cfg.wire_latency + SimDuration(self.cfg.per_kb.nanos() * (size as u64) / 1024)
     }
 
-    fn actor_of(&self, node: NodeId) -> Option<ActorId> {
-        self.node_actors.get(node.index()).copied()
+    /// Routing: the engine actor of `node`. The one place an unknown
+    /// node is counted as `dropped`.
+    #[inline]
+    fn route(&mut self, node: NodeId) -> Option<ActorId> {
+        let actor = self.node_actors.get(node.index()).copied();
+        if actor.is_none() {
+            self.stats.dropped += 1;
+        }
+        actor
     }
 
-    fn deliver_socket(
+    /// Contention for one completion leg (read data, write or CAS ack):
+    /// the serving NIC's QP-cache charge plus the leg's base latency,
+    /// which is the target NIC's DMA, the reply flight and the
+    /// initiator's CQ poll. `None` if the overloaded NIC shed the
+    /// completion.
+    #[inline]
+    fn complete(
+        &mut self,
+        (now, seq): (SimTime, u64),
+        target: NodeId,
+        initiator: NodeId,
+    ) -> Option<SimDuration> {
+        let extra = self.apply_contention(now, seq, target, initiator)?;
+        Some(self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll + extra)
+    }
+
+    /// Fault and delivery: draw the frame's fate, fault the load snapshot
+    /// it carries, draw a duplicate of a socket frame, and send it to
+    /// `to`. `(now, seq)` is the engine key of the event being handled,
+    /// which keys every draw. Returns false if the frame was lost.
+    #[inline]
+    fn fly(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        // `(now, seq)` of the send event — the fault-fate key.
         (now, seq): (SimTime, u64),
-        src: NodeId,
-        conn: ConnId,
-        size: u32,
-        mut payload: Payload,
-    ) {
-        let Some(entry) = self.conn(conn).copied() else {
-            self.stats.dropped += 1;
-            return;
-        };
-        let (dst, dst_service) = if src == entry.a {
-            (entry.b, entry.svc_b)
-        } else {
-            (entry.a, entry.svc_a)
-        };
-        let Some(dst_actor) = self.actor_of(dst) else {
-            self.stats.dropped += 1;
-            return;
-        };
-        self.stats.socket_frames += 1;
-        self.stats.socket_bytes += size as u64;
-        let base = self.frame_latency(size);
-        let Some(delay) = self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::Socket, base)
+        leg: Leg,
+        to: ActorId,
+        mut msg: NodeMsg,
+    ) -> bool {
+        let Some(delay) = self.apply_faults(now, seq, leg.src, Some(leg.dst), leg.op, leg.base)
         else {
+            return false;
+        };
+        if self.payload_faults {
+            if let Some(snap) = carried_snapshot(&mut msg) {
+                self.apply_payload_faults(now, seq, leg.sender, snap);
+            }
+        }
+        if let NodeMsg::PacketArrive {
+            conn,
+            dst_service,
+            size,
+            payload,
+        } = &msg
+        {
+            if let Some(echo) = self.duplicate_fate(now, seq) {
+                // The echo shares the sender's body; frames without a
+                // duplication fate are moved, never copied.
+                let copy = NodeMsg::PacketArrive {
+                    conn: *conn,
+                    dst_service: *dst_service,
+                    size: *size,
+                    payload: payload.clone(), // lint: payload-clone — duplication echo shares the body
+                };
+                ctx.send_in(delay + echo, to, Msg::Node(copy));
+            }
+        }
+        ctx.send_in(delay, to, Msg::Node(msg));
+        true
+    }
+
+    /// One one-sided read `src` posted, alone or in a doorbell batch.
+    /// Returns false if its target node is unknown.
+    #[inline]
+    fn post_read(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        key: (SimTime, u64),
+        src: NodeId,
+        r: BatchedRead,
+    ) -> bool {
+        let Some(to) = self.route(r.dst) else {
+            return false;
+        };
+        self.stats.rdma_reads += 1;
+        // The post's engine key rides along: the target opens the shadow
+        // read window on arrival, reconstructing the epoch as of this
+        // key. (Lost frames never open a window.)
+        let leg = Leg::post(src, r.dst, FaultOp::RdmaRead, self.post_latency());
+        let arrive = NodeMsg::RdmaReadArrive {
+            initiator: src,
+            region: r.region,
+            req_id: r.req_id,
+            posted: key,
+        };
+        self.fly(ctx, key, leg, to, arrive);
+        true
+    }
+
+    /// The read-data leg. It closes the read's shadow window: the data
+    /// just left the target NIC, so any host write since the post tore
+    /// it. The target sent this event same-instant, so it runs on the
+    /// target's shard, and the detector state for `(target, region)` is
+    /// only ever touched from there. Then the data flies back, or, when
+    /// a seqlock version check failed, the read is posted again.
+    #[inline]
+    fn read_data(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        initiator: NodeId,
+        req_id: ReqId,
+        result: RdmaResult,
+        target: NodeId,
+        region: RegionId,
+    ) {
+        let key = (ctx.now, ctx.event_seq);
+        let Some(to) = self.route(initiator) else {
             return;
         };
-        // Monitor replies carry a load snapshot produced by the sender:
-        // the payload fault rules (skew, corruption) apply in flight.
-        if let Payload::MonitorReply { snap, .. } = &mut payload {
-            self.apply_payload_faults(now, seq, src, snap);
+        if matches!(result, RdmaResult::RegionInvalidated) {
+            self.stats.region_invalidated += 1;
         }
-        if let Some(echo) = self.duplicate_fate(now, seq) {
-            ctx.send_in(
-                delay + echo,
-                dst_actor,
-                Msg::Node(NodeMsg::PacketArrive {
-                    conn,
-                    dst_service,
-                    size,
-                    // The echo shares the sender's body; frames without a
-                    // duplication fate are moved, never copied.
-                    payload: payload.clone(), // lint: payload-clone — duplication echo shares the body
-                }),
-            );
+        let verdict = match &self.race {
+            Some(race) => race
+                .borrow_mut()
+                .on_read_complete(initiator, req_id, target, region, key),
+            None => ReadVerdict::Clean,
+        };
+        if let ReadVerdict::Retry { .. } = verdict {
+            let served = matches!(result, RdmaResult::ReadOk { .. });
+            if served {
+                self.stats.seqlock_retries += 1;
+                let Some(target_actor) = self.route(target) else {
+                    return;
+                };
+                // Reader-side seqlock retry: the torn data still flies
+                // back (full return leg), the reader's version check
+                // rejects it, and a fresh read is posted — one extra
+                // round trip plus the modeled check per attempt. The
+                // re-armed window was stamped with this event's key.
+                let c = &self.cfg;
+                let base = c.nic_read
+                    + c.wire_latency
+                    + c.completion_poll
+                    + c.seqlock_check
+                    + c.rdma_post
+                    + c.wire_latency;
+                let leg = Leg::completion(target, initiator, FaultOp::RdmaRead, base);
+                let arrive = NodeMsg::RdmaReadArrive {
+                    initiator,
+                    region,
+                    req_id,
+                    posted: key,
+                };
+                if self.fly(ctx, key, leg, target_actor, arrive) {
+                    return;
+                }
+            }
+            // A lost retry, or an error completion (RegionInvalidated,
+            // AccessDenied), which carries no record to re-read: close
+            // the re-armed window. The error completion flies back as-is.
+            if let Some(race) = &self.race {
+                race.borrow_mut()
+                    .on_read_drop(initiator, req_id, target, region);
+            }
+            if served {
+                return;
+            }
         }
-        ctx.send_in(
-            delay,
-            dst_actor,
-            Msg::Node(NodeMsg::PacketArrive {
-                conn,
-                dst_service,
-                size,
-                payload,
-            }),
-        );
+        self.stats.torn_reads += u64::from(verdict == ReadVerdict::Torn);
+        let Some(base) = self.complete(key, target, initiator) else {
+            return;
+        };
+        let leg = Leg::completion(target, initiator, FaultOp::RdmaRead, base);
+        let done = NodeMsg::RdmaCompletion { req_id, result };
+        self.fly(ctx, key, leg, to, done);
+    }
+
+    /// A one-sided post's base latency: the initiator's post overhead
+    /// plus the request flight.
+    fn post_latency(&self) -> SimDuration {
+        self.cfg.rdma_post + self.cfg.wire_latency
+    }
+}
+
+/// What the fault model sees of one frame: the node that handed it to
+/// the fabric (payload faults key to it), the endpoints the plan
+/// matches, the op and the base latency. A completion or seqlock-retry
+/// leg knows only its initiator, so its `src` is `None` and matches
+/// wildcard rules only.
+#[derive(Clone, Copy)]
+struct Leg {
+    sender: NodeId,
+    src: Option<NodeId>,
+    dst: NodeId,
+    op: FaultOp,
+    base: SimDuration,
+}
+
+impl Leg {
+    /// A frame `src` posts to `dst`.
+    fn post(src: NodeId, dst: NodeId, op: FaultOp, base: SimDuration) -> Leg {
+        Leg {
+            sender: src,
+            src: Some(src),
+            dst,
+            op,
+            base,
+        }
+    }
+
+    /// A leg the target NIC `sender` returns towards `initiator`.
+    fn completion(sender: NodeId, initiator: NodeId, op: FaultOp, base: SimDuration) -> Leg {
+        Leg {
+            sender,
+            src: None,
+            dst: initiator,
+            op,
+            base,
+        }
+    }
+}
+
+/// The load snapshot a delivery carries in flight, if any: a socket
+/// monitor reply, a pushed RDMA write, or served read data.
+fn carried_snapshot(msg: &mut NodeMsg) -> Option<&mut SharedSnapshot> {
+    match msg {
+        NodeMsg::PacketArrive {
+            payload: Payload::MonitorReply { snap, .. },
+            ..
+        }
+        | NodeMsg::RdmaWriteArrive {
+            data: RegionData::Snapshot(snap),
+            ..
+        }
+        | NodeMsg::RdmaCompletion {
+            result:
+                RdmaResult::ReadOk {
+                    data: RegionData::Snapshot(snap),
+                    ..
+                },
+            ..
+        } => Some(snap),
+        _ => None,
     }
 }
 
@@ -588,7 +764,7 @@ impl Actor<Msg> for Fabric {
         // Fate draws are keyed by this event; restart the per-event
         // check counter (see `apply_faults`).
         self.fault_check_index = 0;
-        let seq = ctx.event_seq;
+        let key = (now, ctx.event_seq);
         match msg {
             NetMsg::SocketSend {
                 src,
@@ -597,9 +773,31 @@ impl Actor<Msg> for Fabric {
                 payload,
                 refused,
             } => {
-                if self.admit_post(src, refused) {
-                    self.deliver_socket(ctx, (now, seq), src, conn, size, payload);
+                if !self.admit_post(src, refused) {
+                    return;
                 }
+                let Some(entry) = self.conn(conn).copied() else {
+                    self.stats.dropped += 1;
+                    return;
+                };
+                let (dst, dst_service) = if src == entry.a {
+                    (entry.b, entry.svc_b)
+                } else {
+                    (entry.a, entry.svc_a)
+                };
+                let Some(to) = self.route(dst) else {
+                    return;
+                };
+                self.stats.socket_frames += 1;
+                self.stats.socket_bytes += size as u64;
+                let leg = Leg::post(src, dst, FaultOp::Socket, self.frame_latency(size));
+                let arrive = NodeMsg::PacketArrive {
+                    conn,
+                    dst_service,
+                    size,
+                    payload,
+                };
+                self.fly(ctx, key, leg, to, arrive);
             }
 
             NetMsg::RdmaRead {
@@ -609,34 +807,14 @@ impl Actor<Msg> for Fabric {
                 req_id,
                 refused,
             } => {
-                if !self.admit_post(src, refused) {
-                    return;
-                }
-                let Some(dst_actor) = self.actor_of(dst) else {
-                    self.stats.dropped += 1;
-                    return;
-                };
-                self.stats.rdma_reads += 1;
-                // Initiator post overhead + request flight.
-                let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                let Some(delay) =
-                    self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::RdmaRead, base)
-                else {
-                    return;
-                };
-                // The post's engine key rides along; the target opens the
-                // shadow read window on arrival, reconstructing the epoch
-                // as of this key. (Lost frames never open a window.)
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaReadArrive {
-                        initiator: src,
+                if self.admit_post(src, refused) {
+                    let read = BatchedRead {
+                        dst,
                         region,
                         req_id,
-                        posted: (now, seq),
-                    }),
-                );
+                    };
+                    self.post_read(ctx, key, src, read);
+                }
             }
 
             NetMsg::RdmaReadBatch {
@@ -655,33 +833,8 @@ impl Actor<Msg> for Fabric {
                 }
                 self.stats.rdma_batch_posts += 1;
                 for r in reads {
-                    let Some(dst_actor) = self.actor_of(r.dst) else {
-                        self.stats.dropped += 1;
-                        continue;
-                    };
-                    self.stats.rdma_reads += 1;
-                    self.stats.rdma_batched_reads += 1;
-                    let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                    let Some(delay) = self.apply_faults(
-                        now,
-                        seq,
-                        Some(src),
-                        Some(r.dst),
-                        FaultOp::RdmaRead,
-                        base,
-                    ) else {
-                        continue;
-                    };
-                    ctx.send_in(
-                        delay,
-                        dst_actor,
-                        Msg::Node(NodeMsg::RdmaReadArrive {
-                            initiator: src,
-                            region: r.region,
-                            req_id: r.req_id,
-                            posted: (now, seq),
-                        }),
-                    );
+                    let posted = self.post_read(ctx, key, src, r);
+                    self.stats.rdma_batched_reads += u64::from(posted);
                 }
             }
 
@@ -690,38 +843,26 @@ impl Actor<Msg> for Fabric {
                 dst,
                 region,
                 req_id,
-                mut data,
+                data,
                 refused,
             } => {
                 if !self.admit_post(src, refused) {
                     return;
                 }
-                let Some(dst_actor) = self.actor_of(dst) else {
-                    self.stats.dropped += 1;
+                let Some(to) = self.route(dst) else {
                     return;
                 };
                 self.stats.rdma_writes += 1;
-                let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                let Some(delay) =
-                    self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::RdmaWrite, base)
-                else {
-                    return;
+                // A pushed snapshot is a payload in flight like any
+                // other; the writing node produced it.
+                let leg = Leg::post(src, dst, FaultOp::RdmaWrite, self.post_latency());
+                let arrive = NodeMsg::RdmaWriteArrive {
+                    initiator: src,
+                    region,
+                    req_id,
+                    data,
                 };
-                // Pushed snapshots are payloads in flight like any other;
-                // the producer is the writing node.
-                if let fgmon_types::RegionData::Snapshot(snap) = &mut data {
-                    self.apply_payload_faults(now, seq, src, snap);
-                }
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaWriteArrive {
-                        initiator: src,
-                        region,
-                        req_id,
-                        data,
-                    }),
-                );
+                self.fly(ctx, key, leg, to, arrive);
             }
 
             NetMsg::RdmaCas {
@@ -737,8 +878,7 @@ impl Actor<Msg> for Fabric {
                 if !self.admit_post(src, refused) {
                     return;
                 }
-                let Some(dst_actor) = self.actor_of(dst) else {
-                    self.stats.dropped += 1;
+                let Some(to) = self.route(dst) else {
                     return;
                 };
                 self.stats.rdma_atomics += 1;
@@ -746,145 +886,25 @@ impl Actor<Msg> for Fabric {
                 // post + request-flight cost, same `RdmaWrite` fault op
                 // (they are one-sided mutations, and the plans have no
                 // reason to distinguish them).
-                let base = self.cfg.rdma_post + self.cfg.wire_latency;
-                let Some(delay) =
-                    self.apply_faults(now, seq, Some(src), Some(dst), FaultOp::RdmaWrite, base)
-                else {
-                    return;
+                let leg = Leg::post(src, dst, FaultOp::RdmaWrite, self.post_latency());
+                let arrive = NodeMsg::RdmaCasArrive {
+                    initiator: src,
+                    region,
+                    req_id,
+                    word,
+                    expected,
+                    swap,
                 };
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaCasArrive {
-                        initiator: src,
-                        region,
-                        req_id,
-                        word,
-                        expected,
-                        swap,
-                    }),
-                );
+                self.fly(ctx, key, leg, to, arrive);
             }
 
             NetMsg::RdmaReadData {
                 initiator,
                 req_id,
-                mut result,
+                result,
                 target,
                 region,
-                posted: _,
-            } => {
-                let Some(dst_actor) = self.actor_of(initiator) else {
-                    self.stats.dropped += 1;
-                    return;
-                };
-                if matches!(result, RdmaResult::RegionInvalidated) {
-                    self.stats.region_invalidated += 1;
-                }
-                // Close the shadow read window: the data just left the
-                // target NIC, so any host write since the post tore it.
-                // This event was sent by the target node same-instant, so
-                // it runs on the target's shard — the detector state for
-                // (target, region) is only ever touched from there.
-                let verdict = match &self.race {
-                    Some(race) => race.borrow_mut().on_read_complete(
-                        initiator,
-                        req_id,
-                        target,
-                        region,
-                        (now, seq),
-                    ),
-                    None => ReadVerdict::Clean,
-                };
-                // A version-check retry only makes sense on data that was
-                // actually served: error completions (RegionInvalidated,
-                // AccessDenied) carry no record to re-read, so they close
-                // their re-armed window and fly back as-is.
-                if !matches!(result, RdmaResult::ReadOk { .. }) {
-                    if matches!(verdict, ReadVerdict::Retry { .. }) {
-                        if let Some(race) = &self.race {
-                            race.borrow_mut()
-                                .on_read_drop(initiator, req_id, target, region);
-                        }
-                    }
-                } else if let ReadVerdict::Retry { .. } = verdict {
-                    self.stats.seqlock_retries += 1;
-                    let Some(target_actor) = self.actor_of(target) else {
-                        self.stats.dropped += 1;
-                        return;
-                    };
-                    // Reader-side seqlock retry: the torn data still flies
-                    // back (full return leg), the reader's version check
-                    // rejects it, and a fresh read is posted — one extra
-                    // round trip plus the modeled check per attempt. The
-                    // re-armed window was stamped with this event's key.
-                    let base = self.cfg.nic_read
-                        + self.cfg.wire_latency
-                        + self.cfg.completion_poll
-                        + self.cfg.seqlock_check
-                        + self.cfg.rdma_post
-                        + self.cfg.wire_latency;
-                    match self.apply_faults(
-                        now,
-                        seq,
-                        None,
-                        Some(initiator),
-                        FaultOp::RdmaRead,
-                        base,
-                    ) {
-                        Some(delay) => ctx.send_in(
-                            delay,
-                            target_actor,
-                            Msg::Node(NodeMsg::RdmaReadArrive {
-                                initiator,
-                                region,
-                                req_id,
-                                posted: (now, seq),
-                            }),
-                        ),
-                        None => {
-                            // The retry was lost: close the re-armed window.
-                            if let Some(race) = &self.race {
-                                race.borrow_mut()
-                                    .on_read_drop(initiator, req_id, target, region);
-                            }
-                        }
-                    }
-                    return;
-                }
-                if verdict == ReadVerdict::Torn {
-                    self.stats.torn_reads += 1;
-                }
-                // Serving this completion occupies the target NIC's QP
-                // cache: charge contention (thrash latency or outright
-                // shedding) before the fault model sees the leg.
-                let Some(extra) = self.apply_contention(now, seq, target, initiator) else {
-                    return;
-                };
-                // Target-NIC DMA read + reply flight + initiator CQ poll.
-                let base =
-                    self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll + extra;
-                let Some(delay) =
-                    self.apply_faults(now, seq, None, Some(initiator), FaultOp::RdmaRead, base)
-                else {
-                    return;
-                };
-                // The snapshot the target NIC served is in flight now:
-                // payload faults (skew, corruption) apply to the data
-                // leg, keyed to the snapshot's *producer* (the target).
-                if let RdmaResult::ReadOk {
-                    data: fgmon_types::RegionData::Snapshot(snap),
-                    ..
-                } = &mut result
-                {
-                    self.apply_payload_faults(now, seq, target, snap);
-                }
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaCompletion { req_id, result }),
-                );
-            }
+            } => self.read_data(ctx, initiator, req_id, result, target, region),
 
             NetMsg::RdmaWriteAck {
                 initiator,
@@ -892,27 +912,17 @@ impl Actor<Msg> for Fabric {
                 result,
                 target,
             } => {
-                let Some(dst_actor) = self.actor_of(initiator) else {
-                    self.stats.dropped += 1;
+                let Some(to) = self.route(initiator) else {
                     return;
                 };
                 // Write and CAS acks occupy the serving NIC's QP cache
                 // exactly like read completions do.
-                let Some(extra) = self.apply_contention(now, seq, target, initiator) else {
+                let Some(base) = self.complete(key, target, initiator) else {
                     return;
                 };
-                let base =
-                    self.cfg.nic_read + self.cfg.wire_latency + self.cfg.completion_poll + extra;
-                let Some(delay) =
-                    self.apply_faults(now, seq, None, Some(initiator), FaultOp::RdmaWrite, base)
-                else {
-                    return;
-                };
-                ctx.send_in(
-                    delay,
-                    dst_actor,
-                    Msg::Node(NodeMsg::RdmaCompletion { req_id, result }),
-                );
+                let leg = Leg::completion(target, initiator, FaultOp::RdmaWrite, base);
+                let done = NodeMsg::RdmaCompletion { req_id, result };
+                self.fly(ctx, key, leg, to, done);
             }
 
             NetMsg::McastSend {
@@ -940,8 +950,7 @@ impl Actor<Msg> for Fabric {
                     if node == src {
                         continue;
                     }
-                    let Some(dst_actor) = self.actor_of(node) else {
-                        self.stats.dropped += 1;
+                    let Some(to) = self.route(node) else {
                         continue;
                     };
                     self.stats.mcast_frames += 1;
@@ -951,22 +960,15 @@ impl Actor<Msg> for Fabric {
                     let base = self.frame_latency(size)
                         + SimDuration(self.cfg.mcast_fanout.nanos() * rank);
                     rank += 1;
-                    let Some(delay) =
-                        self.apply_faults(now, seq, Some(src), Some(node), FaultOp::Mcast, base)
-                    else {
-                        continue;
+                    let deliver = NodeMsg::McastDeliver {
+                        group,
+                        size,
+                        // Refcount bump, not a deep copy: every replica
+                        // shares the sender's immutable body.
+                        payload: payload.clone(), // lint: payload-clone — Arc refcount bump
                     };
-                    ctx.send_in(
-                        delay,
-                        dst_actor,
-                        Msg::Node(NodeMsg::McastDeliver {
-                            group,
-                            size,
-                            // Refcount bump, not a deep copy: every replica
-                            // shares the sender's immutable body.
-                            payload: payload.clone(), // lint: payload-clone — Arc refcount bump
-                        }),
-                    );
+                    let leg = Leg::post(src, node, FaultOp::Mcast, base);
+                    self.fly(ctx, key, leg, to, deliver);
                 }
                 if let Some(slot) = self.mcast.get_mut(&group) {
                     *slot = members;

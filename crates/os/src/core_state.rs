@@ -7,10 +7,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use fgmon_sim::{ActorId, DetRng, SimDuration, SimTime};
+use fgmon_sim::{ActorId, Ctx, DetRng, SimDuration, SimTime};
 use fgmon_types::{
-    ConnId, LoadSnapshot, McastGroup, NodeId, OsConfig, RegionId, ReqId, ServiceSlot,
-    SharedRaceDetector, SharedSnapshot, ThreadId, TokenBucket, MAX_CPUS,
+    ConnId, LoadSnapshot, McastGroup, Msg, NetMsg, NodeId, OsConfig, Payload, RegionId, ReqId,
+    ServiceSlot, SharedPayload, SharedRaceDetector, SharedSnapshot, ThreadId, TokenBucket,
+    MAX_CPUS,
 };
 
 use crate::irq::CpuIrq;
@@ -434,6 +435,50 @@ impl OsCore {
         self.limiter.as_mut().is_none_or(|b| b.try_admit(now))
     }
 
+    /// Hand one frame to the fabric: every frame this node puts on the
+    /// wire leaves through here.
+    #[inline]
+    pub(crate) fn transmit(&self, ctx: &mut Ctx<'_, Msg>, msg: NetMsg) {
+        ctx.send_now(self.fabric, Msg::Net(msg));
+    }
+
+    /// Post a socket frame on `conn`: count its bytes on the NIC, take
+    /// the rate limiter's ruling, and hand it to the fabric.
+    pub(crate) fn send_frame(&mut self, ctx: &mut Ctx<'_, Msg>, conn: ConnId, payload: Payload) {
+        let size = payload.wire_size();
+        self.stats.net.add(ctx.now, size as u64);
+        let refused = !self.admit_post(ctx.now);
+        let frame = NetMsg::SocketSend {
+            src: self.node,
+            conn,
+            size,
+            payload,
+            refused,
+        };
+        self.transmit(ctx, frame);
+    }
+
+    /// Post a hardware-multicast frame to `group`, as
+    /// [`OsCore::send_frame`] posts a socket frame.
+    pub(crate) fn mcast_frame(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        group: McastGroup,
+        payload: SharedPayload,
+    ) {
+        let size = payload.wire_size();
+        self.stats.net.add(ctx.now, size as u64);
+        let refused = !self.admit_post(ctx.now);
+        let frame = NetMsg::McastSend {
+            src: self.node,
+            group,
+            size,
+            payload,
+            refused,
+        };
+        self.transmit(ctx, frame);
+    }
+
     /// Allocate a request id for an outgoing RDMA work request. A
     /// `refused` post still consumes its id, so ids do not depend on the
     /// limiter, but records no row: its frame is dropped at the fabric
@@ -518,7 +563,6 @@ impl OsCore {
                 let t = self.threads.get_mut(tid);
                 t.state = ThreadState::Runnable;
                 t.bump_gen();
-                t.runnable_since = now;
                 if boost && self.cfg.wake_boost {
                     self.run_queue.push_front(tid);
                 } else {
@@ -595,7 +639,7 @@ mod tests {
         let mut c = core();
         let base = c.proc_read_cost();
         for _ in 0..10 {
-            c.threads.spawn(ServiceSlot(0), "w");
+            c.threads.spawn(ServiceSlot(0));
         }
         let loaded = c.proc_read_cost();
         assert_eq!(
@@ -607,8 +651,8 @@ mod tests {
     #[test]
     fn snapshot_reports_current_threads_and_queue() {
         let mut c = core();
-        let a = c.threads.spawn(ServiceSlot(0), "a");
-        let b = c.threads.spawn(ServiceSlot(0), "b");
+        let a = c.threads.spawn(ServiceSlot(0));
+        let b = c.threads.spawn(ServiceSlot(0));
         c.make_runnable(SimTime(1000), a, false);
         c.make_runnable(SimTime(1000), b, false);
         let s = c.snapshot(SimTime(2000), true);
@@ -620,7 +664,7 @@ mod tests {
     #[test]
     fn make_runnable_is_idempotent() {
         let mut c = core();
-        let a = c.threads.spawn(ServiceSlot(0), "a");
+        let a = c.threads.spawn(ServiceSlot(0));
         c.make_runnable(SimTime(0), a, false);
         c.make_runnable(SimTime(0), a, false);
         assert_eq!(c.run_queue.len(), 1);
@@ -630,14 +674,14 @@ mod tests {
     fn wake_boost_places_at_head() {
         let mut c = core();
         c.cfg.wake_boost = true;
-        let a = c.threads.spawn(ServiceSlot(0), "a");
-        let b = c.threads.spawn(ServiceSlot(0), "b");
+        let a = c.threads.spawn(ServiceSlot(0));
+        let b = c.threads.spawn(ServiceSlot(0));
         c.make_runnable(SimTime(0), a, false);
         c.make_runnable(SimTime(0), b, true);
         assert_eq!(c.run_queue.front(), Some(&b));
         // Without the config flag, boost is ignored.
         c.cfg.wake_boost = false;
-        let d = c.threads.spawn(ServiceSlot(0), "d");
+        let d = c.threads.spawn(ServiceSlot(0));
         c.make_runnable(SimTime(0), d, true);
         assert_eq!(c.run_queue.back(), Some(&d));
     }

@@ -18,7 +18,7 @@
 
 use std::any::Any;
 
-use fgmon_sim::{Actor, ActorId, Ctx, SeriesId, SimDuration, SimTime};
+use fgmon_sim::{Actor, Ctx, SeriesId, SimDuration, SimTime};
 use fgmon_types::{
     Msg, NetMsg, NodeId, NodeMsg, PostedKey, RdmaResult, RegionData, RegionId, ReqId, ServiceSlot,
     ThreadId,
@@ -323,7 +323,7 @@ impl NodeActor {
                 .burst
                 .take()
                 .expect("checked");
-            self.complete_burst(now, ctx, tid, burst.kind);
+            self.complete_burst(ctx, tid, burst.kind);
             // The completion callback may have killed the thread.
             if self.core.threads.get(tid).is_alive() {
                 if q_left > SimDuration::ZERO {
@@ -360,13 +360,7 @@ impl NodeActor {
         }
     }
 
-    fn complete_burst(
-        &mut self,
-        now: SimTime,
-        ctx: &mut Ctx<'_, Msg>,
-        tid: ThreadId,
-        kind: BurstKind,
-    ) {
+    fn complete_burst(&mut self, ctx: &mut Ctx<'_, Msg>, tid: ThreadId, kind: BurstKind) {
         match kind {
             BurstKind::Work { token: Some(token) } => {
                 let owner = self.core.threads.get(tid).owner;
@@ -382,40 +376,8 @@ impl NodeActor {
                     });
                 }
             }
-            BurstKind::Send { conn, payload } => {
-                let size = payload.wire_size();
-                self.core.stats.net.add(now, size as u64);
-                let refused = !self.core.admit_post(now);
-                let src = self.core.node;
-                let fabric = self.core.fabric;
-                ctx.send_now(
-                    fabric,
-                    Msg::Net(NetMsg::SocketSend {
-                        src,
-                        conn,
-                        size,
-                        payload,
-                        refused,
-                    }),
-                );
-            }
-            BurstKind::McastSend { group, payload } => {
-                let size = payload.wire_size();
-                self.core.stats.net.add(now, size as u64);
-                let refused = !self.core.admit_post(now);
-                let src = self.core.node;
-                let fabric = self.core.fabric;
-                ctx.send_now(
-                    fabric,
-                    Msg::Net(NetMsg::McastSend {
-                        src,
-                        group,
-                        size,
-                        payload,
-                        refused,
-                    }),
-                );
-            }
+            BurstKind::Send { conn, payload } => self.core.send_frame(ctx, conn, payload),
+            BurstKind::McastSend { group, payload } => self.core.mcast_frame(ctx, group, payload),
         }
     }
 
@@ -637,19 +599,14 @@ impl NodeActor {
                 .note_read_arrive(initiator, req_id, region, posted);
         }
         self.core.stats.net.add(now, 256);
-        let target = self.core.node;
-        let fabric = self.core.fabric;
-        ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaReadData {
-                initiator,
-                req_id,
-                result,
-                target,
-                region,
-                posted,
-            }),
-        );
+        let data = NetMsg::RdmaReadData {
+            initiator,
+            req_id,
+            result,
+            target: self.core.node,
+            region,
+        };
+        self.core.transmit(ctx, data);
     }
 
     fn serve_rdma_write(
@@ -677,17 +634,7 @@ impl NodeActor {
             _ => RdmaResult::AccessDenied,
         };
         self.core.stats.net.add(now, 256);
-        let target = self.core.node;
-        let fabric = self.core.fabric;
-        ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaWriteAck {
-                initiator,
-                req_id,
-                result,
-                target,
-            }),
-        );
+        self.ack(ctx, initiator, req_id, result);
     }
 
     /// Serve a one-sided compare-and-swap in the NIC — zero host CPU,
@@ -723,17 +670,18 @@ impl NodeActor {
         // An atomic op moves one word each way; far lighter on the NIC's
         // DMA engines than a snapshot read.
         self.core.stats.net.add(now, 64);
-        let target = self.core.node;
-        let fabric = self.core.fabric;
-        ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaWriteAck {
-                initiator,
-                req_id,
-                result,
-                target,
-            }),
-        );
+        self.ack(ctx, initiator, req_id, result);
+    }
+
+    /// Return a write's or CAS's completion to its initiator.
+    fn ack(&self, ctx: &mut Ctx<'_, Msg>, initiator: NodeId, req_id: ReqId, result: RdmaResult) {
+        let ack = NetMsg::RdmaWriteAck {
+            initiator,
+            req_id,
+            result,
+            target: self.core.node,
+        };
+        self.core.transmit(ctx, ack);
     }
 
     fn on_rdma_completion(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: ReqId, result: RdmaResult) {
@@ -874,11 +822,4 @@ impl Actor<Msg> for NodeActor {
         }
         self.balance(now, ctx);
     }
-}
-
-/// Convenience: engine id pair used when wiring nodes to the fabric.
-pub fn node_actor_ids(first_node: ActorId, count: usize) -> Vec<ActorId> {
-    (0..count as u32)
-        .map(|i| ActorId(first_node.0 + i))
-        .collect()
 }

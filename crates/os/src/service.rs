@@ -11,7 +11,7 @@ use std::any::Any;
 use fgmon_sim::{Ctx, DetRng, SimDuration, SimTime};
 use fgmon_types::{
     BatchedRead, ConnId, LoadSnapshot, McastGroup, Msg, NetMsg, NodeId, NodeMsg, Payload,
-    RdmaResult, RegionData, RegionId, ServiceSlot, SharedPayload, SharedSnapshot, ThreadId,
+    RdmaResult, RegionData, RegionId, ReqId, ServiceSlot, SharedPayload, SharedSnapshot, ThreadId,
 };
 
 use crate::core_state::{ListenMode, OsCore, RegionKind};
@@ -112,10 +112,10 @@ impl OsApi<'_, '_> {
 
     /// Create a thread owned by this service. It starts blocked; queue ops
     /// or call [`OsApi::wake_thread`] to run it.
-    pub fn spawn_thread(&mut self, name: &'static str) -> ThreadId {
+    pub fn spawn_thread(&mut self) -> ThreadId {
         // lint: thread-spawn — this "spawn" is the simulated ThreadTable:
         // a bookkeeping entry scheduled by engine events, not an OS thread.
-        self.core.threads.spawn(self.slot, name)
+        self.core.threads.spawn(self.slot)
     }
 
     /// Terminate a thread (drops queued work and frees its CPU, if any).
@@ -250,22 +250,7 @@ impl OsApi<'_, '_> {
     /// already-in-kernel forwarding of a lightly loaded front-end; back-end
     /// code under measurement should use [`OsApi::send`].
     pub fn send_direct(&mut self, conn: ConnId, payload: Payload) {
-        let size = payload.wire_size();
-        let now = self.ctx.now;
-        self.core.stats.net.add(now, size as u64);
-        let refused = !self.core.admit_post(now);
-        let src = self.core.node;
-        let fabric = self.core.fabric;
-        self.ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::SocketSend {
-                src,
-                conn,
-                size,
-                payload,
-                refused,
-            }),
-        );
+        self.core.send_frame(self.ctx, conn, payload);
     }
 
     // ---- connections -------------------------------------------------------
@@ -274,22 +259,8 @@ impl OsApi<'_, '_> {
     /// cost (front-end publishing; back-end code under measurement should
     /// use [`OsApi::mcast_send`]).
     pub fn mcast_direct(&mut self, group: McastGroup, payload: Payload) {
-        let size = payload.wire_size();
-        let now = self.ctx.now;
-        self.core.stats.net.add(now, size as u64);
-        let refused = !self.core.admit_post(now);
-        let src = self.core.node;
-        let fabric = self.core.fabric;
-        self.ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::McastSend {
-                src,
-                group,
-                size,
-                payload: SharedPayload::new(payload),
-                refused,
-            }),
-        );
+        self.core
+            .mcast_frame(self.ctx, group, SharedPayload::new(payload));
     }
 
     /// Route inbound packets on `conn` to this service, waking `tid`.
@@ -404,21 +375,16 @@ impl OsApi<'_, '_> {
     /// Post a one-sided read of `region` on node `dst`.
     /// `on_rdma_complete(token, …)` fires at completion.
     pub fn rdma_read(&mut self, dst: NodeId, region: RegionId, token: u64) {
-        let refused = !self.core.admit_post(self.ctx.now);
-        let req = self.core.alloc_req(self.slot, token, refused);
-        let src = self.core.node;
-        let fabric = self.core.fabric;
+        let (src, refused, req_id) = self.rdma_post(token);
         // The initiator-side post overhead is charged by the fabric.
-        self.ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaRead {
-                src,
-                dst,
-                region,
-                req_id: req,
-                refused,
-            }),
-        );
+        let read = NetMsg::RdmaRead {
+            src,
+            dst,
+            region,
+            req_id,
+            refused,
+        };
+        self.core.transmit(self.ctx, read);
     }
 
     /// Post several one-sided reads with one doorbell ring (RDMAbox-style
@@ -440,16 +406,12 @@ impl OsApi<'_, '_> {
                 req_id: self.core.alloc_req(self.slot, token, refused),
             })
             .collect();
-        let src = self.core.node;
-        let fabric = self.core.fabric;
-        self.ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaReadBatch {
-                src,
-                reads: batch,
-                refused,
-            }),
-        );
+        let doorbell = NetMsg::RdmaReadBatch {
+            src: self.core.node,
+            reads: batch,
+            refused,
+        };
+        self.core.transmit(self.ctx, doorbell);
     }
 
     /// Post a one-sided compare-and-swap against word `word` of an
@@ -466,43 +428,41 @@ impl OsApi<'_, '_> {
         swap: u64,
         token: u64,
     ) {
-        let refused = !self.core.admit_post(self.ctx.now);
-        let req = self.core.alloc_req(self.slot, token, refused);
-        let src = self.core.node;
-        let fabric = self.core.fabric;
-        self.ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaCas {
-                src,
-                dst,
-                region,
-                req_id: req,
-                word,
-                expected,
-                swap,
-                refused,
-            }),
-        );
+        let (src, refused, req_id) = self.rdma_post(token);
+        let cas = NetMsg::RdmaCas {
+            src,
+            dst,
+            region,
+            req_id,
+            word,
+            expected,
+            swap,
+            refused,
+        };
+        self.core.transmit(self.ctx, cas);
     }
 
     /// Post a one-sided write of `snap` into `region` on node `dst`. The
     /// record travels in this node's outgoing buffer
     /// ([`OsApi::share_snapshot`]).
     pub fn rdma_write(&mut self, dst: NodeId, region: RegionId, snap: LoadSnapshot, token: u64) {
+        let (src, refused, req_id) = self.rdma_post(token);
+        let write = NetMsg::RdmaWrite {
+            src,
+            dst,
+            region,
+            req_id,
+            data: RegionData::Snapshot(self.core.share_snapshot(snap)),
+            refused,
+        };
+        self.core.transmit(self.ctx, write);
+    }
+
+    /// The posting NIC's side of one one-sided verb: the rate limiter's
+    /// ruling and a request id for `token`, as `(src, refused, req_id)`.
+    fn rdma_post(&mut self, token: u64) -> (NodeId, bool, ReqId) {
         let refused = !self.core.admit_post(self.ctx.now);
-        let req = self.core.alloc_req(self.slot, token, refused);
-        let src = self.core.node;
-        let fabric = self.core.fabric;
-        self.ctx.send_now(
-            fabric,
-            Msg::Net(NetMsg::RdmaWrite {
-                src,
-                dst,
-                region,
-                req_id: req,
-                data: RegionData::Snapshot(self.core.share_snapshot(snap)),
-                refused,
-            }),
-        );
+        let req_id = self.core.alloc_req(self.slot, token, refused);
+        (self.core.node, refused, req_id)
     }
 }

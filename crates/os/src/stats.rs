@@ -97,10 +97,6 @@ impl CpuAccounting {
         self.util.advance(now, held);
         self.util.value().clamp(0.0, 1.0)
     }
-
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
 }
 
 /// Windowed byte-rate meter (network throughput).

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use fgmon_sim::{SimDuration, SimTime};
+use fgmon_sim::SimDuration;
 use fgmon_types::{ConnId, McastGroup, Payload, ServiceSlot, SharedPayload, ThreadId};
 
 /// A queued unit of work for one thread.
@@ -84,7 +84,6 @@ pub enum ThreadState {
 pub struct Thread {
     pub id: ThreadId,
     pub owner: ServiceSlot,
-    pub name: &'static str,
     pub state: ThreadState,
     /// Invalidates stale wake/quantum events after state changes.
     pub gen: u64,
@@ -96,23 +95,19 @@ pub struct Thread {
     pub inbox: VecDeque<(ConnId, u32, Payload)>,
     /// Wake token to deliver via `on_wake` at next dispatch.
     pub pending_wake: Option<u64>,
-    /// When the thread last became runnable (for wait-time accounting).
-    pub runnable_since: SimTime,
 }
 
 impl Thread {
-    pub fn new(id: ThreadId, owner: ServiceSlot, name: &'static str) -> Self {
+    pub fn new(id: ThreadId, owner: ServiceSlot) -> Self {
         Thread {
             id,
             owner,
-            name,
             state: ThreadState::Idle,
             gen: 0,
             burst: None,
             ops: VecDeque::new(),
             inbox: VecDeque::new(),
             pending_wake: None,
-            runnable_since: SimTime::ZERO,
         }
     }
 
@@ -151,23 +146,21 @@ impl ThreadTable {
         Self::default()
     }
 
-    pub fn spawn(&mut self, owner: ServiceSlot, name: &'static str) -> ThreadId {
+    pub fn spawn(&mut self, owner: ServiceSlot) -> ThreadId {
         if let Some(slot) = self.free.pop() {
             let t = &mut self.threads[slot as usize];
             debug_assert_eq!(t.state, ThreadState::Dead);
             t.owner = owner;
-            t.name = name;
             t.state = ThreadState::Idle;
             // `gen` is deliberately NOT reset: it keeps growing across
             // incarnations so events addressed to the previous occupant
             // stay stale. `ops`/`inbox` keep their capacity.
             t.burst = None;
             t.pending_wake = None;
-            t.runnable_since = SimTime::ZERO;
             return t.id;
         }
         let id = ThreadId(self.threads.len() as u32);
-        self.threads.push(Thread::new(id, owner, name));
+        self.threads.push(Thread::new(id, owner));
         id
     }
 
@@ -214,8 +207,8 @@ mod tests {
     #[test]
     fn spawn_assigns_sequential_ids() {
         let mut tt = ThreadTable::new();
-        let a = tt.spawn(ServiceSlot(0), "a");
-        let b = tt.spawn(ServiceSlot(0), "b");
+        let a = tt.spawn(ServiceSlot(0));
+        let b = tt.spawn(ServiceSlot(0));
         assert_eq!(a, ThreadId(0));
         assert_eq!(b, ThreadId(1));
         assert_eq!(tt.live_count(), 2);
@@ -225,8 +218,8 @@ mod tests {
     #[test]
     fn dead_threads_leave_live_count() {
         let mut tt = ThreadTable::new();
-        let a = tt.spawn(ServiceSlot(0), "a");
-        tt.spawn(ServiceSlot(0), "b");
+        let a = tt.spawn(ServiceSlot(0));
+        tt.spawn(ServiceSlot(0));
         tt.get_mut(a).state = ThreadState::Dead;
         assert_eq!(tt.live_count(), 1);
         assert!(!tt.get(a).is_alive());
@@ -235,7 +228,7 @@ mod tests {
     #[test]
     fn has_work_reflects_queues() {
         let mut tt = ThreadTable::new();
-        let a = tt.spawn(ServiceSlot(0), "a");
+        let a = tt.spawn(ServiceSlot(0));
         assert!(!tt.get(a).has_work());
         tt.get_mut(a).ops.push_back(ThreadOp::Burst {
             dur: SimDuration::from_millis(1),
@@ -254,7 +247,7 @@ mod tests {
 
     #[test]
     fn gen_bump_monotone() {
-        let mut t = Thread::new(ThreadId(0), ServiceSlot(0), "x");
+        let mut t = Thread::new(ThreadId(0), ServiceSlot(0));
         let g1 = t.bump_gen();
         let g2 = t.bump_gen();
         assert!(g2 > g1);

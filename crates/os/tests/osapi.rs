@@ -76,8 +76,8 @@ struct Assassin {
 
 impl Service for Assassin {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let victim = os.spawn_thread("victim");
-        let killer = os.spawn_thread("killer");
+        let victim = os.spawn_thread();
+        let killer = os.spawn_thread();
         self.victim = Some(victim);
         self.killer = Some(killer);
         // Victim: a long burst that must never complete.
@@ -175,7 +175,7 @@ struct SilentWorker {
 
 impl Service for SilentWorker {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("silent");
+        let tid = os.spawn_thread();
         self.tid = Some(tid);
         os.burst_silent(tid, SimDuration::from_millis(100));
     }
@@ -209,7 +209,7 @@ struct Spawner {
 impl Service for Spawner {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..3 {
-            self.tids.push(os.spawn_thread("w"));
+            self.tids.push(os.spawn_thread());
         }
     }
 }
@@ -242,7 +242,7 @@ impl Service for CostProbe {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         self.before = Some(os.proc_read_cost());
         for _ in 0..20 {
-            os.spawn_thread("filler");
+            os.spawn_thread();
         }
         self.after = Some(os.proc_read_cost());
     }

@@ -151,7 +151,7 @@ fn every_emitter(os: &mut OsApi<'_, '_>) {
     os.rdma_cas(dst, RegionId(3), 0, 0, 1, 14);
     os.rdma_write(dst, RegionId(4), LoadSnapshot::zero(), 15);
     // The thread-side sends leave the NIC when their send burst ends.
-    let tid = os.spawn_thread("sender");
+    let tid = os.spawn_thread();
     os.send(tid, ConnId(0), Payload::Opaque { tag: 3 });
     os.mcast_send(tid, McastGroup(0), Payload::Opaque { tag: 4 });
 }

@@ -53,7 +53,7 @@ impl ScriptRunner {
 impl Service for ScriptRunner {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for i in 0..self.scripts.len() {
-            let tid = os.spawn_thread("script");
+            let tid = os.spawn_thread();
             self.tids.push(tid);
             self.advance(i, os);
         }

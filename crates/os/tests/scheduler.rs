@@ -163,7 +163,7 @@ struct BurstRunner {
 
 impl Service for BurstRunner {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("runner");
+        let tid = os.spawn_thread();
         self.tid = Some(tid);
         os.burst(tid, self.dur, 1);
     }
@@ -183,7 +183,7 @@ struct Hogs {
 impl Service for Hogs {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.n {
-            let tid = os.spawn_thread("hog");
+            let tid = os.spawn_thread();
             os.burst(tid, SimDuration::from_millis(50), 0xB0);
         }
     }
@@ -201,7 +201,7 @@ struct Sleeper {
 
 impl Service for Sleeper {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("sleeper");
+        let tid = os.spawn_thread();
         os.sleep(tid, self.dur, 9);
     }
     fn on_wake(&mut self, _tid: ThreadId, token: u64, os: &mut OsApi<'_, '_>) {
@@ -218,7 +218,7 @@ struct EchoServer {
 
 impl Service for EchoServer {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("echo");
+        let tid = os.spawn_thread();
         os.listen_thread(ConnId(0), tid);
     }
     fn on_packet(
@@ -288,7 +288,7 @@ impl Service for KernelExporter {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         let _region = os.register_kernel_region(self.detail);
         for _ in 0..self.hogs {
-            let tid = os.spawn_thread("hog");
+            let tid = os.spawn_thread();
             os.burst(tid, SimDuration::from_secs(10), 1);
         }
     }

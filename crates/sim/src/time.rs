@@ -30,11 +30,6 @@ impl SimTime {
     }
 
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
-    }
-
-    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_MILLI as f64
     }
@@ -109,11 +104,6 @@ impl SimDuration {
     #[inline]
     pub fn nanos(self) -> u64 {
         self.0
-    }
-
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
     }
 
     #[inline]

@@ -147,11 +147,6 @@ impl CircuitBreaker {
         self.state == BreakerState::Closed
     }
 
-    /// Current consecutive-failure streak (diagnostics).
-    pub fn failure_streak(&self) -> u32 {
-        self.failures
-    }
-
     /// Should the next poll use the primary path? `Closed` and `HalfOpen`
     /// say yes; `Open` says yes only once the cool-down has elapsed, in
     /// which case the breaker moves to `HalfOpen` and the poll doubles as

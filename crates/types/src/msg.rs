@@ -12,7 +12,7 @@ use crate::payload::{Payload, SharedPayload};
 use fgmon_sim::SimTime;
 
 /// The engine-level `(time, seq)` key of the fabric event that posted an
-/// RDMA read. Carried through the read's round trip so the torn-read
+/// RDMA read. Carried with the request to the target so the torn-read
 /// detector can order the read's start against host writes *on the
 /// target's shard* without any cross-shard detector state.
 pub type PostedKey = (SimTime, u64);
@@ -93,7 +93,7 @@ pub enum NodeMsg {
     },
     /// An RDMA read request reached this node's NIC (no CPU involved).
     /// `posted` is the engine key of the fabric event that launched the
-    /// read, echoed back in [`NetMsg::RdmaReadData`] for the sanitizer.
+    /// read; the sanitizer opens the read's window as of that key.
     RdmaReadArrive {
         initiator: NodeId,
         region: RegionId,
@@ -178,15 +178,14 @@ pub enum NetMsg {
         refused: bool,
     },
     /// Target-NIC response carrying RDMA read data back to the initiator.
-    /// `target`/`region`/`posted` echo the request so the torn-read
-    /// window can be closed on the target's shard without a lookup table.
+    /// `target`/`region` echo the request so the torn-read window can be
+    /// closed on the target's shard without a lookup table.
     RdmaReadData {
         initiator: NodeId,
         req_id: ReqId,
         result: RdmaResult,
         target: NodeId,
         region: RegionId,
-        posted: PostedKey,
     },
     /// One-sided compare-and-swap posted by `src` against word `word`
     /// of an atomic region on `dst` (masked atomics stay out of scope:

@@ -290,11 +290,6 @@ impl RaceDetector {
         self.mode
     }
 
-    pub fn set_mode(&mut self, mode: RaceMode) {
-        self.mode = mode;
-        self.report.mode = mode;
-    }
-
     pub fn enabled(&self) -> bool {
         self.mode != RaceMode::Off
     }

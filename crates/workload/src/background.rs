@@ -28,7 +28,7 @@ impl ComputeHogs {
 impl Service for ComputeHogs {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.n {
-            let tid = os.spawn_thread("hog");
+            let tid = os.spawn_thread();
             os.burst(tid, self.burst, TOK_HOG);
         }
     }
@@ -80,7 +80,7 @@ impl CommLoad {
 
 impl Service for CommLoad {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("comm-tx");
+        let tid = os.spawn_thread();
         self.tid = Some(tid);
         // Receive echoes on the same thread: the kernel receive path load
         // lands on this node too.
@@ -134,7 +134,7 @@ impl CommSink {
 
 impl Service for CommSink {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let tid = os.spawn_thread("comm-rx");
+        let tid = os.spawn_thread();
         os.listen_thread(self.conn, tid);
     }
     fn on_packet(
@@ -193,7 +193,7 @@ impl LoadRamp {
 
     fn apply(&mut self, target: u32, os: &mut OsApi<'_, '_>) {
         while (self.active.len() as u32) < target {
-            let tid = os.spawn_thread("ramp-hog");
+            let tid = os.spawn_thread();
             os.burst(tid, self.burst, TOK_HOG);
             self.active.push(tid);
         }
@@ -201,10 +201,6 @@ impl LoadRamp {
             let tid = self.active.pop().expect("len checked");
             os.exit_thread(tid);
         }
-    }
-
-    pub fn current_target(&self) -> u32 {
-        self.active.len() as u32
     }
 }
 

@@ -70,7 +70,7 @@ impl FloatApp {
 impl Service for FloatApp {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..self.threads.max(1) {
-            let tid = os.spawn_thread("float");
+            let tid = os.spawn_thread();
             self.start_batch(tid, os);
         }
     }

@@ -96,10 +96,6 @@ impl WorkerPoolServer {
         }
     }
 
-    pub fn busy_workers(&self) -> u32 {
-        self.worker_count - self.idle.len() as u32
-    }
-
     /// `(parallel php/copy demand, serialized db demand, resp, mem)`.
     fn demand_of(
         kind: &RequestKind,
@@ -140,7 +136,7 @@ impl WorkerPoolServer {
         if let Some(worker) = self.idle.pop() {
             self.start_php(worker, work, php, os);
         } else if self.worker_count < self.max_workers {
-            let worker = os.spawn_thread("httpd-worker");
+            let worker = os.spawn_thread();
             self.worker_count += 1;
             self.start_php(worker, work, php, os);
         } else {
@@ -233,7 +229,7 @@ impl WorkerPoolServer {
 
 impl Service for WorkerPoolServer {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
-        let acceptor = os.spawn_thread("httpd-acceptor");
+        let acceptor = os.spawn_thread();
         self.acceptor = Some(acceptor);
         for &c in &self.conns {
             os.listen_thread(c, acceptor);

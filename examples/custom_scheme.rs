@@ -35,7 +35,7 @@ impl Service for HybridBackend {
         // Fast path: one-sided reads of live kernel statistics.
         os.register_kernel_region(false);
         // Slow path: a reporter thread for the extended report.
-        let tid = os.spawn_thread("hybrid-report");
+        let tid = os.spawn_thread();
         os.listen_thread(self.conn, tid);
         // Pretend the application keeps a queue whose depth only user
         // space knows; it drifts over time.
@@ -148,7 +148,7 @@ struct Hogs;
 impl Service for Hogs {
     fn on_start(&mut self, os: &mut OsApi<'_, '_>) {
         for _ in 0..2 {
-            let tid = os.spawn_thread("hog");
+            let tid = os.spawn_thread();
             os.burst(tid, SimDuration::from_millis(30), 1);
         }
     }
